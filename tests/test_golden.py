@@ -1,0 +1,130 @@
+"""Byte-exact golden reports and explain texts.
+
+Every case is rendered through the public pipeline and compared with the
+file checked in under tests/golden/: `<case>.json` holds the
+`thomstem-report/1` bytes and `<case>.explain.txt` the `explain` bytes.
+The thom b1 = 9 scaling rung is pinned by sha256 digest instead of a
+file. Regenerate (after a deliberate change) with
+
+    PYTHONPATH=src python tests/test_golden.py --regen
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from thomstem import pipeline
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DIGESTS_PATH = os.path.join(GOLDEN_DIR, "digests.json")
+
+SCHEMA = "thomstem-scenario/1"
+
+SUM3 = [{"determinant": 3}, {"b1": 1, "b_plus": 0, "label": "C"},
+        {"b1": 2, "b_plus": 1, "label": "D"}]
+BLOCK = [{"b1": 4, "quad_form": ["[1,2,3,4] = 1"], "b_plus": 2, "label": "A"},
+         {"b1": 2, "b_plus": 1, "label": "D"}]
+
+
+def _custom(name, manifolds, pipeline_name, assignment, **extra):
+    return {"schema": SCHEMA, "name": name, "pipeline": pipeline_name,
+            "manifolds": manifolds,
+            "class_assignment": [{"cell": cell, "element": element}
+                                 for cell, element in assignment], **extra}
+
+
+CUSTOM = {
+    "sum3_thom": _custom("sum3-thom", SUM3, "thom",
+                         [("top", "eta")], suspensions=1, target_shift=3),
+    "sum3_sphere": _custom("sum3-sphere", SUM3, "sphere_quotient",
+                           [("top", "zero")], suspensions=2),
+    "selector_cut_shift_thom": _custom(
+        "selector-thom", BLOCK, "thom",
+        [("top", "zero"), ({"base": [1, 2, 3], "fiber": "thom"}, "one(1)")],
+        skeletal_cut=5, target_shift=1, suspensions=1),
+    "selector_cut_shift_sphere": _custom(
+        "selector-sphere", BLOCK, "sphere_quotient",
+        [("top", "zero"), ({"base": [1, 2, 3], "fiber": "sphere_two"},
+                           "eta")],
+        skeletal_cut=3, target_shift=-1, suspensions=2),
+}
+
+# the thom b1 = 9 scaling rung: a det-3 torus summed with a b1 = 5 block
+THOM_B1_9 = _custom(
+    "thom-b1-9",
+    [{"determinant": 3},
+     {"b1": 5, "quad_form": ["[1,2,3,4] = 5"], "label": "B"}],
+    "thom", [({"base": [1, 2, 3, 4, 5, 6], "fiber": "thom"}, "eta")],
+    suspensions=1)
+
+
+def cases():
+    """case name -> resolved ScenarioSpec, files checked in for each."""
+    out = {}
+    for det in range(-7, 8):
+        if det:
+            out[f"sec3_det{det}"] = pipeline.preset("paper-sec3", det=det)
+    out["sec4_3_5"] = pipeline.preset("paper-sec4", det1=3, det2=5)
+    out["sec4_2_4"] = pipeline.preset("paper-sec4", det1=2, det2=4)
+    out["sec5_3_5"] = pipeline.preset("paper-sec5", det1=3, det2=5)
+    for name, raw in CUSTOM.items():
+        out[name] = pipeline.parse_scenario(raw)
+    return out
+
+
+def render(spec):
+    """(report bytes, explain bytes) of one spec."""
+    report = pipeline.report_json(pipeline.run_scenario(spec))
+    return report.encode(), pipeline.explain_text(spec).encode()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read(name):
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+        return handle.read()
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    report, explain = render(CASES[name])
+    assert report == _read(f"{name}.json"), f"{name}: report bytes differ"
+    assert explain == _read(f"{name}.explain.txt"), \
+        f"{name}: explain bytes differ"
+
+
+def test_thom_b1_9_digest():
+    with open(DIGESTS_PATH, "r", encoding="utf-8") as handle:
+        want = json.load(handle)["thom_b1_9"]
+    report, explain = render(pipeline.parse_scenario(THOM_B1_9))
+    assert sha256(report) == want["report"]
+    assert sha256(explain) == want["explain"]
+
+
+def regenerate():
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name, spec in sorted(CASES.items()):
+        report, explain = render(spec)
+        for suffix, data in ((".json", report), (".explain.txt", explain)):
+            with open(os.path.join(GOLDEN_DIR, name + suffix), "wb") as handle:
+                handle.write(data)
+    report, explain = render(pipeline.parse_scenario(THOM_B1_9))
+    digests = {"thom_b1_9": {"report": sha256(report),
+                             "explain": sha256(explain)}}
+    with open(DIGESTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regen")
+    regenerate()
