@@ -16,15 +16,16 @@ from .exterior import (ExteriorClass, Monomial, RankMismatchError, add, mod2,
                        scale, sq_torus, top_coefficient, wedge)
 from .stems import (AbelianGroup, OutOfTableError, StemElement, compose,
                     eta, eta_sq, nu_multiple, one, stem_group, zero)
-from .thom import (AttachLabel, StableCell, StableCellComplex,
-                   infer_attachments, skeletal_quotient,
+from .thom import (AttachLabel, AttachmentView, LabelRules, StableCell,
+                   StableCellComplex, infer_attachments, skeletal_quotient,
                    sphere_bundle_quotient, sq_thom, suspend, thom_cells)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup", "AttachLabel", "BigradedClass", "BundleData",
-    "ColumnEntry", "ExteriorClass", "GroupReport", "ManifoldData",
+    "AbelianGroup", "AttachLabel", "AttachmentView", "BigradedClass",
+    "BundleData", "ColumnEntry", "ExteriorClass", "GroupReport",
+    "LabelRules", "ManifoldData",
     "Monomial", "OutOfTableError", "RankMismatchError", "StableCell",
     "StableCellComplex", "StemElement", "add", "assemble",
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",

@@ -28,7 +28,7 @@ VERDICT_TRIVIAL, VERDICT_NONTRIVIAL, VERDICT_UNKNOWN = (
     "trivial", "nontrivial", "unknown")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnEntry:
     """One cell's column: the stem it contributes and what happened to it."""
 
@@ -112,18 +112,33 @@ def _surviving_sum(entries) -> AbelianGroup:
     return total
 
 
+class _Column:
+    """Mutable column state while the rules run; frozen at the end."""
+
+    __slots__ = ("cell", "stem_q", "group", "status", "killer",
+                 "reduced_index")
+
+    def __init__(self, cell: StableCell, stem_q: int, group: AbelianGroup):
+        self.cell, self.stem_q, self.group = cell, stem_q, group
+        self.status, self.killer, self.reduced_index = SURVIVES, None, None
+
+    def freeze(self) -> ColumnEntry:
+        return ColumnEntry(self.cell, self.stem_q, self.group, self.status,
+                           self.killer, self.reduced_index)
+
+
 def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     """Assemble {complex, S^N} from cell columns and attachment labels."""
     if complex_.attachments is None:
         complex_ = infer_attachments(complex_)
 
-    entries: List[ColumnEntry] = []
-    index: Dict[StableCell, ColumnEntry] = {}
+    columns: List[_Column] = []
+    index: Dict[StableCell, _Column] = {}
     for cell in complex_.proper_cells:
         q = cell.dim - target_n
-        entry = ColumnEntry(cell, q, stems.stem_group(q))
-        entries.append(entry)
-        index[cell] = entry
+        column = _Column(cell, q, stems.stem_group(q))
+        columns.append(column)
+        index[cell] = column
 
     notes = [
         "surviving columns are direct-summed; extension problems in reading "
@@ -136,7 +151,8 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     # definitively (trivial = no differential, unknown handled last).
     _run_eta_rules(complex_, index, differentials)
     _run_nu_rules(complex_, index, differentials, notes)
-    _mark_unknowns(complex_, index, notes)
+    _mark_unknowns(complex_, columns, notes)
+    entries = tuple(column.freeze() for column in columns)
 
     if complex_.basepoint_policy == POLICY_REDUCED:
         for entry in entries:
@@ -163,12 +179,14 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     if not differentials:
         differentials.append("direct sum, no differentials")
 
-    return GroupReport(target_n, tuple(entries), assembled, bounds,
+    return GroupReport(target_n, entries, assembled, bounds,
                        tuple(notes), tuple(differentials), complex_)
 
 
 def _sorted_labelled(complex_, value):
-    for (upper, lower), label in complex_.sorted_attachments():
+    # only trivial and unknown can be default labels, so every detected
+    # label is an exception
+    for (upper, lower), label in complex_.attachments.exceptions:
         if label.value == value:
             yield upper, lower, label
 
@@ -277,41 +295,63 @@ def _run_nu_rules(complex_, index, differentials, notes):
                 f"composition with nu into {upper.name()}); still Z abstractly")
 
 
-def _mark_unknowns(complex_, index, notes):
+def _threat_source(value: str, gap: int, stem_q: int) -> Optional[int]:
+    """The source stem through which a `value` label at `gap` could hit a
+    nontrivial column at `stem_q`, or None when it cannot."""
+    if value == TRIVIAL:
+        return None
+    if (value == ETA_LABEL and stem_q in (1, 2)) or \
+            (value == NU_ODD and stem_q == 3):
+        return None     # handled definitively by the d2/d4 rules
+    source_q = stem_q - gap + 1
+    if source_q < 0:
+        return None
+    try:
+        source_group = stems.stem_group(source_q)
+    except OutOfTableError:
+        return source_q
+    return None if source_group.is_trivial else source_q
+
+
+def _mark_unknowns(complex_, columns, notes):
     """Columns that could be hit only through unknown or unhandled labels.
 
     A label threatens the upper column when the source stem (one degree
     over: stem_q(upper) - gap + 1) carries a nonzero group. Definitively
     killed columns stay killed: the kill was a surjection and holds
     whatever the unknown maps do.
+
+    Each column is decided from the per-gap defaults and its own
+    exceptions; only the pairs at threatening gaps are visited, and each
+    threatening pair gets one note, in canonical pair order.
     """
-    if complex_.attachments is None:
-        return
-    for (upper, lower), label in complex_.sorted_attachments():
-        if label.value == TRIVIAL:
+    labels = complex_.attachments
+    names: Dict[StableCell, str] = {}
+
+    def name_of(cell):
+        if cell not in names:
+            names[cell] = cell.name()
+        return names[cell]
+
+    for column in columns:
+        if column.status == KILLED or column.group.is_trivial:
             continue
-        up = index[upper]
-        if up.status == KILLED or up.group.is_trivial:
-            continue
-        gap = upper.dim - lower.dim
-        handled = (label.value == ETA_LABEL and up.stem_q in (1, 2)) or \
-                  (label.value == NU_ODD and up.stem_q == 3)
-        if handled:
-            continue
-        source_q = up.stem_q - gap + 1
-        if source_q < 0:
-            continue
-        try:
-            source_group = stems.stem_group(source_q)
-        except OutOfTableError:
-            source_group = None
-        if source_group is None or not source_group.is_trivial:
-            up.status = UNKNOWN
-            up.killer = None
-            notes.append(
-                f"column {upper.name()} marked unknown: reachable through a "
-                f"{label.value} gap-{gap} label from {lower.name()} "
-                f"(source stem {source_q})")
+        upper, q = column.cell, column.stem_q
+        gaps = [gap for gap, label in labels.rules.defaults.items()
+                if _threat_source(label.value, gap, q) is not None]
+        head = None
+        for lower, label in labels.row(upper, gaps):
+            gap = upper.dim - lower.dim
+            source_q = _threat_source(label.value, gap, q)
+            if source_q is None:
+                continue
+            if head is None:
+                column.status = UNKNOWN
+                column.killer = None
+                head = f"column {upper.name()} marked unknown: reachable " \
+                       "through a "
+            notes.append(f"{head}{label.value} gap-{gap} label from "
+                         f"{name_of(lower)} (source stem {source_q})")
 
 
 def evaluate_class(report: GroupReport, assignment: ClassAssignment) -> str:
@@ -371,9 +411,10 @@ def vanishing_certificate(report: GroupReport,
         if entry.killer:
             line += f" [{entry.killer}]"
         lines.append(line)
-        if entry.status == KILLED and report.complex.attachments:
-            for (upper, lower), label in report.complex.sorted_attachments():
-                if upper == cell and label.value in (ETA_LABEL, NU_ODD):
+        labels = report.complex.attachments
+        if entry.status == KILLED and labels:
+            for _, label in labels.row(cell, gaps=()):
+                if label.value in (ETA_LABEL, NU_ODD):
                     lines.append(f"  label {label.value}: {label.justification}")
     verdict = evaluate_class(report, assignment)
     lines.append(f"verdict: {verdict}")

@@ -131,13 +131,13 @@ def parse_scenario(data: Mapping, source: str = "spec") -> ScenarioSpec:
     resolved = []
     for i, m in enumerate(manifolds):
         resolved.append(_check_manifold(m, f"{source}.manifolds[{i}]"))
-    for key, kind in (("suspensions", int), ("target_shift", int)):
-        if key in data and not isinstance(data[key], int):
+    for key in ("suspensions", "target_shift"):
+        if key in data and not _is_int(data[key]):
             raise SpecError(f"{source}.{key}", "must be an integer")
     if data.get("suspensions", 0) < 0:
         raise SpecError(f"{source}.suspensions", "must be nonnegative")
     cut = data.get("skeletal_cut")
-    if cut is not None and not isinstance(cut, int):
+    if cut is not None and not _is_int(cut):
         raise SpecError(f"{source}.skeletal_cut", "must be an integer or null")
     assignment = []
     for i, row in enumerate(data.get("class_assignment", ())):
@@ -158,11 +158,16 @@ def parse_scenario(data: Mapping, source: str = "spec") -> ScenarioSpec:
     )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_manifold(m, where: str) -> Mapping:
     if not isinstance(m, Mapping):
         raise SpecError(where, "must be an object")
     if "determinant" in m:
-        if not isinstance(m["determinant"], int) or m["determinant"] == 0:
+        if not _is_int(m["determinant"]) or m["determinant"] == 0:
             raise SpecError(f"{where}.determinant", "must be a nonzero integer")
         return {"determinant": m["determinant"]}
     if "b1" not in m:
@@ -170,8 +175,11 @@ def _check_manifold(m, where: str) -> Mapping:
     out = {"b1": m["b1"], "signature": m.get("signature", 0),
            "b_plus": m.get("b_plus", 3), "label": m.get("label", "M"),
            "quad_form": {}}
-    if not isinstance(out["b1"], int) or out["b1"] < 0:
+    if not _is_int(out["b1"]) or out["b1"] < 0:
         raise SpecError(f"{where}.b1", "must be a nonnegative integer")
+    for key in ("signature", "b_plus"):
+        if not _is_int(out[key]):
+            raise SpecError(f"{where}.{key}", "must be an integer")
     rows = m.get("quad_form", [])
     if isinstance(rows, Mapping):
         rows = [f"[{','.join(str(k) for k in key)}] = {val}"
@@ -182,6 +190,10 @@ def _check_manifold(m, where: str) -> Mapping:
             raise SpecError(f"{where}.quad_form[{j}]",
                             'rows must look like "[i,j,k,l] = value"')
         subset = tuple(int(g) for g in match.groups()[:4])
+        if not 1 <= subset[0] < subset[1] < subset[2] < subset[3] <= out["b1"]:
+            raise SpecError(f"{where}.quad_form[{j}]",
+                            "indices must ascend strictly within "
+                            f"1..b1 = {out['b1']}")
         out["quad_form"][subset] = int(match.group(5))
     return out
 
@@ -193,7 +205,13 @@ def _freeze_selector(selector, where: str):
         base = selector["base"]
         if not isinstance(base, Sequence) or isinstance(base, (str, bytes)):
             raise SpecError(f"{where}.base", "must be a list of generator indices")
-        return (tuple(int(k) for k in base), selector.get("fiber", "thom"))
+        for k, index in enumerate(base):
+            if not _is_int(index) or index < 1:
+                raise SpecError(f"{where}.base[{k}]",
+                                "generator indices are integers >= 1")
+        if len(set(base)) != len(base):
+            raise SpecError(f"{where}.base", "repeats a generator index")
+        return (tuple(base), selector.get("fiber", "thom"))
     raise SpecError(where, 'must be "top" or {"base": [...], "fiber": ...}')
 
 
@@ -270,12 +288,19 @@ def build_complex(spec: ScenarioSpec, bundle: BundleData) -> StableCellComplex:
 def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
                        target_n: int) -> Dict[StableCell, stems.StemElement]:
     out: Dict[StableCell, stems.StemElement] = {}
-    for selector, element_text in spec.class_assignment:
+    for i, (selector, element_text) in enumerate(spec.class_assignment):
         if selector == "top":
             cell = final.top_cell
         else:
             base, fiber = selector
-            cell = final.find_cell(base, fiber)
+            try:
+                cell = final.find_cell(base, fiber)
+            except KeyError:
+                raise SpecError(
+                    f"class_assignment[{i}].cell",
+                    f"no {fiber} cell with base {list(base)} in the final "
+                    "complex (collapsed by the skeletal cut, or not built "
+                    "by this pipeline)") from None
         builder = _parse_element(element_text, "class_assignment.element")
         out[cell] = builder(cell.dim - target_n)
     return out

@@ -11,9 +11,10 @@ lower cell L carries the Hopf class that Sq^g detects.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .chern import QUATERNIONIC, REAL, BundleData
 from .exterior import ExteriorClass, Monomial
@@ -96,7 +97,152 @@ class AttachLabel(NamedTuple):
     justification: str
 
 
-AttachmentMap = Mapping[Tuple[StableCell, StableCell], AttachLabel]
+Pair = Tuple[StableCell, StableCell]
+
+
+class LabelRules(NamedTuple):
+    """Attachment labels as rules rather than as every cell pair.
+
+    `defaults` maps a dimension gap to the label of every pair of proper
+    cells at that gap; `exceptions` maps single (upper, lower) pairs to
+    labels that override the default at their gap, or stand alone off
+    the default gaps. Detected Hopf classes are always exceptions.
+    """
+
+    defaults: Mapping[int, AttachLabel]
+    exceptions: Mapping[Pair, AttachLabel]
+
+
+class AttachmentView(Mapping):
+    """The read-only (upper, lower) -> AttachLabel map of one complex.
+
+    Every query is answered from the complex's `LabelRules`; no pair map
+    is written out. `len` is arithmetic, and iteration is lazy, in
+    canonical (upper._key, lower._key) order. `exceptions` lists the
+    exceptions in that order.
+    """
+
+    __slots__ = ("rules", "exceptions", "_cells", "_proper", "_by_dim",
+                 "_gaps", "_by_upper", "_len")
+
+    def __init__(self, cells: Tuple[StableCell, ...],
+                 proper_cells: Tuple[StableCell, ...], rules: LabelRules):
+        defaults, exceptions = dict(rules.defaults), dict(rules.exceptions)
+        if any(label.value not in (TRIVIAL, UNKNOWN)
+               for label in defaults.values()):
+            raise ValueError("only trivial or unknown labels can be defaults")
+        members = set(cells)
+        for upper, lower in exceptions:
+            if upper not in members or lower not in members:
+                raise ValueError(f"attachment {upper.name()} -> {lower.name()} "
+                                 "names a cell outside the complex")
+        self.rules = LabelRules(MappingProxyType(defaults),
+                                MappingProxyType(exceptions))
+        self.exceptions = tuple(sorted(
+            exceptions.items(), key=lambda kv: (kv[0][0]._key, kv[0][1]._key)))
+        self._cells = cells
+        self._proper = frozenset(proper_cells)
+        self._by_dim: Dict[int, list] = {}
+        for cell in proper_cells:     # canonical order, so each group is too
+            self._by_dim.setdefault(cell.dim, []).append(cell)
+        # lower dims ascend in canonical order, so gaps descend
+        self._gaps = tuple(sorted(defaults, reverse=True))
+        self._by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
+        for (upper, lower), label in self.exceptions:
+            self._by_upper.setdefault(upper, {})[lower] = label
+        self._len = sum(self._pairs_at(gap) for gap in defaults) + sum(
+            1 for pair in exceptions if not self._covered(*pair))
+
+    def _pairs_at(self, gap: int) -> int:
+        return sum(len(uppers) * len(self._by_dim.get(dim - gap, ()))
+                   for dim, uppers in self._by_dim.items())
+
+    def _covered(self, upper: StableCell, lower: StableCell) -> bool:
+        """Does a default label cover this pair?"""
+        return (upper.dim - lower.dim in self.rules.defaults
+                and upper in self._proper and lower in self._proper)
+
+    def __getitem__(self, pair: Pair) -> AttachLabel:
+        upper, lower = pair if isinstance(pair, tuple) and len(pair) == 2 \
+            else (None, None)
+        own = self._by_upper.get(upper, {})
+        if lower in own:
+            return own[lower]
+        if isinstance(upper, StableCell) and isinstance(lower, StableCell) \
+                and self._covered(upper, lower):
+            return self.rules.defaults[upper.dim - lower.dim]
+        raise KeyError(pair)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Pair]:
+        return (pair for pair, _ in self._items())
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def _items(self) -> Iterator[Tuple[Pair, AttachLabel]]:
+        defaults = self.rules.defaults
+        for upper in self._cells:
+            if upper in self._by_upper or upper not in self._proper:
+                for lower, label in self.row(upper):
+                    yield (upper, lower), label
+                continue
+            for gap in self._gaps:
+                label = defaults[gap]
+                for lower in self._by_dim.get(upper.dim - gap, ()):
+                    yield (upper, lower), label
+
+    def row(self, upper: StableCell, gaps: Optional[Iterable[int]] = None
+            ) -> Iterator[Tuple[StableCell, AttachLabel]]:
+        """(lower, label) of every label out of `upper`, in canonical order.
+
+        With `gaps`, the default-labelled pairs are limited to those gaps;
+        every exception out of `upper` is still listed.
+        """
+        own = self._by_upper.get(upper, {})
+        chosen = ()
+        if upper in self._proper:
+            chosen = tuple(g for g in self._gaps if gaps is None or g in gaps)
+        lowers = [lower for gap in chosen
+                  for lower in self._by_dim.get(upper.dim - gap, ())]
+        extra = [lower for lower in own
+                 if upper.dim - lower.dim not in chosen
+                 or lower not in self._proper]
+        if extra:
+            lowers = sorted(lowers + extra, key=StableCell.sort_key)
+        for lower in lowers:
+            yield lower, own.get(lower) or \
+                self.rules.defaults[upper.dim - lower.dim]
+
+    def counts(self) -> Dict[Tuple[int, str], int]:
+        """(gap, value) -> number of labels, by arithmetic on the rules."""
+        defaults = self.rules.defaults
+        out = {(gap, label.value): self._pairs_at(gap)
+               for gap, label in defaults.items()}
+        for (upper, lower), label in self.exceptions:
+            gap = upper.dim - lower.dim
+            if self._covered(upper, lower):
+                out[(gap, defaults[gap].value)] -= 1
+            out[(gap, label.value)] = out.get((gap, label.value), 0) + 1
+        return {key: n for key, n in out.items() if n}
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return (label for _, label in self._mapping._items())
+
+
+AttachmentMap = Mapping[Pair, AttachLabel]
 
 
 @dataclass(frozen=True)
@@ -104,9 +250,13 @@ class StableCellComplex:
     """A finite stable cell complex together with its bundle of origin.
 
     `attachments` maps (upper, lower) cell pairs with dimension gap 1..4
-    to labels; it is None until infer_attachments has run. `gap3_trivial`
-    is the geometric flag (pi_2(SO(3)) = 1) that sphere-bundle complexes
-    carry, upgrading gap-3 labels from unknown to trivial.
+    to labels; it is None until infer_attachments has run. It may be
+    given as `LabelRules`, as another complex's `AttachmentView`, or as a
+    plain mapping of hand-built labels (exceptions with no defaults); it
+    is always stored as an `AttachmentView` over this complex's cells.
+    `gap3_trivial` is the geometric flag (pi_2(SO(3)) = 1) that
+    sphere-bundle complexes carry, upgrading gap-3 labels from unknown to
+    trivial.
     """
 
     cells: Tuple[StableCell, ...]
@@ -118,10 +268,15 @@ class StableCellComplex:
     def __post_init__(self):
         object.__setattr__(self, "cells",
                            tuple(sorted(self.cells, key=StableCell.sort_key)))
-        if self.attachments is not None and \
-                not isinstance(self.attachments, MappingProxyType):
-            object.__setattr__(self, "attachments",
-                               MappingProxyType(dict(self.attachments)))
+        labels = self.attachments
+        if labels is None:
+            return
+        if isinstance(labels, AttachmentView):
+            labels = labels.rules
+        elif not isinstance(labels, LabelRules):
+            labels = LabelRules({}, labels)
+        object.__setattr__(self, "attachments", AttachmentView(
+            self.cells, self.proper_cells, labels))
 
     def is_basepoint(self, cell: StableCell) -> bool:
         if self.basepoint_policy == POLICY_THOM:
@@ -156,16 +311,6 @@ class StableCellComplex:
                 return cell
         raise KeyError(f"no cell with base {tuple(base_indices)} and fiber "
                        f"{fiber_part}")
-
-    def sorted_attachments(self):
-        if self.attachments is None:
-            return []
-        cached = getattr(self, "_sorted_attachments", None)
-        if cached is None:
-            cached = sorted(self.attachments.items(),
-                            key=lambda kv: (kv[0][0]._key, kv[0][1]._key))
-            object.__setattr__(self, "_sorted_attachments", cached)
-        return cached
 
 
 def thom_cells(bundle: BundleData) -> StableCellComplex:
@@ -226,86 +371,73 @@ def sq_thom(i: int, x: ExteriorClass, bundle: BundleData) -> ExteriorClass:
     return bundle.w_class(i).wedge(x)
 
 
-def _sq_hits(w_masks, lower_mask: int, upper_mask: int) -> bool:
-    """Mod-2 count: does u*x_upper appear in (w wedge x_lower)?"""
-    hits = 0
-    for wm in w_masks:
-        if not wm & lower_mask and (wm | lower_mask) == upper_mask:
-            hits ^= 1
-    return bool(hits)
-
-
-def _make_labeler(complex_: StableCellComplex, gap: int):
-    """A function (upper, lower) -> AttachLabel for one dimension gap.
-
-    Constant labels are shared instances; the per-pair Sq detection runs
-    on raw masks, and only detected pairs get a bespoke justification.
-    """
+def _default_labels(complex_: StableCellComplex) -> Dict[int, AttachLabel]:
+    """The label of every pair at gaps 1..4 that no Sq detection hits."""
     bundle = complex_.bundle
-    if gap == 1:
-        label = AttachLabel(TRIVIAL, "adjacent attaching map: the cellular "
-                            "differential vanishes (every cell survives in "
-                            "the homology of the torus model)")
-        return lambda upper, lower: label
-    if gap == 3:
-        if complex_.gap3_trivial:
-            label = AttachLabel(TRIVIAL, "pi_2(SO(3)) is trivial: the framed "
-                                "normal 2-sphere bounds, so the attaching "
-                                "map is trivial")
-        else:
-            label = AttachLabel(UNKNOWN, "gap-3 attaching class undetermined "
-                                "(could be eta^2); no detection rule applies")
-        return lambda upper, lower: label
-    # gaps 2 and 4: Steenrod detection through w_gap
-    detected_value = ETA_LABEL if gap == 2 else NU_ODD
-    hopf = "eta" if gap == 2 else "odd multiples of nu"
-    w = bundle.w_class(gap)
-    if gap == 2:
-        miss = AttachLabel(TRIVIAL, f"eta excluded: Sq^2(u*x) = u*(w2^x) "
-                           f"misses the upper cell (w2 = {w}); Sq^2 detects "
-                           "eta exactly, so the class is trivial")
+    if complex_.gap3_trivial:
+        gap3 = AttachLabel(TRIVIAL, "pi_2(SO(3)) is trivial: the framed "
+                           "normal 2-sphere bounds, so the attaching map is "
+                           "trivial")
     else:
-        miss = AttachLabel(UNKNOWN, f"Sq^4(u*x) = u*(w4^x) misses the upper "
-                           f"cell (w4 = {w}); even multiples of nu are "
-                           "undetected, so the class stays unknown")
+        gap3 = AttachLabel(UNKNOWN, "gap-3 attaching class undetermined "
+                           "(could be eta^2); no detection rule applies")
+    w2, w4 = bundle.w_class(2), bundle.w_class(4)
+    return {
+        1: AttachLabel(TRIVIAL, "adjacent attaching map: the cellular "
+                       "differential vanishes (every cell survives in the "
+                       "homology of the torus model)"),
+        2: AttachLabel(TRIVIAL, f"eta excluded: Sq^2(u*x) = u*(w2^x) misses "
+                       f"the upper cell (w2 = {w2}); Sq^2 detects eta "
+                       "exactly, so the class is trivial"),
+        3: gap3,
+        4: AttachLabel(UNKNOWN, f"Sq^4(u*x) = u*(w4^x) misses the upper cell "
+                       f"(w4 = {w4}); even multiples of nu are undetected, "
+                       "so the class stays unknown"),
+    }
+
+
+def _detected_labels(complex_: StableCellComplex, gap: int
+                     ) -> Dict[Pair, AttachLabel]:
+    """Pairs of Thom-fiber cells whose attaching map Sq^gap detects.
+
+    By the Cartan formula Sq^gap(u*x_L) = u*(w_gap ^ x_L), so the only
+    candidates are the pairs (L | w, L) for w in supp(w_gap) disjoint
+    from L, and a pair is detected when it is hit an odd number of times.
+    The work is O(cells * |supp w_gap|).
+    """
+    w = complex_.bundle.w_class(gap)
     if w.is_zero:
-        return lambda upper, lower: miss
+        return {}
+    value, hopf = (ETA_LABEL, "eta") if gap == 2 else \
+        (NU_ODD, "odd multiples of nu")
+    thom = {(cell.base_mask, cell.dim): cell for cell in complex_.proper_cells
+            if cell.fiber_part == FIBER_THOM}
     w_masks = tuple(m.mask for m in w.support())
-
-    def labeler(upper: StableCell, lower: StableCell) -> AttachLabel:
-        if (upper.fiber_part == FIBER_THOM and lower.fiber_part == FIBER_THOM
-                and _sq_hits(w_masks, lower.base_mask, upper.base_mask)):
-            return AttachLabel(
-                detected_value,
-                f"Sq^{gap} detects {hopf}: Sq^{gap}(u*x{Monomial(lower.base_mask)})"
-                f" contains u*x{Monomial(upper.base_mask)} via w{gap} = {w}")
-        return miss
-
-    return labeler
+    hits: Dict[Pair, int] = {}
+    for (mask, dim), lower in thom.items():
+        for wm in w_masks:
+            upper = None if wm & mask else thom.get((mask | wm, dim + gap))
+            if upper is not None:
+                hits[(upper, lower)] = hits.get((upper, lower), 0) ^ 1
+    return {(upper, lower): AttachLabel(
+        value,
+        f"Sq^{gap} detects {hopf}: Sq^{gap}(u*x{Monomial(lower.base_mask)})"
+        f" contains u*x{Monomial(upper.base_mask)} via w{gap} = {w}")
+        for (upper, lower), odd in hits.items() if odd}
 
 
 def infer_attachments(complex_: StableCellComplex) -> StableCellComplex:
     """Label every (upper, lower) cell pair with dimension gap 1..4.
 
     Deterministic: labels depend only on the bundle data and the cell
-    pair. Basepoint cells carry no labels.
+    pair. Basepoint cells carry no labels. The labels are kept as rules:
+    one default per gap plus the Sq-detected pairs as exceptions.
     """
-    by_dim: Dict[int, list] = {}
-    for cell in complex_.proper_cells:
-        by_dim.setdefault(cell.dim, []).append(cell)
-    labelers = {gap: _make_labeler(complex_, gap) for gap in (1, 2, 3, 4)}
-    labels: Dict[Tuple[StableCell, StableCell], AttachLabel] = {}
-    for dim, uppers in sorted(by_dim.items()):
-        for gap in (1, 2, 3, 4):
-            lowers = by_dim.get(dim - gap)
-            if not lowers:
-                continue
-            labeler = labelers[gap]
-            for upper in uppers:
-                for lower in lowers:
-                    labels[(upper, lower)] = labeler(upper, lower)
+    exceptions = {**_detected_labels(complex_, 2),
+                  **_detected_labels(complex_, 4)}
     return StableCellComplex(complex_.cells, complex_.bundle,
-                             complex_.basepoint_policy, labels,
+                             complex_.basepoint_policy,
+                             LabelRules(_default_labels(complex_), exceptions),
                              complex_.gap3_trivial)
 
 
@@ -316,12 +448,14 @@ def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
     if k == 0:
         return complex_
     lifted = {c: c.suspended(k) for c in complex_.cells}
-    attachments = None
+    rules = None
     if complex_.attachments is not None:
-        attachments = {(lifted[u], lifted[l]): label
-                       for (u, l), label in complex_.attachments.items()}
+        defaults, exceptions = complex_.attachments.rules
+        rules = LabelRules(defaults, {
+            (lifted[u], lifted[l]): label
+            for (u, l), label in exceptions.items()})
     return StableCellComplex(tuple(lifted.values()), complex_.bundle,
-                             complex_.basepoint_policy, attachments,
+                             complex_.basepoint_policy, rules,
                              complex_.gap3_trivial)
 
 
@@ -329,14 +463,14 @@ def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:
     """Collapse the k-skeleton: cells of dimension <= k disappear, and all
     attachments touching them are dropped."""
     cells = tuple(c for c in complex_.cells if c.dim > k)
-    kept = set(cells)
-    attachments = None
+    rules = None
     if complex_.attachments is not None:
-        attachments = {pair: label
-                       for pair, label in complex_.attachments.items()
-                       if pair[0] in kept and pair[1] in kept}
+        defaults, exceptions = complex_.attachments.rules
+        rules = LabelRules(defaults, {
+            (u, l): label for (u, l), label in exceptions.items()
+            if u.dim > k and l.dim > k})
     return StableCellComplex(cells, complex_.bundle,
-                             complex_.basepoint_policy, attachments,
+                             complex_.basepoint_policy, rules,
                              complex_.gap3_trivial)
 
 
@@ -357,25 +491,21 @@ def complex_to_dict(complex_: StableCellComplex, full_labels: bool = False) -> d
         "cells_by_dim": {str(d): n
                          for d, n in sorted(complex_.cells_by_dim().items())},
     }
-    if complex_.attachments is not None:
-        counts: Dict[str, int] = {}
-        detected = []
-        for (upper, lower), label in complex_.sorted_attachments():
-            gap = upper.dim - lower.dim
-            key = f"gap{gap}:{label.value}"
-            counts[key] = counts.get(key, 0) + 1
-            if label.value in (ETA_LABEL, NU_ODD):
-                detected.append({
-                    "upper": upper.name(), "lower": lower.name(),
-                    "dims": [upper.dim, lower.dim],
-                    "label": label.value,
-                    "justification": label.justification,
-                })
-        out["label_counts"] = dict(sorted(counts.items()))
-        out["detected_labels"] = detected
+    labels = complex_.attachments
+    if labels is not None:
+        out["label_counts"] = dict(sorted(
+            (f"gap{gap}:{value}", n)
+            for (gap, value), n in labels.counts().items()))
+        out["detected_labels"] = [{
+            "upper": upper.name(), "lower": lower.name(),
+            "dims": [upper.dim, lower.dim],
+            "label": label.value,
+            "justification": label.justification,
+        } for (upper, lower), label in labels.exceptions
+            if label.value in (ETA_LABEL, NU_ODD)]
         if full_labels:
             out["labels"] = [{
                 "upper": u.name(), "lower": l.name(), "label": lab.value,
                 "justification": lab.justification,
-            } for (u, l), lab in complex_.sorted_attachments()]
+            } for (u, l), lab in labels.items()]
     return out

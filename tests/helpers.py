@@ -3,7 +3,8 @@
 The wedge oracle multiplies index tuples by concatenation and bubble-sorts
 with an explicit swap count; the Chern oracle expands exp(Omega) in a flat
 symbol algebra with no bitmasks and no Koszul bookkeeping; the assembly
-oracle direct-sums stems straight off the cell list.
+oracle direct-sums stems straight off the cell list; the label oracle
+writes out every attachment pair the way the library once stored them.
 """
 
 import random
@@ -11,7 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from thomstem import stems
-from thomstem.exterior import ExteriorClass
+from thomstem.exterior import ExteriorClass, Monomial
+from thomstem.thom import (ETA_LABEL, FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN,
+                           AttachLabel)
 
 
 # -- wedge oracle: list concatenation + bubble parity --------------------
@@ -158,3 +161,77 @@ def _binom(n, k):
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
+
+
+# -- dense label oracle ------------------------------------------------------
+
+def _sq_hits(w_masks, lower_mask, upper_mask):
+    """Mod-2 count: does u*x_upper appear in (w wedge x_lower)?"""
+    hits = 0
+    for wm in w_masks:
+        if not wm & lower_mask and (wm | lower_mask) == upper_mask:
+            hits ^= 1
+    return bool(hits)
+
+
+def _dense_labeler(complex_, gap):
+    bundle = complex_.bundle
+    if gap == 1:
+        label = AttachLabel(TRIVIAL, "adjacent attaching map: the cellular "
+                            "differential vanishes (every cell survives in "
+                            "the homology of the torus model)")
+        return lambda upper, lower: label
+    if gap == 3:
+        if complex_.gap3_trivial:
+            label = AttachLabel(TRIVIAL, "pi_2(SO(3)) is trivial: the framed "
+                                "normal 2-sphere bounds, so the attaching "
+                                "map is trivial")
+        else:
+            label = AttachLabel(UNKNOWN, "gap-3 attaching class undetermined "
+                                "(could be eta^2); no detection rule applies")
+        return lambda upper, lower: label
+    detected_value = ETA_LABEL if gap == 2 else NU_ODD
+    hopf = "eta" if gap == 2 else "odd multiples of nu"
+    w = bundle.w_class(gap)
+    if gap == 2:
+        miss = AttachLabel(TRIVIAL, f"eta excluded: Sq^2(u*x) = u*(w2^x) "
+                           f"misses the upper cell (w2 = {w}); Sq^2 detects "
+                           "eta exactly, so the class is trivial")
+    else:
+        miss = AttachLabel(UNKNOWN, f"Sq^4(u*x) = u*(w4^x) misses the upper "
+                           f"cell (w4 = {w}); even multiples of nu are "
+                           "undetected, so the class stays unknown")
+    w_masks = tuple(m.mask for m in w.support())
+
+    def labeler(upper, lower):
+        if (upper.fiber_part == FIBER_THOM and lower.fiber_part == FIBER_THOM
+                and _sq_hits(w_masks, lower.base_mask, upper.base_mask)):
+            return AttachLabel(
+                detected_value,
+                f"Sq^{gap} detects {hopf}: Sq^{gap}(u*x{Monomial(lower.base_mask)})"
+                f" contains u*x{Monomial(upper.base_mask)} via w{gap} = {w}")
+        return miss
+
+    return labeler
+
+
+def dense_attachments(complex_):
+    """Every (upper, lower) pair of proper cells with gap 1..4, labelled
+    pair by pair: {pair: AttachLabel}."""
+    by_dim = {}
+    for cell in complex_.proper_cells:
+        by_dim.setdefault(cell.dim, []).append(cell)
+    labelers = {gap: _dense_labeler(complex_, gap) for gap in (1, 2, 3, 4)}
+    labels = {}
+    for dim, uppers in sorted(by_dim.items()):
+        for gap in (1, 2, 3, 4):
+            for upper in uppers:
+                for lower in by_dim.get(dim - gap, ()):
+                    labels[(upper, lower)] = labelers[gap](upper, lower)
+    return labels
+
+
+def canonical_pairs(labels):
+    """The pairs of a label dict in canonical (upper, lower) key order."""
+    return sorted(labels, key=lambda pair: (pair[0].sort_key(),
+                                            pair[1].sort_key()))

@@ -78,6 +78,58 @@ class TestExitCodes:
         assert code == EXIT_BAD_SPEC
 
 
+_MALFORMED_BASE = {
+    "schema": "thomstem-scenario/1",
+    "name": "malformed",
+    "pipeline": "thom",
+    "manifolds": [{"determinant": 3}],
+    "class_assignment": [{"cell": "top", "element": "zero"}],
+}
+
+
+class TestInputContract:
+    """Malformed input exits 2 with a pointer that names the field."""
+
+    @pytest.mark.parametrize("patch, pointer", [
+        # the five contract repros of the benchmark's small_sweep
+        ({"suspensions": True}, "spec.suspensions"),
+        ({"skeletal_cut": 5,
+          "class_assignment": [{"cell": {"base": [1]}, "element": "zero"}]},
+         "class_assignment[0].cell"),
+        ({"manifolds": [{"b1": 4, "signature": "0"}]},
+         "spec.manifolds[0].signature"),
+        ({"manifolds": [{"b1": 4, "quad_form": ["[1,2,3,5] = 1"]}]},
+         "spec.manifolds[0].quad_form[0]"),
+        ({"class_assignment": [{"cell": {"base": ["a"]}, "element": "zero"}]},
+         "spec.class_assignment[0].cell.base[0]"),
+        # bools are not integers
+        ({"target_shift": True}, "spec.target_shift"),
+        ({"skeletal_cut": False}, "spec.skeletal_cut"),
+        ({"manifolds": [{"determinant": True}]},
+         "spec.manifolds[0].determinant"),
+        ({"manifolds": [{"b1": True}]}, "spec.manifolds[0].b1"),
+        # more selector and quad-form shapes
+        ({"class_assignment": [{"cell": {"base": [9]}, "element": "zero"}]},
+         "class_assignment[0].cell"),
+        ({"class_assignment": [{"cell": {"base": [1, 1]}, "element": "zero"}]},
+         "spec.class_assignment[0].cell.base"),
+        ({"class_assignment": [{"cell": {"base": [1], "fiber": "H"},
+                                "element": "zero"}]},
+         "class_assignment[0].cell"),
+        ({"manifolds": [{"b1": 4, "quad_form": ["[2,1,3,4] = 1"]}]},
+         "spec.manifolds[0].quad_form[0]"),
+        ({"manifolds": [{"b1": 4, "b_plus": 1.5}]},
+         "spec.manifolds[0].b_plus"),
+    ])
+    def test_exit_two_names_the_field(self, capsys, tmp_path, patch, pointer):
+        spec = tmp_path / "malformed.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE, **patch}))
+        code, out, err = run_cli(capsys, "run", "--spec", str(spec))
+        assert code == EXIT_BAD_SPEC
+        assert out == ""
+        assert err.startswith(f"thomstem: malformed scenario: {pointer}: ")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("paper-sec3", "--det", "5"),

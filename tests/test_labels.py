@@ -1,0 +1,177 @@
+"""Rule-based attachment labels against the dense all-pairs oracle."""
+
+import random
+from dataclasses import FrozenInstanceError
+from itertools import combinations
+
+import pytest
+
+from helpers import canonical_pairs, dense_attachments
+from thomstem.ahss import assemble
+from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
+                            connected_sum, index_bundle, make_homology_torus)
+from thomstem.exterior import ExteriorClass
+from thomstem.thom import (ETA_LABEL, NU_ODD, TRIVIAL, UNKNOWN, AttachLabel,
+                           LabelRules, StableCellComplex, complex_to_dict,
+                           infer_attachments, skeletal_quotient,
+                           sphere_bundle_quotient, suspend, thom_cells)
+
+
+def assert_matches_oracle(complex_, oracle=None):
+    view = complex_.attachments
+    oracle = dense_attachments(complex_) if oracle is None else oracle
+    assert len(view) == len(oracle)
+    assert dict(view.items()) == oracle
+    assert list(view) == canonical_pairs(oracle)
+    assert list(view.values()) == [oracle[p] for p in canonical_pairs(oracle)]
+    pairs = list(oracle)
+    for pair in pairs[::max(1, len(pairs) // 2000)]:
+        assert view[pair] == oracle[pair]
+
+
+def _sum(*dets):
+    out = make_homology_torus(dets[0])
+    for det in dets[1:]:
+        out = connected_sum(out, make_homology_torus(det))
+    return index_bundle(out)
+
+
+PRESET_BUILDS = {
+    "sec3": lambda: thom_cells(_sum(5)),
+    "sec3_even": lambda: thom_cells(_sum(4)),
+    "sec4_odd": lambda: thom_cells(_sum(3, 5)),
+    "sec4_mixed": lambda: thom_cells(_sum(3, 2)),
+    "sec4_even": lambda: thom_cells(_sum(2, 4)),
+    "sec5": lambda: sphere_bundle_quotient(_sum(3, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_BUILDS))
+def test_presets_match_dense_oracle(name):
+    built = PRESET_BUILDS[name]()
+    labelled = infer_attachments(built)
+    assert_matches_oracle(labelled)
+    full = dense_attachments(built)
+    for k in (1, 2):
+        suspended = suspend(labelled, k)
+        assert_matches_oracle(suspended)
+        assert suspended.attachments == infer_attachments(
+            suspend(built, k)).attachments
+    for cut in (5, 8):
+        cut_complex = skeletal_quotient(labelled, cut)
+        kept = set(cut_complex.cells)
+        assert_matches_oracle(cut_complex, {
+            pair: label for pair, label in full.items()
+            if pair[0] in kept and pair[1] in kept})
+        assert_matches_oracle(suspend(cut_complex, 1))
+
+
+def _random_bundle(rng, b1):
+    """A quaternionic bundle over T^b1 from a random quadruple form; every
+    third one also gets a random degree-2 c1, so Sq^2 detects eta."""
+    quad = {}
+    for subset in combinations(range(1, b1 + 1), 4):
+        if rng.random() < 0.4:
+            quad[subset] = rng.randint(-3, 3)
+    bundle = index_bundle(ManifoldData(b1=b1, quad_form=quad, signature=0,
+                                       b_plus=3))
+    if rng.random() < 1 / 3:
+        c1 = ExteriorClass({(1 << i) | (1 << j): rng.randint(1, 3)
+                            for i, j in combinations(range(b1), 2)
+                            if rng.random() < 0.3}, b1)
+        w = list(bundle.w)
+        w[1] = c1.mod2()
+        bundle = BundleData(base_rank=b1, field=QUATERNIONIC, rank=1, c1=c1,
+                            c2=bundle.c2, w=tuple(w),
+                            sphere_shift=bundle.sphere_shift)
+    return bundle
+
+
+def test_random_bundles_match_dense_oracle():
+    rng = random.Random(20261017)
+    detected = set()
+    for _ in range(24):
+        bundle = _random_bundle(rng, rng.randint(4, 7))
+        builds = [thom_cells(bundle)]
+        if bundle.c1.is_zero:
+            builds.append(sphere_bundle_quotient(bundle))
+        for built in builds:
+            labelled = infer_attachments(built)
+            assert_matches_oracle(labelled)
+            assert_matches_oracle(suspend(labelled, rng.randint(1, 3)))
+            cut = skeletal_quotient(labelled, rng.randint(3, 8))
+            assert_matches_oracle(suspend(cut, 1))
+            detected.update(label.value for label in
+                            labelled.attachments.values())
+    # the draw exercises both detections, not only the defaults
+    assert {ETA_LABEL, NU_ODD} <= detected
+
+
+def test_label_counts_are_arithmetic_and_exact():
+    for build in PRESET_BUILDS.values():
+        labelled = infer_attachments(build())
+        for complex_ in (labelled, skeletal_quotient(labelled, 6)):
+            counts = {}
+            for (upper, lower), label in dense_attachments(complex_).items():
+                key = f"gap{upper.dim - lower.dim}:{label.value}"
+                counts[key] = counts.get(key, 0) + 1
+            assert complex_to_dict(complex_)["label_counts"] == \
+                dict(sorted(counts.items()))
+
+
+def test_hand_built_labels_are_exceptions_without_defaults():
+    complex_ = infer_attachments(thom_cells(_sum(3)))
+    upper, lower = complex_.top_cell, complex_.proper_cells[0]
+    labels = {(upper, lower): AttachLabel(UNKNOWN, "synthetic")}
+    hand = StableCellComplex(complex_.cells, complex_.bundle,
+                             complex_.basepoint_policy, labels)
+    assert hand.attachments.rules.defaults == {}
+    assert dict(hand.attachments.items()) == labels
+    assert len(hand.attachments) == 1
+    with pytest.raises(KeyError):
+        hand.attachments[(upper, complex_.proper_cells[1])]
+
+
+def test_view_is_read_only_and_rejects_foreign_cells():
+    complex_ = infer_attachments(thom_cells(_sum(3)))
+    view = complex_.attachments
+    with pytest.raises(TypeError):
+        view[(complex_.top_cell, complex_.top_cell)] = None
+    with pytest.raises(KeyError):
+        view["not a pair"]
+    assert (complex_.top_cell, complex_.top_cell) not in view
+    other = thom_cells(_sum(3, 5)).top_cell
+    with pytest.raises(ValueError):
+        StableCellComplex(complex_.cells, complex_.bundle, "thom",
+                          {(other, complex_.top_cell):
+                           AttachLabel(TRIVIAL, "synthetic")})
+    with pytest.raises(ValueError):
+        StableCellComplex(complex_.cells, complex_.bundle, "thom",
+                          LabelRules({2: AttachLabel(ETA_LABEL, "x")}, {}))
+
+
+def test_column_entries_are_frozen():
+    complex_ = suspend(infer_attachments(thom_cells(_sum(3, 5))), 1)
+    report = assemble(complex_, 10)
+    entry = report.entry_for(complex_.top_cell)
+    with pytest.raises(FrozenInstanceError):
+        entry.status = "survives"
+    assert not hasattr(complex_, "__dict__") or \
+        "_sorted_attachments" not in vars(complex_)
+
+
+def test_run_render_and_explain_never_walk_every_pair(monkeypatch):
+    from thomstem import pipeline
+    from thomstem.thom import AttachmentView
+
+    def refuse(self):
+        raise AssertionError("walked every attachment pair")
+
+    monkeypatch.setattr(AttachmentView, "_items", refuse)
+    specs = [pipeline.preset("paper-sec3", det=5),
+             pipeline.preset("paper-sec4", det1=3, det2=5),
+             pipeline.preset("paper-sec4", det1=2, det2=4),
+             pipeline.preset("paper-sec5", det1=3, det2=5)]
+    for spec in specs:
+        pipeline.report_json(pipeline.run_scenario(spec))
+        pipeline.explain_text(spec)
