@@ -9,9 +9,8 @@ verdicts for user-supplied class assignments.
 from ._backend import BACKEND as kernel_backend
 from .ahss import (ColumnEntry, GroupReport, assemble, evaluate_class,
                    vanishing_certificate)
-from .chern import (BigradedClass, BundleData, ManifoldData,
-                    chern_character_index, connected_sum, index_bundle,
-                    make_homology_torus)
+from .chern import (BundleData, ManifoldData, chern_character_index,
+                    connected_sum, index_bundle, make_homology_torus)
 from .exterior import (ExteriorClass, Monomial, RankMismatchError, add, mod2,
                        scale, sq_torus, top_coefficient, wedge)
 from .stems import (AbelianGroup, OutOfTableError, StemElement, compose,
@@ -23,9 +22,9 @@ from .thom import (AttachLabel, AttachmentView, LabelRules, StableCell,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup", "AttachLabel", "AttachmentView", "BigradedClass",
-    "BundleData", "ColumnEntry", "ExteriorClass", "GroupReport",
-    "LabelRules", "ManifoldData",
+    "AbelianGroup", "AttachLabel", "AttachmentView", "BundleData",
+    "ColumnEntry", "ExteriorClass", "GroupReport", "LabelRules",
+    "ManifoldData",
     "Monomial", "OutOfTableError", "RankMismatchError", "StableCell",
     "StableCellComplex", "StemElement", "add", "assemble",
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",

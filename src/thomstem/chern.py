@@ -1,21 +1,20 @@
 """Manifold bookkeeping and the characteristic classes of the index bundle.
 
 A 4-manifold enters purely algebraically: the rank of H^1, the quadruple
-cup-product form, the signature and b+. The curvature class of the
-universal line bundle lives in a bigraded exterior algebra (manifold
-generators x Picard-torus generators); exponentiating it with exact
-fractions and integrating over the manifold gives the Chern character of
-the Dirac index bundle, which is then packaged as a rank-1 quaternionic
-bundle over the Picard torus.
+cup-product form, the signature and b+. The curvature of the universal
+line bundle is Omega = sum_k x_k t_k (manifold 1-class times dual Picard
+1-class). Each x_k t_k is even and squares to zero, so exp(Omega) is the
+product of the (1 + x_k t_k), and integrating over the manifold leaves the
+quadruple form itself as the degree-4 Chern character of the Dirac index
+bundle. That bundle is then packaged as a rank-1 quaternionic bundle over
+the Picard torus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from ._backend import kernel_for_rank
 from .exterior import ExteriorClass
 
 QUATERNIONIC = "quaternionic"
@@ -93,133 +92,22 @@ def connected_sum(m1: ManifoldData, m2: ManifoldData) -> ManifoldData:
     )
 
 
-class BigradedClass:
-    """Element of the tensor of two exterior algebras: manifold generators
-    (degree counted as X-degree, capped at 4) against Picard generators.
-
-    Terms are stored in the canonical split form (x-monomial, t-monomial)
-    with rational coefficients; products track the Koszul sign for moving
-    t-factors past x-factors. X-degrees above 4 vanish on a 4-manifold and
-    are pruned eagerly.
-    """
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms: Mapping[Tuple[int, int], Fraction] = ()):
-        self.rank = rank
-        clean: Dict[Tuple[int, int], Fraction] = {}
-        for (xm, tm), coeff in dict(terms).items():
-            if xm.bit_count() > 4:
-                continue
-            c = Fraction(coeff)
-            if c:
-                clean[(xm, tm)] = c
-        self.terms = clean
-
-    @classmethod
-    def unit(cls, rank: int) -> "BigradedClass":
-        return cls(rank, {(0, 0): Fraction(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "BigradedClass") -> "BigradedClass":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return BigradedClass(self.rank, out)
-
-    def scale(self, c) -> "BigradedClass":
-        c = Fraction(c)
-        return BigradedClass(self.rank, {k: c * v for k, v in self.terms.items()})
-
-    def mul(self, other: "BigradedClass") -> "BigradedClass":
-        kern = kernel_for_rank(self.rank)
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (x1, t1), c1 in self.terms.items():
-            t1_deg = t1.bit_count()
-            for (x2, t2), c2 in other.terms.items():
-                if x1 & x2 or t1 & t2:
-                    continue
-                xm = x1 | x2
-                if xm.bit_count() > 4:
-                    continue
-                sign = kern.merge_sign(x1, x2) * kern.merge_sign(t1, t2)
-                if (t1_deg * x2.bit_count()) & 1:
-                    sign = -sign
-                key = (xm, t1 | t2)
-                v = out.get(key, Fraction(0)) + sign * c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return BigradedClass(self.rank, out)
-
-    def exp(self) -> "BigradedClass":
-        """exp of a nilpotent class; the X-degree cap truncates the series."""
-        total = BigradedClass.unit(self.rank)
-        power = BigradedClass.unit(self.rank)
-        j = 1
-        while True:
-            power = power.mul(self)
-            if power.is_zero:
-                return total
-            total = total.add(power.scale(Fraction(1, _factorial(j))))
-            j += 1
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def universal_curvature(manifold: ManifoldData) -> BigradedClass:
-    """First Chern class of the universal line bundle: sum over generators
-    of (manifold 1-class) wedge (dual Picard 1-class)."""
-    b = manifold.b1
-    terms = {(1 << k, 1 << k): Fraction(1) for k in range(b)}
-    return BigradedClass(b, terms)
-
-
-def fiber_integrate(cls: BigradedClass, manifold: ManifoldData) -> ExteriorClass:
-    """Integrate over the manifold: only X-degree-4 terms survive, each
-    contributing its quadruple product times the Picard monomial.
-
-    Every surviving coefficient must be an integer (asserted); the
-    combinatorics guarantee it because each square (x_k t_k)^2 vanishes.
-    """
-    out: Dict[int, int] = {}
-    for (xm, tm), coeff in cls.terms.items():
-        if xm.bit_count() != 4:
-            continue
-        subset = tuple(k + 1 for k in range(xm.bit_length()) if xm >> k & 1)
-        weight = coeff * manifold.quad(subset)
-        if not weight:
-            continue
-        assert weight.denominator == 1, (
-            f"fiber integration produced a non-integer coefficient {weight}")
-        out[tm] = out.get(tm, 0) + int(weight)
-    return ExteriorClass({m: c for m, c in out.items() if c}, manifold.b1)
-
-
 def chern_character_index(manifold: ManifoldData) -> List[ExteriorClass]:
     """Chern character of the Dirac index bundle over the Picard torus.
 
     Returns the even-degree pieces [degree 0, degree 2, degree 4] as
     classes on T^{b1}. Requires signature 0 so the A-hat factor is 1.
+
+    exp(Omega) = prod_k (1 + x_k t_k); its X-degree-4 part is
+    sum over 4-subsets S of x_S t_S with sign +1 (moving each t past the
+    later x's takes 6 swaps), so integration gives ch2 = sum_S quad(S) t_S
+    and ch0 = ch1 = 0.
     """
     if manifold.signature != 0:
         raise ValueError(
             "nonzero signature is unsupported: the A-hat factor is fixed to 1")
-    integrated = fiber_integrate(universal_curvature(manifold).exp(), manifold)
-    return [integrated.degree_part(d) for d in (0, 2, 4)]
+    zero = ExteriorClass.zero(manifold.b1)
+    return [zero, zero, ExteriorClass(manifold.quad_form, manifold.b1)]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,12 @@ PIPELINE_SPHERE = "sphere_quotient"
 
 PRESET_NAMES = ("paper-sec3", "paper-sec4", "paper-sec5")
 
+# Largest total b1 a scenario file may ask for (a homology torus counts 4).
+# The Thom complex has 2^b1 cells and each generator costs about 4x: thom
+# b1 = 12 takes 1.6 s to run and 0.9 s to render, and gives a 114 MB report
+# at 465 MB peak RSS (Python 3.11, 2-vCPU VM).
+MAX_TOTAL_B1 = 12
+
 
 class SpecError(ValueError):
     """Malformed scenario input; `pointer` names the offending field."""
@@ -121,16 +127,28 @@ def parse_scenario(data: Mapping, source: str = "spec") -> ScenarioSpec:
         raise SpecError(f"{source}.schema",
                         f"expected {SCHEMA_SCENARIO!r}, got {schema!r}")
     name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise SpecError(f"{source}.name", "must be a string")
     pipeline = data.get("pipeline", PIPELINE_THOM)
     if pipeline not in (PIPELINE_THOM, PIPELINE_SPHERE):
         raise SpecError(f"{source}.pipeline",
                         f"must be {PIPELINE_THOM!r} or {PIPELINE_SPHERE!r}")
     manifolds = data.get("manifolds")
-    if not isinstance(manifolds, Sequence) or isinstance(manifolds, (str, bytes)):
+    if not _is_list(manifolds):
         raise SpecError(f"{source}.manifolds", "must be a list")
     resolved = []
     for i, m in enumerate(manifolds):
         resolved.append(_check_manifold(m, f"{source}.manifolds[{i}]"))
+    total_b1 = sum(m.get("b1", 4) for m in resolved)
+    if total_b1 > MAX_TOTAL_B1:
+        raise SpecError(f"{source}.manifolds",
+                        f"total b1 = {total_b1} exceeds the limit of "
+                        f"{MAX_TOTAL_B1} (a homology torus counts 4)")
+    if sum(m.get("signature", 0) for m in resolved):
+        first = next(i for i, m in enumerate(resolved) if m.get("signature"))
+        raise SpecError(f"{source}.manifolds[{first}].signature",
+                        "signatures must sum to 0: the A-hat factor is "
+                        "fixed to 1")
     for key in ("suspensions", "target_shift"):
         if key in data and not _is_int(data[key]):
             raise SpecError(f"{source}.{key}", "must be an integer")
@@ -139,8 +157,11 @@ def parse_scenario(data: Mapping, source: str = "spec") -> ScenarioSpec:
     cut = data.get("skeletal_cut")
     if cut is not None and not _is_int(cut):
         raise SpecError(f"{source}.skeletal_cut", "must be an integer or null")
+    rows = data.get("class_assignment", [])
+    if not _is_list(rows):
+        raise SpecError(f"{source}.class_assignment", "must be a list")
     assignment = []
-    for i, row in enumerate(data.get("class_assignment", ())):
+    for i, row in enumerate(rows):
         where = f"{source}.class_assignment[{i}]"
         if not isinstance(row, Mapping) or "cell" not in row or "element" not in row:
             raise SpecError(where, "needs 'cell' and 'element' fields")
@@ -163,6 +184,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_list(value) -> bool:
+    """A JSON array: strings are sequences in Python but not here."""
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
 def _check_manifold(m, where: str) -> Mapping:
     if not isinstance(m, Mapping):
         raise SpecError(where, "must be an object")
@@ -180,10 +206,15 @@ def _check_manifold(m, where: str) -> Mapping:
     for key in ("signature", "b_plus"):
         if not _is_int(out[key]):
             raise SpecError(f"{where}.{key}", "must be an integer")
+    if not isinstance(out["label"], str):
+        raise SpecError(f"{where}.label", "must be a string")
     rows = m.get("quad_form", [])
     if isinstance(rows, Mapping):
         rows = [f"[{','.join(str(k) for k in key)}] = {val}"
                 for key, val in rows.items()]
+    elif not _is_list(rows):
+        raise SpecError(f"{where}.quad_form",
+                        'must be a list of "[i,j,k,l] = value" rows')
     for j, row in enumerate(rows):
         match = _QUAD_ROW.match(row) if isinstance(row, str) else None
         if not match:
@@ -203,7 +234,7 @@ def _freeze_selector(selector, where: str):
         return "top"
     if isinstance(selector, Mapping) and "base" in selector:
         base = selector["base"]
-        if not isinstance(base, Sequence) or isinstance(base, (str, bytes)):
+        if not _is_list(base):
             raise SpecError(f"{where}.base", "must be a list of generator indices")
         for k, index in enumerate(base):
             if not _is_int(index) or index < 1:
@@ -289,7 +320,11 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
                        target_n: int) -> Dict[StableCell, stems.StemElement]:
     out: Dict[StableCell, stems.StemElement] = {}
     for i, (selector, element_text) in enumerate(spec.class_assignment):
+        where = f"class_assignment[{i}]"
         if selector == "top":
+            if not final.cells:
+                raise SpecError("skeletal_cut", "collapses every cell, so "
+                                f"{where} has no top cell")
             cell = final.top_cell
         else:
             base, fiber = selector
@@ -297,12 +332,22 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
                 cell = final.find_cell(base, fiber)
             except KeyError:
                 raise SpecError(
-                    f"class_assignment[{i}].cell",
+                    f"{where}.cell",
                     f"no {fiber} cell with base {list(base)} in the final "
-                    "complex (collapsed by the skeletal cut, or not built "
-                    "by this pipeline)") from None
-        builder = _parse_element(element_text, "class_assignment.element")
-        out[cell] = builder(cell.dim - target_n)
+                    "complex (collapsed by skeletal_cut, or not built from "
+                    "these manifolds by this pipeline)") from None
+        if final.is_basepoint(cell):
+            raise SpecError(f"{where}.cell", f"{cell.name()} is the "
+                            "basepoint and carries no class")
+        stem = cell.dim - target_n
+        element = _parse_element(element_text, f"{where}.element")(stem)
+        if element.q != stem:
+            raise SpecError(f"{where}.element",
+                            f"{element} lives in stem {element.q}, but "
+                            f"{cell.name()} sits in stem {stem} of S^{target_n}"
+                            " (set by the manifolds, suspensions and "
+                            "target_shift)")
+        out[cell] = element
     return out
 
 

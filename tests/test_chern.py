@@ -1,6 +1,8 @@
 """Manifold constructors, the index Chern character against the brute-force
 oracle, and the packaged index bundle."""
 
+import random
+
 import pytest
 
 from helpers import as_tuple_terms, oracle_chern_character
@@ -91,13 +93,29 @@ class TestChernCharacter:
             chern_character_index(m)
 
     def test_general_quad_form_against_oracle(self):
-        # not block-diagonal: exercise arbitrary 4-subsets
-        m = ManifoldData(b1=6, quad_form={(1, 2, 3, 4): 2, (1, 2, 5, 6): -3,
-                                          (3, 4, 5, 6): 7},
-                         signature=0, b_plus=3)
-        ch = chern_character_index(m)
-        want = oracle_chern_character(m)
-        assert as_tuple_terms(ch[2]) == want[4]
+        # not block-diagonal: one hand-picked form, then 30 seeded random
+        # ones whose 4-subsets overlap, with signed and even values
+        forms = [ManifoldData(b1=6, quad_form={(1, 2, 3, 4): 2,
+                                               (1, 2, 5, 6): -3,
+                                               (3, 4, 5, 6): 7})]
+        for seed in range(30):
+            rng = random.Random(seed)
+            b1 = rng.randint(4, 9)
+            subset = rng.sample(range(1, b1 + 1), 4)
+            quad = {}
+            for _ in range(rng.randint(1, 6)):
+                quad[tuple(sorted(subset))] = rng.choice(
+                    [v for v in range(-8, 9) if v])
+                # the next subset keeps one generator of this one
+                keep = rng.choice(subset)
+                subset = [keep] + rng.sample(
+                    [k for k in range(1, b1 + 1) if k != keep], 3)
+            forms.append(ManifoldData(b1=b1, quad_form=quad))
+        for m in forms:
+            ch = chern_character_index(m)
+            want = oracle_chern_character(m)
+            assert [as_tuple_terms(part) for part in ch] == \
+                [want[d] for d in (0, 2, 4)], m.quad_form
 
 
 class TestIndexBundle:

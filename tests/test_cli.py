@@ -1,13 +1,17 @@
 """CLI surface: presets, exit codes, JSON reports, explain mode."""
 
+import copy
 import json
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from thomstem.cli import (EXIT_BAD_SPEC, EXIT_OK, EXIT_OUT_OF_TABLE,
-                          EXIT_UNKNOWN, main)
+from thomstem.cli import (EXIT_BAD_SPEC, EXIT_ERROR, EXIT_OK,
+                          EXIT_OUT_OF_TABLE, EXIT_UNKNOWN, main)
+from thomstem.pipeline import MAX_TOTAL_B1, SpecError, parse_scenario
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +124,32 @@ class TestInputContract:
          "spec.manifolds[0].quad_form[0]"),
         ({"manifolds": [{"b1": 4, "b_plus": 1.5}]},
          "spec.manifolds[0].b_plus"),
+        # non-list containers and non-string names
+        ({"class_assignment": 5}, "spec.class_assignment"),
+        ({"class_assignment": None}, "spec.class_assignment"),
+        ({"manifolds": [{"b1": 4, "quad_form": 5}]},
+         "spec.manifolds[0].quad_form"),
+        ({"manifolds": [{"b1": 4, "quad_form": None}]},
+         "spec.manifolds[0].quad_form"),
+        ({"name": 5}, "spec.name"),
+        ({"manifolds": [{"b1": 4, "label": ["A"]}]},
+         "spec.manifolds[0].label"),
+        # signatures must sum to 0; the first nonzero one is named
+        ({"manifolds": [{"b1": 4, "signature": 16}]},
+         "spec.manifolds[0].signature"),
+        ({"manifolds": [{"determinant": 3}, {"b1": 0, "signature": 4},
+                        {"b1": 0, "signature": 8}]},
+         "spec.manifolds[1].signature"),
+        # class assignments the final complex cannot carry
+        ({"class_assignment": [{"cell": "top", "element": "eta_sq"}]},
+         "class_assignment[0].element"),
+        ({"class_assignment": [{"cell": {"base": [], "fiber": "point"},
+                                "element": "zero"}]},
+         "class_assignment[0].cell"),
+        ({"skeletal_cut": 100}, "skeletal_cut"),
+        # the size limit, checked before anything is built
+        ({"manifolds": [{"determinant": 3}, {"b1": 9}]}, "spec.manifolds"),
+        ({"manifolds": [{"b1": 40}]}, "spec.manifolds"),
     ])
     def test_exit_two_names_the_field(self, capsys, tmp_path, patch, pointer):
         spec = tmp_path / "malformed.json"
@@ -128,6 +158,129 @@ class TestInputContract:
         assert code == EXIT_BAD_SPEC
         assert out == ""
         assert err.startswith(f"thomstem: malformed scenario: {pointer}: ")
+
+
+    def test_opposite_signatures_stay_valid(self, capsys, tmp_path):
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE, "manifolds": [
+            {"determinant": 3}, {"b1": 0, "signature": 4},
+            {"b1": 0, "signature": -4}]}))
+        code, out, _ = run_cli(capsys, "run", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert json.loads(out)["manifold"]["signature"] == 0
+
+
+class TestSizeLimit:
+    """Only parsed, never built: a complex this large takes seconds."""
+
+    @staticmethod
+    def _spec(*b1s):
+        return {**_MALFORMED_BASE,
+                "manifolds": [{"b1": b} for b in b1s]}
+
+    def test_limit_is_inclusive(self):
+        spec = parse_scenario(self._spec(MAX_TOTAL_B1), source="spec")
+        assert spec.manifolds[0]["b1"] == MAX_TOTAL_B1
+
+    @pytest.mark.parametrize("b1s", [(13,), (40,), (6, 7)])
+    def test_total_above_limit_rejected(self, b1s):
+        with pytest.raises(SpecError) as err:
+            parse_scenario(self._spec(*b1s), source="spec")
+        assert err.value.pointer == "spec.manifolds"
+        assert f"total b1 = {sum(b1s)}" in str(err.value)
+
+    def test_homology_torus_counts_four(self):
+        raw = {**_MALFORMED_BASE, "manifolds": [
+            {"determinant": 3}, {"determinant": 5}, {"b1": 5}]}
+        with pytest.raises(SpecError) as err:
+            parse_scenario(raw, source="spec")
+        assert "total b1 = 13" in str(err.value)
+
+
+# A second valid spec for the fuzz test: an explicit b1 block and a base
+# selector, so that the manifold and selector fields get mutated too.
+_EXPLICIT_BASE = {
+    "schema": "thomstem-scenario/1",
+    "name": "explicit",
+    "pipeline": "thom",
+    "manifolds": [{"b1": 5, "quad_form": ["[1,2,3,4] = 3"], "signature": 0,
+                   "b_plus": 3, "label": "B"}],
+    "suspensions": 1,
+    "skeletal_cut": 5,
+    "target_shift": 0,
+    "class_assignment": [{"cell": {"base": [1, 2, 3, 4], "fiber": "thom"},
+                          "element": "eta_sq"}],
+}
+
+
+def _field_paths(spec):
+    """Every top-level, manifold and selector field, as key paths."""
+    for key in spec:
+        yield (key,)
+    for i, manifold in enumerate(spec["manifolds"]):
+        for key in manifold:
+            yield ("manifolds", i, key)
+    for i, row in enumerate(spec["class_assignment"]):
+        for key in row:
+            yield ("class_assignment", i, key)
+        if isinstance(row["cell"], dict):
+            for key in row["cell"]:
+                yield ("class_assignment", i, "cell", key)
+
+
+def _pointer(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                   for p in path)[1:]
+
+
+def _names_field(err, field):
+    """The pointer is the field, an ancestor of it, or a part of it; or,
+    when the mutation clashes with another field and the pointer names
+    that one, the message names the mutated field's top-level key."""
+    pointer, _, message = err.partition(": ")
+    if pointer.startswith("spec."):
+        pointer = pointer[len("spec."):]
+
+    def below(a, b):
+        return a.startswith((b + ".", b + "["))
+    if pointer == field or below(field, pointer) or below(pointer, field):
+        return True
+    return re.search(rf"\b{re.split(r'[.[]', field)[0]}\b", message) is not None
+
+
+def test_mutation_fuzz_never_exits_one(capsys, tmp_path):
+    rng = random.Random(20261017)
+    prefix = "thomstem: malformed scenario: "
+    bad = []
+    runs = 0
+    for base in (_MALFORMED_BASE, _EXPLICIT_BASE):
+        for path in _field_paths(base):
+            mutants = [rng.randint(0, 9), rng.randint(-9, -1),
+                       rng.choice(["", "x", "12", "top"]), None,
+                       rng.choice([True, False]),
+                       rng.choice([[], [1], ["a", None]]),
+                       rng.choice([{}, {"x": 1}, {"base": []}]),
+                       rng.choice([0.5, -2.0, 3.0])]
+            for value in mutants:
+                spec = copy.deepcopy(base)
+                target = spec
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+                spec_file = tmp_path / "mutant.json"
+                spec_file.write_text(json.dumps(spec))
+                code, _, err = run_cli(capsys, "run", "--spec", str(spec_file))
+                runs += 1
+                field = _pointer(path)
+                case = f"{field} = {value!r}: exit {code}: {err.strip()}"
+                if code == EXIT_ERROR:
+                    bad.append(case)
+                elif code == EXIT_BAD_SPEC and not (
+                        err.startswith(prefix)
+                        and _names_field(err[len(prefix):], field)):
+                    bad.append(case)
+    assert runs >= 200
+    assert not bad, "\n".join(bad)
 
 
 class TestDeterminism:
