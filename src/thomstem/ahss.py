@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import stems
-from .stems import AbelianGroup, OutOfTableError, StemElement, TRIVIAL_GROUP
+from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
 from .thom import (ETA_LABEL, FIBER_SPHERE_ZERO, NU_ODD, POLICY_REDUCED,
                    StableCell, StableCellComplex, TRIVIAL, UNKNOWN,
                    infer_attachments)
@@ -77,12 +77,11 @@ class GroupReport:
 
     def blocks(self) -> Dict[str, AbelianGroup]:
         """Surviving contribution split by fiber kind (unknowns excluded)."""
-        out: Dict[str, AbelianGroup] = {}
+        parts: Dict[str, List[AbelianGroup]] = {}
         for entry in self.entries:
             if entry.status in (SURVIVES, REDUCED):
-                key = entry.cell.fiber_part
-                out[key] = out.get(key, TRIVIAL_GROUP) + entry.group
-        return out
+                parts.setdefault(entry.cell.fiber_part, []).append(entry.group)
+        return {key: group_sum(groups) for key, groups in parts.items()}
 
     def to_dict(self) -> dict:
         out = {
@@ -105,11 +104,8 @@ ClassAssignment = Mapping[StableCell, StemElement]
 
 
 def _surviving_sum(entries) -> AbelianGroup:
-    total = TRIVIAL_GROUP
-    for entry in entries:
-        if entry.status in (SURVIVES, REDUCED):
-            total = total + entry.group
-    return total
+    return group_sum(entry.group for entry in entries
+                     if entry.status in (SURVIVES, REDUCED))
 
 
 class _Column:
@@ -166,9 +162,7 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     unknowns = [e for e in entries if e.status == UNKNOWN]
     if unknowns:
         lower = _surviving_sum(entries)
-        upper = lower
-        for entry in unknowns:
-            upper = upper + entry.group
+        upper = group_sum([lower] + [entry.group for entry in unknowns])
         assembled, bounds = None, (lower, upper)
         notes.append(f"{len(unknowns)} column(s) unknown: assembled group "
                      "reported as bounds (lower = unknowns die, upper = "
@@ -323,35 +317,57 @@ def _mark_unknowns(complex_, columns, notes):
 
     Each column is decided from the per-gap defaults and its own
     exceptions; only the pairs at threatening gaps are visited, and each
-    threatening pair gets one note, in canonical pair order.
+    threatening pair gets one note, in canonical pair order. A note is
+    a head naming the column plus a tail that depends only on the upper
+    cell's dimension and the lower cell, so the default-labelled tails
+    are built once per dimension.
     """
     labels = complex_.attachments
-    names: Dict[StableCell, str] = {}
+    defaults = labels.rules.defaults
+    by_dim: Dict[int, Tuple[List[int], Dict[StableCell, str]]] = {}
 
-    def name_of(cell):
-        if cell not in names:
-            names[cell] = cell.name()
-        return names[cell]
+    def tail(value, gap, lower, source_q):
+        return (f"{value} gap-{gap} label from {lower.name()} "
+                f"(source stem {source_q})")
+
+    def threats_at(dim, q):
+        """The threatening default gaps and {lower: tail} of their pairs,
+        in canonical order (lower dims ascend, so gaps descend)."""
+        if dim not in by_dim:
+            gaps = sorted((gap for gap, label in defaults.items()
+                           if _threat_source(label.value, gap, q) is not None),
+                          reverse=True)
+            tails = {}
+            for gap in gaps:
+                value = defaults[gap].value
+                source_q = _threat_source(value, gap, q)
+                for lower in labels.cells_at(dim - gap):
+                    tails[lower] = tail(value, gap, lower, source_q)
+            by_dim[dim] = gaps, tails
+        return by_dim[dim]
 
     for column in columns:
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
-        gaps = [gap for gap, label in labels.rules.defaults.items()
-                if _threat_source(label.value, gap, q) is not None]
-        head = None
-        for lower, label in labels.row(upper, gaps):
-            gap = upper.dim - lower.dim
-            source_q = _threat_source(label.value, gap, q)
-            if source_q is None:
-                continue
-            if head is None:
-                column.status = UNKNOWN
-                column.killer = None
-                head = f"column {upper.name()} marked unknown: reachable " \
-                       "through a "
-            notes.append(f"{head}{label.value} gap-{gap} label from "
-                         f"{name_of(lower)} (source stem {source_q})")
+        gaps, tails = threats_at(upper.dim, q)
+        if labels.has_exceptions(upper):
+            found = []
+            for lower, label in labels.row(upper, gaps):
+                gap = upper.dim - lower.dim
+                if label is defaults.get(gap) and lower in tails:
+                    found.append(tails[lower])
+                    continue
+                source_q = _threat_source(label.value, gap, q)
+                if source_q is not None:
+                    found.append(tail(label.value, gap, lower, source_q))
+        else:
+            found = tails.values()
+        if found:
+            column.status = UNKNOWN
+            column.killer = None
+            head = f"column {upper.name()} marked unknown: reachable through a "
+            notes.extend(head + text for text in found)
 
 
 def evaluate_class(report: GroupReport, assignment: ClassAssignment) -> str:

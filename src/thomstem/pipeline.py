@@ -8,9 +8,9 @@ README (quad-form rows are written "[i,j,k,l] = value").
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import stems
@@ -18,9 +18,10 @@ from .ahss import (GroupReport, assemble, evaluate_class,
                    vanishing_certificate)
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
-from .thom import (BASEPOINT_NOTE, StableCell, StableCellComplex,
-                   complex_to_dict, infer_attachments, skeletal_quotient,
-                   sphere_bundle_quotient, suspend, thom_cells)
+from .thom import (BASEPOINT_NOTE, ETA_LABEL, NU_ODD, StableCell,
+                   StableCellComplex, complex_to_dict, infer_attachments,
+                   label_counts, skeletal_quotient, sphere_bundle_quotient,
+                   suspend, thom_cells)
 
 SCHEMA_SCENARIO = "thomstem-scenario/1"
 SCHEMA_REPORT = "thomstem-report/1"
@@ -294,7 +295,7 @@ def resolve_manifold(spec: ScenarioSpec) -> ManifoldData:
                 signature=m.get("signature", 0), b_plus=m.get("b_plus", 3),
                 label=m.get("label", "M")))
     if not built:
-        raise SpecError("manifolds", "at least one manifold is required")
+        raise SpecError("spec.manifolds", "at least one manifold is required")
     out = built[0]
     for m in built[1:]:
         out = connected_sum(out, m)
@@ -320,10 +321,10 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
                        target_n: int) -> Dict[StableCell, stems.StemElement]:
     out: Dict[StableCell, stems.StemElement] = {}
     for i, (selector, element_text) in enumerate(spec.class_assignment):
-        where = f"class_assignment[{i}]"
+        where = f"spec.class_assignment[{i}]"
         if selector == "top":
             if not final.cells:
-                raise SpecError("skeletal_cut", "collapses every cell, so "
+                raise SpecError("spec.skeletal_cut", "collapses every cell, so "
                                 f"{where} has no top cell")
             cell = final.top_cell
         else:
@@ -351,15 +352,22 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
     return out
 
 
-def run_scenario(spec: ScenarioSpec) -> RunResult:
-    manifold = resolve_manifold(spec)
-    bundle = index_bundle(manifold)
-    built = build_complex(spec, bundle)
+def final_complex(spec: ScenarioSpec,
+                  built: StableCellComplex) -> StableCellComplex:
+    """The built complex after the spec's skeletal cut and suspensions."""
     final = built
     if spec.skeletal_cut is not None:
         final = skeletal_quotient(final, spec.skeletal_cut)
     if spec.suspensions:
         final = suspend(final, spec.suspensions)
+    return final
+
+
+def run_scenario(spec: ScenarioSpec) -> RunResult:
+    manifold = resolve_manifold(spec)
+    bundle = index_bundle(manifold)
+    built = build_complex(spec, bundle)
+    final = final_complex(spec, built)
     target_n = resolve_target(spec, manifold, bundle)
     report = assemble(final, target_n)
     assignment = resolve_assignment(spec, final, target_n)
@@ -427,16 +435,77 @@ def report_dict(result: RunResult) -> dict:
 
 
 def report_json(result: RunResult) -> str:
-    return json.dumps(report_dict(result), indent=2, sort_keys=True) + "\n"
+    """The report as json.dumps(indent=2, sort_keys=True) writes it, plus a
+    newline, byte for byte; strings go through the C escaper."""
+    parts: List[str] = []
+    _write(report_dict(result), "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# JSON text of the scalars a report may hold; bool before int, since a
+# bool is an int in Python but not in JSON
+_SCALARS = {str: encode_basestring_ascii,
+            bool: lambda value: "true" if value else "false",
+            int: int.__repr__,
+            type(None): lambda value: "null"}
+
+
+def _write(value, newline: str, parts: List[str]) -> None:
+    """Append `value` as JSON, one part per container item; `newline` is
+    the line break plus the indent of the line `value` starts on. Only
+    str, int, bool, None, lists, tuples and str-keyed dicts are written;
+    anything else (a float too) raises TypeError, so the report stays
+    exact."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):    # a non-str key raises
+            head = sep + encode_basestring_ascii(key) + ": "
+            text = _SCALARS.get(type(item))
+            if text is None:
+                parts.append(head)
+                _write(item, inner, parts)
+            else:
+                parts.append(head + text(item))
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            text = _SCALARS.get(type(item))
+            if text is None:
+                parts.append(sep)
+                _write(item, inner, parts)
+            else:
+                parts.append(sep + text(item))
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        for kind, text in _SCALARS.items():     # subclasses of the scalars
+            if isinstance(value, kind):
+                parts.append(text(value))
+                return
+        raise TypeError(f"{type(value).__name__} is not written to a report")
 
 
 def explain_text(spec: ScenarioSpec) -> str:
     """Pipeline stages, cell tables, Sq detections and labels, without
-    assembling anything. Deterministic for golden-file diffs."""
+    assembling anything. Deterministic for golden-file diffs. The class
+    assignment is resolved on the final complex as `run_scenario` does,
+    so a spec that `run` rejects is rejected here too."""
     manifold = resolve_manifold(spec)
     bundle = index_bundle(manifold)
     built = build_complex(spec, bundle)
     target_n = resolve_target(spec, manifold, bundle)
+    final = final_complex(spec, built)
+    resolve_assignment(spec, final, target_n)
 
     lines: List[str] = []
     lines.append(f"scenario: {spec.name}")
@@ -464,27 +533,23 @@ def explain_text(spec: ScenarioSpec) -> str:
     lines.append(f"target: S^{target_n}")
     lines.append(f"cells by dimension (as built): " + ", ".join(
         f"{d}:{n}" for d, n in sorted(built.cells_by_dim().items())))
+    if spec.skeletal_cut is not None:
+        lines.append(f"skeleton cut: cells of dim <= {spec.skeletal_cut} "
+                     "collapsed")
+    if spec.suspensions:
+        lines.append(f"suspensions: {spec.suspensions}")
     if spec.skeletal_cut is not None or spec.suspensions:
-        final = built
-        if spec.skeletal_cut is not None:
-            final = skeletal_quotient(final, spec.skeletal_cut)
-            lines.append(f"skeleton cut: cells of dim <= {spec.skeletal_cut} "
-                         "collapsed")
-        if spec.suspensions:
-            final = suspend(final, spec.suspensions)
-            lines.append(f"suspensions: {spec.suspensions}")
         lines.append("cells by dimension (final): " + ", ".join(
             f"{d}:{n}" for d, n in sorted(final.cells_by_dim().items())))
-    info = complex_to_dict(built)
+    labels = built.attachments
     lines.append("labels by gap: " + (", ".join(
-        f"{k}={v}" for k, v in info["label_counts"].items()) or "none"))
-    if info["detected_labels"]:
-        lines.append("Sq detections:")
-        for det in info["detected_labels"]:
-            lines.append(f"  {det['label']}: {det['upper']} (dim {det['dims'][0]})"
-                         f" -> {det['lower']} (dim {det['dims'][1]})")
-    else:
-        lines.append("Sq detections: none")
+        f"{k}={v}" for k, v in label_counts(labels).items()) or "none"))
+    detected = [(pair, label) for pair, label in labels.exceptions
+                if label.value in (ETA_LABEL, NU_ODD)]
+    lines.append("Sq detections:" if detected else "Sq detections: none")
+    for (upper, lower), label in detected:
+        lines.append(f"  {label.value}: {upper.name()} (dim {upper.dim})"
+                     f" -> {lower.name()} (dim {lower.dim})")
     for selector, element in spec.class_assignment:
         where = selector if isinstance(selector, str) else \
             f"base {list(selector[0])} fiber {selector[1]}"

@@ -67,6 +67,16 @@ class AbelianGroup:
 
 TRIVIAL_GROUP = AbelianGroup()
 
+
+def group_sum(groups) -> AbelianGroup:
+    """Direct sum of many groups; the torsion is sorted once, not per `+`."""
+    free_rank, torsion = 0, []
+    for group in groups:
+        free_rank += group.free_rank
+        torsion.extend(group.torsion)
+    return AbelianGroup(free_rank, tuple(torsion))
+
+
 # pi_q^s for 0 <= q <= 7; negative stems are trivial, higher stems error.
 STEM_TABLE = {
     0: AbelianGroup(free_rank=1),

@@ -81,10 +81,17 @@ class StableCell:
         return self._key
 
     def name(self) -> str:
+        # formatted once from the frozen fields and kept outside the
+        # dataclass fields, so ==, hash and repr do not see it
+        try:
+            return self._name
+        except AttributeError:
+            pass
         base = str(Monomial(self.base_mask)) if self.base_mask else "{}"
         out = f"{_FIBER_TAG[self.fiber_part]}{base}"
         if self.suspension:
             out += f"+{self.suspension}"
+        object.__setattr__(self, "_name", out)
         return out
 
     __str__ = name
@@ -142,9 +149,10 @@ class AttachmentView(Mapping):
             exceptions.items(), key=lambda kv: (kv[0][0]._key, kv[0][1]._key)))
         self._cells = cells
         self._proper = frozenset(proper_cells)
-        self._by_dim: Dict[int, list] = {}
+        by_dim: Dict[int, list] = {}
         for cell in proper_cells:     # canonical order, so each group is too
-            self._by_dim.setdefault(cell.dim, []).append(cell)
+            by_dim.setdefault(cell.dim, []).append(cell)
+        self._by_dim = {dim: tuple(group) for dim, group in by_dim.items()}
         # lower dims ascend in canonical order, so gaps descend
         self._gaps = tuple(sorted(defaults, reverse=True))
         self._by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
@@ -196,6 +204,14 @@ class AttachmentView(Mapping):
                 label = defaults[gap]
                 for lower in self._by_dim.get(upper.dim - gap, ()):
                     yield (upper, lower), label
+
+    def cells_at(self, dim: int) -> Tuple[StableCell, ...]:
+        """The proper cells of dimension `dim`, in canonical order."""
+        return self._by_dim.get(dim, ())
+
+    def has_exceptions(self, upper: StableCell) -> bool:
+        """Does any exception start at `upper`?"""
+        return upper in self._by_upper
 
     def row(self, upper: StableCell, gaps: Optional[Iterable[int]] = None
             ) -> Iterator[Tuple[StableCell, AttachLabel]]:
@@ -474,7 +490,13 @@ def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:
                              complex_.gap3_trivial)
 
 
-def complex_to_dict(complex_: StableCellComplex, full_labels: bool = False) -> dict:
+def label_counts(labels: AttachmentView) -> Dict[str, int]:
+    """{"gap<g>:<value>": count}, sorted by key, for reports and explain."""
+    return dict(sorted((f"gap{gap}:{value}", n)
+                       for (gap, value), n in labels.counts().items()))
+
+
+def complex_to_dict(complex_: StableCellComplex) -> dict:
     """JSON-ready description: cells, dims, label counts, detected labels."""
     cells = [{
         "name": cell.name(),
@@ -493,9 +515,7 @@ def complex_to_dict(complex_: StableCellComplex, full_labels: bool = False) -> d
     }
     labels = complex_.attachments
     if labels is not None:
-        out["label_counts"] = dict(sorted(
-            (f"gap{gap}:{value}", n)
-            for (gap, value), n in labels.counts().items()))
+        out["label_counts"] = label_counts(labels)
         out["detected_labels"] = [{
             "upper": upper.name(), "lower": lower.name(),
             "dims": [upper.dim, lower.dim],
@@ -503,9 +523,4 @@ def complex_to_dict(complex_: StableCellComplex, full_labels: bool = False) -> d
             "justification": label.justification,
         } for (upper, lower), label in labels.exceptions
             if label.value in (ETA_LABEL, NU_ODD)]
-        if full_labels:
-            out["labels"] = [{
-                "upper": u.name(), "lower": l.name(), "label": lab.value,
-                "justification": lab.justification,
-            } for (u, l), lab in labels.items()]
     return out

@@ -4,7 +4,9 @@ The wedge oracle multiplies index tuples by concatenation and bubble-sorts
 with an explicit swap count; the Chern oracle expands exp(Omega) in a flat
 symbol algebra with no bitmasks and no Koszul bookkeeping; the assembly
 oracle direct-sums stems straight off the cell list; the label oracle
-writes out every attachment pair the way the library once stored them.
+writes out every attachment pair the way the library once stored them;
+the unknown-column oracle formats one note per threatening pair, pair by
+pair, the way assembly once did.
 """
 
 import random
@@ -12,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from thomstem import stems
+from thomstem.ahss import KILLED, _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (ETA_LABEL, FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN,
                            AttachLabel)
@@ -235,3 +238,30 @@ def canonical_pairs(labels):
     """The pairs of a label dict in canonical (upper, lower) key order."""
     return sorted(labels, key=lambda pair: (pair[0].sort_key(),
                                             pair[1].sort_key()))
+
+
+# -- per-pair unknown-column oracle -------------------------------------------
+
+def per_pair_mark_unknowns(complex_, columns, notes):
+    """Drop-in for `ahss._mark_unknowns`: walks every threatening pair of
+    every column and formats each note from scratch."""
+    labels = complex_.attachments
+    for column in columns:
+        if column.status == KILLED or column.group.is_trivial:
+            continue
+        upper, q = column.cell, column.stem_q
+        gaps = [gap for gap, label in labels.rules.defaults.items()
+                if _threat_source(label.value, gap, q) is not None]
+        head = None
+        for lower, label in labels.row(upper, gaps):
+            gap = upper.dim - lower.dim
+            source_q = _threat_source(label.value, gap, q)
+            if source_q is None:
+                continue
+            if head is None:
+                column.status = UNKNOWN
+                column.killer = None
+                head = f"column {upper.name()} marked unknown: reachable " \
+                       "through a "
+            notes.append(f"{head}{label.value} gap-{gap} label from "
+                         f"{lower.name()} (source stem {source_q})")

@@ -91,15 +91,23 @@ _MALFORMED_BASE = {
 }
 
 
+def _resolve_time(index, patch, pointer):
+    """A row whose pointer is raised after parsing. Its id keeps the
+    spec-relative field name it had before these pointers carried the
+    `spec.` root."""
+    return pytest.param(patch, "spec." + pointer,
+                        id=f"patch{index}-{pointer}")
+
+
 class TestInputContract:
     """Malformed input exits 2 with a pointer that names the field."""
 
     @pytest.mark.parametrize("patch, pointer", [
         # the five contract repros of the benchmark's small_sweep
         ({"suspensions": True}, "spec.suspensions"),
-        ({"skeletal_cut": 5,
-          "class_assignment": [{"cell": {"base": [1]}, "element": "zero"}]},
-         "class_assignment[0].cell"),
+        _resolve_time(1, {"skeletal_cut": 5, "class_assignment": [
+            {"cell": {"base": [1]}, "element": "zero"}]},
+            "class_assignment[0].cell"),
         ({"manifolds": [{"b1": 4, "signature": "0"}]},
          "spec.manifolds[0].signature"),
         ({"manifolds": [{"b1": 4, "quad_form": ["[1,2,3,5] = 1"]}]},
@@ -113,13 +121,14 @@ class TestInputContract:
          "spec.manifolds[0].determinant"),
         ({"manifolds": [{"b1": True}]}, "spec.manifolds[0].b1"),
         # more selector and quad-form shapes
-        ({"class_assignment": [{"cell": {"base": [9]}, "element": "zero"}]},
-         "class_assignment[0].cell"),
+        _resolve_time(9, {"class_assignment": [
+            {"cell": {"base": [9]}, "element": "zero"}]},
+            "class_assignment[0].cell"),
         ({"class_assignment": [{"cell": {"base": [1, 1]}, "element": "zero"}]},
          "spec.class_assignment[0].cell.base"),
-        ({"class_assignment": [{"cell": {"base": [1], "fiber": "H"},
-                                "element": "zero"}]},
-         "class_assignment[0].cell"),
+        _resolve_time(11, {"class_assignment": [
+            {"cell": {"base": [1], "fiber": "H"}, "element": "zero"}]},
+            "class_assignment[0].cell"),
         ({"manifolds": [{"b1": 4, "quad_form": ["[2,1,3,4] = 1"]}]},
          "spec.manifolds[0].quad_form[0]"),
         ({"manifolds": [{"b1": 4, "b_plus": 1.5}]},
@@ -141,12 +150,13 @@ class TestInputContract:
                         {"b1": 0, "signature": 8}]},
          "spec.manifolds[1].signature"),
         # class assignments the final complex cannot carry
-        ({"class_assignment": [{"cell": "top", "element": "eta_sq"}]},
-         "class_assignment[0].element"),
-        ({"class_assignment": [{"cell": {"base": [], "fiber": "point"},
-                                "element": "zero"}]},
-         "class_assignment[0].cell"),
-        ({"skeletal_cut": 100}, "skeletal_cut"),
+        _resolve_time(22, {"class_assignment": [
+            {"cell": "top", "element": "eta_sq"}]},
+            "class_assignment[0].element"),
+        _resolve_time(23, {"class_assignment": [
+            {"cell": {"base": [], "fiber": "point"}, "element": "zero"}]},
+            "class_assignment[0].cell"),
+        _resolve_time(24, {"skeletal_cut": 100}, "skeletal_cut"),
         # the size limit, checked before anything is built
         ({"manifolds": [{"determinant": 3}, {"b1": 9}]}, "spec.manifolds"),
         ({"manifolds": [{"b1": 40}]}, "spec.manifolds"),
@@ -159,6 +169,17 @@ class TestInputContract:
         assert out == ""
         assert err.startswith(f"thomstem: malformed scenario: {pointer}: ")
 
+
+    def test_explain_rejects_what_run_rejects(self, capsys, tmp_path):
+        spec = tmp_path / "stem.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE, "class_assignment": [
+            {"cell": "top", "element": "eta_sq"}]}))
+        pointer = "thomstem: malformed scenario: " \
+            "spec.class_assignment[0].element: "
+        for argv in (("run",), ("explain", "run")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
+            assert (code, out) == (EXIT_BAD_SPEC, "")
+            assert err.startswith(pointer)
 
     def test_opposite_signatures_stay_valid(self, capsys, tmp_path):
         spec = tmp_path / "pair.json"

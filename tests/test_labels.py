@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import canonical_pairs, dense_attachments
+from helpers import canonical_pairs, dense_attachments, per_pair_mark_unknowns
+from thomstem import ahss
 from thomstem.ahss import assemble
 from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
@@ -105,6 +106,82 @@ def test_random_bundles_match_dense_oracle():
                             labelled.attachments.values())
     # the draw exercises both detections, not only the defaults
     assert {ETA_LABEL, NU_ODD} <= detected
+
+
+def assert_notes_match_oracle(complex_):
+    """Unknown-column notes and column statuses equal the per-pair oracle's
+    at every target that keeps the stems in the table."""
+    top = max(cell.dim for cell in complex_.cells)
+    for target_n in range(top - 7, top - 1):
+        fast = assemble(complex_, target_n)
+        original = ahss._mark_unknowns
+        ahss._mark_unknowns = per_pair_mark_unknowns
+        try:
+            slow = assemble(complex_, target_n)
+        finally:
+            ahss._mark_unknowns = original
+        assert fast.notes == slow.notes
+        assert fast.entries == slow.entries
+        assert (fast.assembled, fast.bounds) == (slow.assembled, slow.bounds)
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_BUILDS))
+def test_preset_notes_match_per_pair_oracle(name):
+    labelled = infer_attachments(PRESET_BUILDS[name]())
+    for complex_ in (labelled, suspend(labelled, 1),
+                     skeletal_quotient(labelled, 5)):
+        assert_notes_match_oracle(complex_)
+
+
+def test_random_bundle_notes_match_per_pair_oracle():
+    rng = random.Random(20261018)
+    unknown = 0
+    for _ in range(24):
+        bundle = _random_bundle(rng, rng.randint(4, 7))
+        builds = [thom_cells(bundle)]
+        if bundle.c1.is_zero:
+            builds.append(sphere_bundle_quotient(bundle))
+        for built in builds:
+            labelled = infer_attachments(built)
+            assert_notes_match_oracle(labelled)
+            assert_notes_match_oracle(suspend(labelled, rng.randint(1, 2)))
+            unknown += sum(entry.status == UNKNOWN for entry in
+                           assemble(labelled, built.top_cell.dim - 4).entries)
+    assert unknown
+
+
+def test_hand_built_exception_notes_match_per_pair_oracle():
+    complex_ = infer_attachments(thom_cells(_sum(3, 5)))
+    defaults = complex_.attachments.rules.defaults
+    proper = complex_.proper_cells
+    by_dim = {}
+    for cell in proper:
+        by_dim.setdefault(cell.dim, []).append(cell)
+    top = complex_.top_cell
+    basepoint = complex_.basepoint_cell
+    exceptions = dict(complex_.attachments.rules.exceptions)
+    exceptions.update({
+        # a default gap, overridden both ways
+        (top, by_dim[top.dim - 4][0]): AttachLabel(TRIVIAL, "synthetic"),
+        (top, by_dim[top.dim - 2][0]): AttachLabel(UNKNOWN, "synthetic"),
+        # the default label object itself, given as an exception
+        (top, by_dim[top.dim - 3][1]): defaults[3],
+        # off the default gaps: gap 5, and down to the basepoint
+        (by_dim[top.dim - 1][0], by_dim[top.dim - 6][0]):
+            AttachLabel(UNKNOWN, "synthetic"),
+        (top, basepoint): AttachLabel(UNKNOWN, "synthetic"),
+        (by_dim[top.dim - 2][1], basepoint): AttachLabel(TRIVIAL, "synthetic"),
+    })
+    hand = StableCellComplex(complex_.cells, complex_.bundle,
+                             complex_.basepoint_policy,
+                             LabelRules(defaults, exceptions))
+    assert_notes_match_oracle(hand)
+    assert_notes_match_oracle(suspend(hand, 1))
+    # exceptions only, no defaults
+    assert_notes_match_oracle(StableCellComplex(
+        complex_.cells, complex_.bundle, complex_.basepoint_policy,
+        {pair: label for pair, label in exceptions.items()
+         if label.value not in (ETA_LABEL, NU_ODD)}))
 
 
 def test_label_counts_are_arithmetic_and_exact():

@@ -1,12 +1,14 @@
 """The stem table and composition products."""
 
 import math
+import random
 from itertools import product
 
 import pytest
 
-from thomstem.stems import (AbelianGroup, OutOfTableError, compose, eta,
-                            eta_sq, nu_multiple, one, stem_group, zero)
+from thomstem.stems import (TRIVIAL_GROUP, AbelianGroup, OutOfTableError,
+                            compose, eta, eta_sq, group_sum, nu_multiple, one,
+                            stem_group, zero)
 
 
 class TestStemTable:
@@ -47,6 +49,18 @@ class TestAbelianGroup:
 
     def test_torsion_order_is_canonical(self):
         assert AbelianGroup(0, (24, 2)) == AbelianGroup(0, (2, 24))
+
+    def test_group_sum_equals_iterated_plus(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            groups = [AbelianGroup(rng.randint(0, 3), tuple(
+                rng.choice((2, 3, 24, 240)) for _ in range(rng.randint(0, 4))))
+                for _ in range(rng.randint(0, 12))]
+            total = TRIVIAL_GROUP
+            for group in groups:
+                total = total + group
+            assert group_sum(groups) == total
+            assert group_sum(iter(groups)) == total
 
 
 class TestElements:

@@ -1,5 +1,6 @@
 """Cell models, Steenrod detection, attachment labels and complex surgery."""
 
+from dataclasses import FrozenInstanceError, fields
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from helpers import as_tuple_terms
 from thomstem.chern import connected_sum, index_bundle, make_homology_torus
 from thomstem.exterior import ExteriorClass
-from thomstem.thom import (NU_ODD, TRIVIAL, UNKNOWN, infer_attachments,
+from thomstem.thom import (FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN, StableCell,
+                           infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
                            sq_thom, suspend, thom_cells)
 
@@ -218,3 +220,39 @@ class TestSphereBundleQuotient:
                             sphere_shift=2)
         with pytest.raises(ValueError):
             sphere_bundle_quotient(fake)
+
+
+class TestCellNames:
+    TAGS = {"point": "*", "thom": "H", "sphere_zero": "S0", "sphere_two": "S2"}
+
+    def fresh_name(self, cell):
+        base = "{" + ",".join(str(k) for k in cell.base_indices) + "}"
+        if not cell.base_mask:
+            base = "{}"
+        suffix = f"+{cell.suspension}" if cell.suspension else ""
+        return f"{self.TAGS[cell.fiber_part]}{base}{suffix}"
+
+    def test_cached_name_equals_fresh_formatting(self):
+        bundle = sum_bundle(3, 5)
+        for built in (thom_cells(bundle), sphere_bundle_quotient(bundle)):
+            for complex_ in (built, suspend(built, 2),
+                             suspend(skeletal_quotient(built, 5), 1)):
+                for cell in complex_.cells:
+                    first = cell.name()
+                    assert first == self.fresh_name(cell) == str(cell)
+                    assert cell.name() is first
+
+    def test_cache_is_not_a_field(self):
+        def make():
+            return StableCell(0b1011, FIBER_THOM, 4, 2)
+        named, plain = make(), make()
+        before = (repr(named), hash(named))
+        assert named.name() == "H{1,2,4}+2"
+        assert (repr(named), hash(named)) == before
+        assert named == plain and hash(named) == hash(plain)
+        assert [f.name for f in fields(named)] == \
+            ["base_mask", "fiber_part", "fiber_offset", "suspension"]
+        assert repr(named) == ("StableCell(base_mask=11, fiber_part='thom', "
+                               "fiber_offset=4, suspension=2)")
+        with pytest.raises(FrozenInstanceError):
+            named._name = "other"
