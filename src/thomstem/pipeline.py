@@ -443,8 +443,7 @@ def report_json(result: RunResult) -> str:
     return "".join(parts)
 
 
-# JSON text of the scalars a report may hold; bool before int, since a
-# bool is an int in Python but not in JSON
+# JSON text of the scalars a report may hold, by exact type
 _SCALARS = {str: encode_basestring_ascii,
             bool: lambda value: "true" if value else "false",
             int: int.__repr__,
@@ -452,11 +451,11 @@ _SCALARS = {str: encode_basestring_ascii,
 
 
 def _write(value, newline: str, parts: List[str]) -> None:
-    """Append `value` as JSON, one part per container item; `newline` is
-    the line break plus the indent of the line `value` starts on. Only
-    str, int, bool, None, lists, tuples and str-keyed dicts are written;
-    anything else (a float too) raises TypeError, so the report stays
-    exact."""
+    """Append the list, tuple or dict `value` as JSON, one part per item;
+    `newline` is the line break plus the indent of the line `value`
+    starts on. Items are str, int, bool, None or containers again, and
+    dict keys are str; anything else (a float too, or a subclass of a
+    scalar) raises TypeError, so the report stays exact."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -488,10 +487,6 @@ def _write(value, newline: str, parts: List[str]) -> None:
             sep = "," + inner
         parts.append(newline + "]")
     else:
-        for kind, text in _SCALARS.items():     # subclasses of the scalars
-            if isinstance(value, kind):
-                parts.append(text(value))
-                return
         raise TypeError(f"{type(value).__name__} is not written to a report")
 
 

@@ -92,9 +92,9 @@ _MALFORMED_BASE = {
 
 
 def _resolve_time(index, patch, pointer):
-    """A row whose pointer is raised after parsing. Its id keeps the
-    spec-relative field name it had before these pointers carried the
-    `spec.` root."""
+    """A row whose pointer is raised after parsing, at the `spec.` root.
+    Its id names the field below that root, so the test id stays stable
+    whatever the root is."""
     return pytest.param(patch, "spec." + pointer,
                         id=f"patch{index}-{pointer}")
 
