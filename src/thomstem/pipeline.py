@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import stems
@@ -33,8 +35,9 @@ PRESET_NAMES = ("paper-sec3", "paper-sec4", "paper-sec5")
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: thom
-# b1 = 12 takes 1.6 s to run and 0.9 s to render, and gives a 114 MB report
-# at 465 MB peak RSS (Python 3.11, 2-vCPU VM).
+# b1 = 12 takes 0.45 s to run and 0.49 s to render, and gives a 114 MB
+# report (860k notes) at 402 MB peak RSS (best of 3 fresh processes,
+# Python 3.11, 2-vCPU VM).
 MAX_TOTAL_B1 = 12
 
 
@@ -84,7 +87,14 @@ def _as_kwargs(spec: ScenarioSpec) -> dict:
 
 
 def preset(name: str, det: int = 1, det1: int = 1, det2: int = 1) -> ScenarioSpec:
-    """The read-only built-in presets."""
+    """The read-only built-in presets.
+
+    The `paper-sec5` verdict does not depend on `det1` and `det2`: the
+    sphere quotient has w = 0, so it is `nontrivial` for det 2,4 too,
+    while the paper's theorem needs both determinants odd. Its `eta_sq`
+    on the top cell is a hypothesis input, like every class assignment,
+    not a class derived from the determinants.
+    """
     if name == "paper-sec3":
         return ScenarioSpec(
             name=name,
@@ -320,6 +330,9 @@ def build_complex(spec: ScenarioSpec, bundle: BundleData) -> StableCellComplex:
 def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
                        target_n: int) -> Dict[StableCell, stems.StemElement]:
     out: Dict[StableCell, stems.StemElement] = {}
+    set_by = ("the manifolds, suspensions and target_shift"
+              if spec.target_override is None else
+              "--target")
     for i, (selector, element_text) in enumerate(spec.class_assignment):
         where = f"spec.class_assignment[{i}]"
         if selector == "top":
@@ -346,10 +359,17 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
             raise SpecError(f"{where}.element",
                             f"{element} lives in stem {element.q}, but "
                             f"{cell.name()} sits in stem {stem} of S^{target_n}"
-                            " (set by the manifolds, suspensions and "
-                            "target_shift)")
+                            f" (set by {set_by})")
         out[cell] = element
     return out
+
+
+def check_stem_table(final: StableCellComplex, target_n: int) -> None:
+    """Raise the OutOfTableError that `assemble` raises when a column of
+    the final complex lies outside the stem table; it names the lowest
+    such stem, as `assemble` does."""
+    for dim in sorted({cell.dim for cell in final.proper_cells}):
+        stems.stem_group(dim - target_n)
 
 
 def final_complex(spec: ScenarioSpec,
@@ -449,13 +469,20 @@ _SCALARS = {str: encode_basestring_ascii,
             int: int.__repr__,
             type(None): lambda value: "null"}
 
+# the bytes encode_basestring_ascii copies as they are: printable ASCII
+# but the quote and the backslash
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+_PROBE_ITEMS = 4096     # strings per probe, so its copy stays small
+
 
 def _write(value, newline: str, parts: List[str]) -> None:
-    """Append the list, tuple or dict `value` as JSON, one part per item;
-    `newline` is the line break plus the indent of the line `value`
-    starts on. Items are str, int, bool, None or containers again, and
-    dict keys are str; anything else (a float too, or a subclass of a
-    scalar) raises TypeError, so the report stays exact."""
+    """Append the list, tuple or dict `value` as JSON; `newline` is the
+    line break plus the indent of the line `value` starts on. Items are
+    str, int, bool, None or containers again, and dict keys are str;
+    anything else (a float too, or a subclass of a scalar) raises
+    TypeError, so the report stays exact. A list of one scalar type, or
+    of dicts of scalars and int lists, is written by `_write_list` in one
+    join; a mixed list goes one part per item."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -476,6 +503,8 @@ def _write(value, newline: str, parts: List[str]) -> None:
         if not value:
             parts.append("[]")
             return
+        if _write_list(value, newline, parts):
+            return
         sep = "[" + inner
         for item in value:
             text = _SCALARS.get(type(item))
@@ -490,16 +519,104 @@ def _write(value, newline: str, parts: List[str]) -> None:
         raise TypeError(f"{type(value).__name__} is not written to a report")
 
 
+def _write_list(items, newline: str, parts: List[str]) -> bool:
+    """Append the nonempty list `items` as JSON in one join if its items
+    share one type: str, int, bool, None, or dict (see `_row_texts`).
+    Returns False, appending nothing, for any other list. The joined
+    body is a part of its own: it can be megabytes long."""
+    inner = newline + "  "
+    sep = "," + inner
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str and _plain(items):
+        # each string is its own JSON text between quotes
+        parts += ("[" + inner + '"', ('"' + sep + '"').join(items),
+                  '"' + newline + "]")
+        return True
+    text = _SCALARS.get(kind)
+    if text is not None:
+        body = sep.join(map(text, items))
+    elif kind is dict:
+        rows = _row_texts(items, inner)
+        if rows is None:
+            return False
+        body = sep.join(rows)
+    else:
+        return False
+    parts += ("[" + inner, body, newline + "]")
+    return True
+
+
+def _plain(strings) -> bool:
+    """Is every string printable ASCII without a quote or a backslash, so
+    that encode_basestring_ascii(s) == '"' + s + '"'? Probed a slice at
+    a time on the joined text."""
+    for start in range(0, len(strings), _PROBE_ITEMS):
+        text = "".join(strings[start:start + _PROBE_ITEMS])
+        if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+            return False
+    return True
+
+
+def _row_texts(rows, inner: str) -> Optional[List[str]]:
+    """JSON texts of the dicts `rows`, each starting on a line indented
+    as `inner`, or None if a value is neither a scalar nor a list of int.
+    Rows are taken in runs that share one key set: the keys are sorted
+    once per run, each column is written by `_column_texts`, and each row
+    is one %-template."""
+    key_line = inner + "  "
+    out: List[str] = []
+    for keys, run in groupby(rows, dict.keys):
+        names = sorted(keys)                       # mixed key types raise
+        if not names:
+            return None
+        run = list(run)
+        columns = []
+        for name in names:
+            column = _column_texts(list(map(itemgetter(name), run)), key_line)
+            if column is None:
+                return None
+            columns.append(column)
+        template = "{" + ",".join(
+            key_line + encode_basestring_ascii(name).replace("%", "%%")
+            + ": %s" for name in names) + inner + "}"
+        out += map(template.__mod__, zip(*columns))
+    return out
+
+
+def _column_texts(values: list, newline: str) -> Optional[List[str]]:
+    """JSON texts of one column of row values written on lines indented
+    as `newline`, or None if a value is neither a scalar nor a list or
+    tuple of exact int."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds <= _SCALARS.keys():
+        return list(map(_SCALARS[kinds.pop()], values))
+    lists = kinds & {list, tuple}
+    if not kinds - lists <= _SCALARS.keys():
+        return None
+    if lists and not set(map(type, chain.from_iterable(
+            value for value in values if type(value) in lists))) <= {int}:
+        return None
+    inner = newline + "  "
+    sep = "," + inner
+    return [_SCALARS[type(value)](value) if type(value) in _SCALARS else
+            "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]"
+            if value else "[]"
+            for value in values]
+
+
 def explain_text(spec: ScenarioSpec) -> str:
     """Pipeline stages, cell tables, Sq detections and labels, without
-    assembling anything. Deterministic for golden-file diffs. The class
-    assignment is resolved on the final complex as `run_scenario` does,
-    so a spec that `run` rejects is rejected here too."""
+    assembling anything. Deterministic for golden-file diffs. The stem
+    table is checked and the class assignment resolved on the final
+    complex in the order `run_scenario` does, so a spec that `run`
+    rejects is rejected here too, with the same error."""
     manifold = resolve_manifold(spec)
     bundle = index_bundle(manifold)
     built = build_complex(spec, bundle)
     target_n = resolve_target(spec, manifold, bundle)
     final = final_complex(spec, built)
+    check_stem_table(final, target_n)
     resolve_assignment(spec, final, target_n)
 
     lines: List[str] = []

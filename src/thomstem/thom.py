@@ -71,7 +71,15 @@ class StableCell:
 
     @property
     def base_indices(self) -> Tuple[int, ...]:
-        return Monomial(self.base_mask).indices
+        # read off the mask once and kept outside the dataclass fields,
+        # like the name formatted from it
+        try:
+            return self._base
+        except AttributeError:
+            pass
+        base = Monomial(self.base_mask).indices
+        object.__setattr__(self, "_base", base)
+        return base
 
     def suspended(self, k: int) -> "StableCell":
         return StableCell(self.base_mask, self.fiber_part, self.fiber_offset,
@@ -87,8 +95,8 @@ class StableCell:
             return self._name
         except AttributeError:
             pass
-        base = str(Monomial(self.base_mask)) if self.base_mask else "{}"
-        out = f"{_FIBER_TAG[self.fiber_part]}{base}"
+        base = ",".join(map(str, self.base_indices))
+        out = f"{_FIBER_TAG[self.fiber_part]}{{{base}}}"
         if self.suspension:
             out += f"+{self.suspension}"
         object.__setattr__(self, "_name", out)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from thomstem import pipeline
 from thomstem.cli import (EXIT_BAD_SPEC, EXIT_ERROR, EXIT_OK,
                           EXIT_OUT_OF_TABLE, EXIT_UNKNOWN, main)
 from thomstem.pipeline import MAX_TOTAL_B1, SpecError, parse_scenario
@@ -62,6 +63,39 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "paper-sec3", "--target", "0")
         assert code == EXIT_OUT_OF_TABLE
         assert "stem" in err
+
+    def test_explain_out_of_table_is_exit_four_as_run(self, capsys):
+        run = run_cli(capsys, "paper-sec3", "--target", "0")
+        explain = run_cli(capsys, "explain", "paper-sec3", "--target", "0")
+        assert explain[0] == run[0] == EXIT_OUT_OF_TABLE
+        assert explain[1] == ""
+        assert explain[2] == run[2] == \
+            "thomstem: stable stem 8 is outside the table (0..7)\n"
+
+    @pytest.mark.parametrize("name", ["paper-sec3", "paper-sec4",
+                                      "paper-sec5"])
+    def test_explain_fails_as_run_over_targets(self, name):
+        def outcome(call, spec):
+            try:
+                call(spec)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return None
+
+        for target in range(-2, 12):
+            spec = pipeline.preset(name, det=3, det1=3, det2=5) \
+                .with_overrides(target=target)
+            assert outcome(pipeline.explain_text, spec) == \
+                outcome(pipeline.run_scenario, spec), target
+
+    @pytest.mark.parametrize("command", [(), ("explain",)])
+    def test_stem_mismatch_from_target_names_target(self, capsys, command):
+        # S^2 puts the top cell of paper-sec3 in stem 6, inside the table
+        code, _, err = run_cli(capsys, *command, "paper-sec3", "--target", "2")
+        assert code == EXIT_BAD_SPEC
+        assert "class_assignment[0].element" in err
+        assert "stem 6 of S^2 (set by --target)" in err
+        assert "target_shift" not in err
 
     def test_bad_spec_is_exit_two(self, capsys, tmp_path):
         spec = tmp_path / "broken.json"

@@ -70,3 +70,120 @@ def test_values_a_report_cannot_hold_raise(monkeypatch, value):
     monkeypatch.setattr(pipeline, "report_dict", lambda result: value)
     with pytest.raises(TypeError):
         pipeline.report_json(None)
+
+
+# -- lists written in one join -------------------------------------------
+
+def written(value):
+    """`value` through the writer, with no report around it."""
+    parts = []
+    pipeline._write(value, "\n", parts)
+    return "".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("bad", [
+    'a "quoted" word', "back\\slash", "new\nline", "unit \x1f sep",
+    "del \x7f", "non-ascii é", "astral \U0001f600",
+])
+def test_str_lists_that_need_escapes_match_stdlib(bad):
+    strings = ["plain", "", bad, "tail"]
+    assert not pipeline._plain(strings)
+    assert written(strings) == stdlib(strings)
+    assert written(tuple(strings)) == stdlib(strings)
+
+
+def test_plain_str_lists_match_stdlib():
+    strings = ["", "plain", "  spaces and ~!@#$%^&*()_+-=[]{};':,./<>?", ""]
+    assert pipeline._plain(strings)
+    assert written(strings) == stdlib(strings)
+    assert written({"k": strings}) == stdlib({"k": strings})
+
+
+def test_str_probe_reads_every_slice():
+    strings = ["ok"] * (3 * pipeline._PROBE_ITEMS)
+    assert pipeline._plain(strings)
+    strings[-1] = "late \\ escape"
+    assert not pipeline._plain(strings)
+    assert written(strings) == stdlib(strings)
+
+
+COLUMNAR_ROWS = [
+    # a column of None and str, as the assembly's killer column
+    [{"killer": None, "n": 1}, {"killer": 'd2 "into" x', "n": 2},
+     {"killer": "é", "n": 3}],
+    # a bool column next to an int column, and bools among ints
+    [{"flag": True, "dim": 0}, {"flag": False, "dim": -7}],
+    [{"x": True}, {"x": 1}, {"x": 0}, {"x": False}],
+    # int-list columns, empty and not
+    [{"base": [], "dims": [1, 2]}, {"base": [3], "dims": (4, -5)},
+     {"base": [1, 2, 10 ** 20], "dims": []}],
+    # key sets that differ, in runs and alternating
+    [{"a": 1}, {"a": 2, "b": 3}, {"a": 4, "b": 5}, {"a": 6}],
+    [{"a": 1}, {"b": 2}, {"a": 3}, {"b": 4}],
+    # a single row, a row of one key
+    [{"name": "H{1,2}", "dim": 6, "basepoint": False, "killer": None}],
+    [{"only": "one"}],
+    # % in keys and in values
+    [{"50%": "%s", "%d": "%%", "%(x)s": 1},
+     {"50%": "%", "%d": "", "%(x)s": 2}],
+    # keys that need escapes, and a str value needing them
+    [{'"q"': "a\nb", "é": 1, "": None}, {'"q"': "c", "é": 2, "": True}],
+]
+
+ITEMWISE_ROWS = [
+    # a list column holding a nested or a non-int list
+    [{"base": [1, [2]]}, {"base": [3]}],
+    [{"base": ["1"]}, {"base": [2]}],
+    [{"base": [True]}, {"base": [2]}],
+    [{"nested": {"a": 1}}, {"nested": {"a": 2}}],
+    # a row without keys
+    [{}, {"a": 1}, {}],
+]
+
+
+@pytest.mark.parametrize("rows", COLUMNAR_ROWS + ITEMWISE_ROWS)
+def test_row_lists_match_stdlib(rows):
+    columnar = pipeline._row_texts(rows, "\n  ") is not None
+    assert columnar == (rows in COLUMNAR_ROWS)
+    assert written(rows) == stdlib(rows)
+    assert written({"rows": rows, "after": 1}) == \
+        stdlib({"rows": rows, "after": 1})
+    assert written([rows, rows]) == stdlib([rows, rows])
+
+
+@pytest.mark.parametrize("value", [
+    [0, -1, 10 ** 30], [True, False], [None, None], ("a", "b"),
+])
+def test_one_scalar_type_lists_match_stdlib(value):
+    assert written(value) == stdlib(value)
+
+
+@pytest.mark.parametrize("value", [
+    ["a", Name("b")], [Name("b")], [1, Level.HIGH], [Level.HIGH], [1.0],
+    [{"name": "a"}, {"name": Name("b")}],
+    [{"dim": 1}, {"dim": 2.0}],
+    [{"dim": Level.HIGH}],
+    [{"base": [1, 2.0]}],
+    [{"base": [Level.HIGH]}],
+    [{"base": 1, "x": 2}, {"base": 1, "x": 2, 3: "int key"}],
+    [{"a": 1}, {1: "int key"}],
+])
+def test_lists_a_report_cannot_hold_raise(monkeypatch, value):
+    monkeypatch.setattr(pipeline, "report_dict", lambda result: value)
+    with pytest.raises(TypeError):
+        pipeline.report_json(None)
+
+
+def test_large_lists_are_not_written_one_part_per_item():
+    spec = pipeline.parse_scenario({
+        "schema": "thomstem-scenario/1", "name": "thom-b1-9",
+        "manifolds": [{"determinant": 3},
+                      {"b1": 5, "quad_form": ["[1,2,3,4] = 5"]}],
+        "suspensions": 1})
+    report = pipeline.report_dict(pipeline.run_scenario(spec))
+    assert len(report["assembly"]["notes"]) == 4548
+    assert len(report["complex"]["cells"]) == 513
+    parts = []
+    pipeline._write(report, "\n", parts)
+    assert len(parts) < 200
+    assert "".join(parts) + "\n" == stdlib(report)
