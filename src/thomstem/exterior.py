@@ -39,7 +39,12 @@ class Monomial:
 
     @property
     def indices(self) -> Tuple[int, ...]:
-        return tuple(k + 1 for k in range(self.mask.bit_length()) if self.mask >> k & 1)
+        out, mask = [], self.mask
+        while mask:                     # one step per set bit, lowest first
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return tuple(out)
 
     @property
     def degree(self) -> int:

@@ -102,6 +102,10 @@ class TestMonomial:
         m = Monomial.from_indices([2, 5, 7])
         assert m.indices == (2, 5, 7)
         assert m.degree == 3
+        for mask in [*range(1 << 10), 1 << 70, (1 << 65) | 5]:
+            indices = Monomial(mask).indices
+            assert indices == tuple(sorted(indices))
+            assert Monomial.from_indices(indices).mask == mask
 
     def test_repeated_index_rejected(self):
         with pytest.raises(ValueError):
