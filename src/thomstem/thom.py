@@ -71,14 +71,14 @@ class StableCell:
 
     @property
     def base_indices(self) -> Tuple[int, ...]:
-        # read off the mask once and kept outside the dataclass fields,
-        # like the name formatted from it
-        try:
-            return self._base
-        except AttributeError:
-            pass
-        base = Monomial(self.base_mask).indices
-        object.__setattr__(self, "_base", base)
+        # read off the mask once and, like the name formatted from it,
+        # kept outside the dataclass fields, so ==, hash and repr do not
+        # see it; getattr with a default raises no AttributeError, and
+        # reading self.__dict__ would slow every later attribute load
+        base = getattr(self, "_base", None)
+        if base is None:
+            base = Monomial(self.base_mask).indices
+            object.__setattr__(self, "_base", base)
         return base
 
     def suspended(self, k: int) -> "StableCell":
@@ -89,17 +89,13 @@ class StableCell:
         return self._key
 
     def name(self) -> str:
-        # formatted once from the frozen fields and kept outside the
-        # dataclass fields, so ==, hash and repr do not see it
-        try:
-            return self._name
-        except AttributeError:
-            pass
-        base = ",".join(map(str, self.base_indices))
-        out = f"{_FIBER_TAG[self.fiber_part]}{{{base}}}"
-        if self.suspension:
-            out += f"+{self.suspension}"
-        object.__setattr__(self, "_name", out)
+        out = getattr(self, "_name", None)
+        if out is None:
+            out = (f"{_FIBER_TAG[self.fiber_part]}"
+                   f"{{{','.join(map(str, self.base_indices))}}}")
+            if self.suspension:
+                out += f"+{self.suspension}"
+            object.__setattr__(self, "_name", out)
         return out
 
     __str__ = name

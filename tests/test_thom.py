@@ -7,7 +7,7 @@ import pytest
 
 from helpers import as_tuple_terms
 from thomstem.chern import connected_sum, index_bundle, make_homology_torus
-from thomstem.exterior import ExteriorClass
+from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN, StableCell,
                            infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
@@ -226,9 +226,9 @@ class TestCellNames:
     TAGS = {"point": "*", "thom": "H", "sphere_zero": "S0", "sphere_two": "S2"}
 
     def fresh_name(self, cell):
-        base = "{" + ",".join(str(k) for k in cell.base_indices) + "}"
-        if not cell.base_mask:
-            base = "{}"
+        mask = cell.base_mask
+        base = "{" + ",".join(str(k + 1) for k in range(mask.bit_length())
+                              if mask >> k & 1) + "}"
         suffix = f"+{cell.suspension}" if cell.suspension else ""
         return f"{self.TAGS[cell.fiber_part]}{base}{suffix}"
 
@@ -241,6 +241,9 @@ class TestCellNames:
                     first = cell.name()
                     assert first == self.fresh_name(cell) == str(cell)
                     assert cell.name() is first
+                    base = cell.base_indices
+                    assert base == Monomial(cell.base_mask).indices
+                    assert cell.base_indices is base
 
     def test_cache_is_not_a_field(self):
         def make():
