@@ -91,10 +91,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
 
     sides = {"parent": git("rev-parse", args.parent),
              "change": git("rev-parse", args.change)}
-    checkouts = {side: export(rev, args.workdir) for side, rev in sides.items()}
+    checkouts = {side: export(rev, args.workdir)
+                 for side, rev in sides.items()}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as handle:
         specs = json.load(handle)["end_to_end"]
     result: Dict[str, object] = {
@@ -104,8 +107,8 @@ def main(argv=None) -> int:
         runs = {"parent": [], "change": []}
         seeds = [args.seed_base + i for i in range(args.pairs)]
         for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
+            order = ("parent", "change")
+            for side in order if i % 2 == 0 else reversed(order):
                 runs[side].append(perfbench(checkouts[side], workload, seed,
                                             args.seconds, 0))
                 print(f"{workload} seed {seed} {side}: wall_s "
