@@ -123,6 +123,15 @@ class _Column:
                            self.killer, self.reduced_index)
 
 
+def stem_groups(complex_: StableCellComplex, target_n: int
+                ) -> Dict[int, AbelianGroup]:
+    """The stable stem group of each stem that holds a column: a proper
+    cell of dimension d sits in stem d - N. Raises OutOfTableError at the
+    lowest stem outside the table."""
+    return {q: stems.stem_group(q) for q in sorted(
+        {cell.dim - target_n for cell in complex_.proper_cells})}
+
+
 def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     """Assemble {complex, S^N} from cell columns and attachment labels."""
     if complex_.attachments is None:
@@ -130,9 +139,10 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 
     columns: List[_Column] = []
     index: Dict[StableCell, _Column] = {}
+    groups = stem_groups(complex_, target_n)
     for cell in complex_.proper_cells:
         q = cell.dim - target_n
-        column = _Column(cell, q, stems.stem_group(q))
+        column = _Column(cell, q, groups[q])
         columns.append(column)
         index[cell] = column
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import stems
-from .ahss import (GroupReport, assemble, evaluate_class,
+from .ahss import (GroupReport, assemble, evaluate_class, stem_groups,
                    vanishing_certificate)
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
@@ -364,14 +364,6 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
     return out
 
 
-def check_stem_table(final: StableCellComplex, target_n: int) -> None:
-    """Raise the OutOfTableError that `assemble` raises when a column of
-    the final complex lies outside the stem table; it names the lowest
-    such stem, as `assemble` does."""
-    for dim in sorted({cell.dim for cell in final.proper_cells}):
-        stems.stem_group(dim - target_n)
-
-
 def final_complex(spec: ScenarioSpec,
                   built: StableCellComplex) -> StableCellComplex:
     """The built complex after the spec's skeletal cut and suspensions."""
@@ -616,7 +608,7 @@ def explain_text(spec: ScenarioSpec) -> str:
     built = build_complex(spec, bundle)
     target_n = resolve_target(spec, manifold, bundle)
     final = final_complex(spec, built)
-    check_stem_table(final, target_n)
+    stem_groups(final, target_n)        # raises as `assemble` would
     resolve_assignment(spec, final, target_n)
 
     lines: List[str] = []
