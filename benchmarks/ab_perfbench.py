@@ -2,18 +2,19 @@
 """A/B runs of perfbench on two commits, written as a BENCH_*.json file.
 
     python benchmarks/ab_perfbench.py --parent REV --change REV \\
-        --workload large_ladder --pairs 10 --seed-base 31 --seconds 30 \\
-        --trace-seed 1 --trace-seconds 10 --workdir /tmp/ab --out OUT.json
+        --workload large_ladder --seed-base 31 --workdir /tmp/ab --out OUT.json
 
 Run from a checkout that holds both revisions. Each revision is exported
 with `git archive` into its own directory under `--workdir`, and
 `perfbench/run.py` runs from there, so both sides use the benchmark code
-of their own commit. Pair i uses seed `seed-base + i` on both sides and
-alternates which side runs first. For each end-to-end metric the file
-holds both sides' runs, medians and quartiles, how many pairs the change
-won (ties count for neither) and whether a gain would meet the claim
-rule: at least 9 pairs in 10 won, and the medians further apart than the
-parent's quartile spread. One traced run per side and workload gives the
+of their own commit. Each run lasts `run_seconds` of the change's
+BENCHMARK.json. There are 10 pairs, the number the claim rule needs;
+pair i uses seed `seed-base + i` on both sides and alternates which side
+runs first. For each end-to-end metric the file holds both sides' runs,
+medians and quartiles, how many pairs the change won (ties count for
+neither) and whether a gain would meet the claim rule: at least 9 pairs
+in 10 won, and the medians further apart than the parent's quartile
+spread. One traced run per side and workload, seed 1 for 10 s, gives the
 per-layer self times and counters. `--workload` may be repeated.
 """
 
@@ -28,6 +29,8 @@ from statistics import median, quantiles
 from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+TRACE_SEED, TRACE_SECONDS = 1, 10
 
 
 def git(*args: str) -> str:
@@ -83,34 +86,29 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--trace-seconds", type=float, default=10.0)
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
 
     sides = {"parent": git("rev-parse", args.parent),
              "change": git("rev-parse", args.change)}
     checkouts = {side: export(rev, args.workdir)
                  for side, rev in sides.items()}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as handle:
-        specs = json.load(handle)["end_to_end"]
+        benchmark = json.load(handle)
+    specs, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     result: Dict[str, object] = {
         **sides, "python": sys.version.split()[0], "nproc": os.cpu_count(),
-        "run_seconds": args.seconds, "workloads": {}, "traced": {}}
+        "run_seconds": seconds, "workloads": {}, "traced": {}}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        seeds = [args.seed_base + i for i in range(args.pairs)]
+        seeds = [args.seed_base + i for i in range(PAIRS)]
         for i, seed in enumerate(seeds):
             order = ("parent", "change")
             for side in order if i % 2 == 0 else reversed(order):
                 runs[side].append(perfbench(checkouts[side], workload, seed,
-                                            args.seconds, 0))
+                                            seconds, 0))
                 print(f"{workload} seed {seed} {side}: wall_s "
                       f"{runs[side][-1]['metrics']['wall_s']['value']:.4f}",
                       file=sys.stderr)
@@ -121,10 +119,10 @@ def main(argv=None) -> int:
             "end_to_end": {spec["name"]: compare(runs["parent"],
                                                  runs["change"], spec)
                            for spec in specs}}
-        traced = {side: perfbench(checkouts[side], workload, args.trace_seed,
-                                  args.trace_seconds, 1) for side in sides}
+        traced = {side: perfbench(checkouts[side], workload, TRACE_SEED,
+                                  TRACE_SECONDS, 1) for side in sides}
         result["traced"][workload] = {
-            "seed": args.trace_seed,
+            "seed": TRACE_SEED,
             "correct": {side: run["correct"] for side, run in traced.items()},
             **{side: {name: metric["value"]
                       for name, metric in run["metrics"].items()}
