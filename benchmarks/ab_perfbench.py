@@ -14,8 +14,11 @@ runs first. For each end-to-end metric the file holds both sides' runs,
 medians and quartiles, how many pairs the change won (ties count for
 neither) and whether a gain would meet the claim rule: at least 9 pairs
 in 10 won, and the medians further apart than the parent's quartile
-spread. One traced run per side and workload, seed 1 for 10 s, gives the
-per-layer self times and counters. `--workload` may be repeated.
+spread. Per-layer self times and counters come from 5 traced pairs per
+workload, seed 1 for 10 s each, alternating which side runs first as the
+untraced pairs do; the file holds each side's median of each metric,
+because one traced run of unchanged code can move a layer's self time by
+a third. `--workload` may be repeated.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
-TRACE_SEED, TRACE_SECONDS = 1, 10
+TRACE_PAIRS, TRACE_SEED, TRACE_SECONDS = 5, 1, 10
 
 
 def git(*args: str) -> str:
@@ -59,6 +62,20 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float,
          "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def alternating(checkouts: Dict[str, str], workload: str, seeds: List[int],
+                seconds: float, trace: int) -> Dict[str, List[dict]]:
+    """One pair of runs per seed, alternating which side runs first."""
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change")
+        for side in order if i % 2 == 0 else reversed(order):
+            runs[side].append(perfbench(checkouts[side], workload, seed,
+                                        seconds, trace))
+            print(f"{workload} seed {seed} trace {trace} {side}: correct "
+                  f"{runs[side][-1]['correct']}", file=sys.stderr)
+    return runs
 
 
 def summary(runs: List[float]) -> dict:
@@ -102,16 +119,8 @@ def main(argv=None) -> int:
         **sides, "python": sys.version.split()[0], "nproc": os.cpu_count(),
         "run_seconds": seconds, "workloads": {}, "traced": {}}
     for workload in args.workload:
-        runs = {"parent": [], "change": []}
         seeds = [args.seed_base + i for i in range(PAIRS)]
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change")
-            for side in order if i % 2 == 0 else reversed(order):
-                runs[side].append(perfbench(checkouts[side], workload, seed,
-                                            seconds, 0))
-                print(f"{workload} seed {seed} {side}: wall_s "
-                      f"{runs[side][-1]['metrics']['wall_s']['value']:.4f}",
-                      file=sys.stderr)
+        runs = alternating(checkouts, workload, seeds, seconds, 0)
         result["workloads"][workload] = {
             "seeds": seeds,
             "correct": {side: all(run["correct"] for run in side_runs)
@@ -119,14 +128,16 @@ def main(argv=None) -> int:
             "end_to_end": {spec["name"]: compare(runs["parent"],
                                                  runs["change"], spec)
                            for spec in specs}}
-        traced = {side: perfbench(checkouts[side], workload, TRACE_SEED,
-                                  TRACE_SECONDS, 1) for side in sides}
+        traced = alternating(checkouts, workload, [TRACE_SEED] * TRACE_PAIRS,
+                             TRACE_SECONDS, 1)
         result["traced"][workload] = {
-            "seed": TRACE_SEED,
-            "correct": {side: run["correct"] for side, run in traced.items()},
-            **{side: {name: metric["value"]
-                      for name, metric in run["metrics"].items()}
-               for side, run in traced.items()}}
+            "seed": TRACE_SEED, "pairs": TRACE_PAIRS,
+            "correct": {side: all(run["correct"] for run in side_runs)
+                        for side, side_runs in traced.items()},
+            **{side: {name: median(run["metrics"][name]["value"]
+                                   for run in side_runs)
+                      for name in side_runs[0]["metrics"]}
+               for side, side_runs in traced.items()}}
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")

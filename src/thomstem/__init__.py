@@ -6,7 +6,6 @@ assembly of stable cohomotopy groups, with trivial/nontrivial/unknown
 verdicts for user-supplied class assignments.
 """
 
-from ._backend import BACKEND as kernel_backend
 from .ahss import (ColumnEntry, GroupReport, assemble, evaluate_class,
                    vanishing_certificate)
 from .chern import (BundleData, ManifoldData, chern_character_index,
@@ -28,7 +27,7 @@ __all__ = [
     "Monomial", "OutOfTableError", "RankMismatchError", "StableCell",
     "StableCellComplex", "StemElement", "add", "assemble",
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",
-    "evaluate_class", "index_bundle", "infer_attachments", "kernel_backend",
+    "evaluate_class", "index_bundle", "infer_attachments",
     "make_homology_torus", "mod2", "nu_multiple", "one", "scale",
     "skeletal_quotient", "sphere_bundle_quotient", "sq_thom", "sq_torus",
     "stem_group", "suspend", "thom_cells", "top_coefficient",

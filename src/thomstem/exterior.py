@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from ._backend import kernel_for_rank
-
 
 class RankMismatchError(ValueError):
     """Operands live in exterior algebras of different ambient rank."""
@@ -57,6 +55,22 @@ class Monomial:
 
 
 MonomialKey = Union[Monomial, int, Iterable[int]]
+
+
+def _merge_sign(a: int, b: int) -> int:
+    """Sign of interleaving two disjoint ascending index sets.
+
+    The sign is the parity of the permutation sorting the concatenation
+    (ascending a) ++ (ascending b): for each generator in b, count the
+    generators of a strictly above it.
+    """
+    inversions = 0
+    rest = b
+    while rest:
+        low = rest & -rest
+        inversions += (a >> low.bit_length()).bit_count()
+        rest ^= low
+    return -1 if inversions & 1 else 1
 
 
 def _as_mask(key: MonomialKey) -> int:
@@ -173,20 +187,46 @@ class ExteriorClass:
 
     def wedge(self, other: "ExteriorClass") -> "ExteriorClass":
         self._check(other)
-        kern = kernel_for_rank(self.ambient_rank)
-        terms = kern.wedge_terms(self._terms, other._terms, self.modulus)
-        return ExteriorClass._raw(terms, self.ambient_rank, self.modulus)
+        modulus = self.modulus
+        terms: dict = {}
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
+                if ma & mb:
+                    continue
+                m = ma | mb
+                c = terms.get(m, 0) + _merge_sign(ma, mb) * ca * cb
+                if modulus:
+                    c %= modulus
+                if c:
+                    terms[m] = c
+                elif m in terms:
+                    del terms[m]
+        return ExteriorClass._raw(terms, self.ambient_rank, modulus)
 
     def add(self, other: "ExteriorClass") -> "ExteriorClass":
         self._check(other)
-        kern = kernel_for_rank(self.ambient_rank)
-        terms = kern.add_terms(self._terms, other._terms, self.modulus)
-        return ExteriorClass._raw(terms, self.ambient_rank, self.modulus)
+        modulus = self.modulus
+        terms = dict(self._terms)
+        for m, c in other._terms.items():
+            v = terms.get(m, 0) + c
+            if modulus:
+                v %= modulus
+            if v:
+                terms[m] = v
+            elif m in terms:
+                del terms[m]
+        return ExteriorClass._raw(terms, self.ambient_rank, modulus)
 
     def scale(self, n: int) -> "ExteriorClass":
-        kern = kernel_for_rank(self.ambient_rank)
-        terms = kern.scale_terms(n, self._terms, self.modulus)
-        return ExteriorClass._raw(terms, self.ambient_rank, self.modulus)
+        modulus = self.modulus
+        terms: dict = {}
+        for m, c in self._terms.items():
+            v = n * c
+            if modulus:
+                v %= modulus
+            if v:
+                terms[m] = v
+        return ExteriorClass._raw(terms, self.ambient_rank, modulus)
 
     def mod2(self) -> "ExteriorClass":
         """Coefficientwise reduction; the result stores coefficients in {1}."""

@@ -2,8 +2,10 @@
 
 The files are written by `benchmarks/ab_perfbench.py`: both commits and
 the Python version, each end-to-end metric's median and quartiles on both
-sides of the A/B pairs, and a traced run per side with the per-layer self
-times and counters.
+sides of the A/B pairs, and each side's per-layer self times and counters.
+Files written since traced runs came in pairs hold each side's median over
+those pairs; older files hold one traced run per side. Both sit under the
+same keys.
 """
 
 import json

@@ -97,6 +97,36 @@ class TestTopCoefficient:
         assert top_coefficient(vol1.wedge(vol2)) == 1
 
 
+class TestBeyondMachineWords:
+    """Masks wider than 64 bits and coefficients wider than 64 bits."""
+
+    def test_rank_80_wedge_sign(self):
+        a, b = gen(1, 80), gen(70, 80)
+        pair = ExteriorClass.monomial([1, 70], 80)
+        assert a.wedge(b) == pair
+        assert b.wedge(a) == pair.scale(-1)
+        assert a.wedge(a).is_zero
+
+    def test_rank_80_linear_ops(self):
+        a, b = gen(1, 80), gen(70, 80)
+        pair = ExteriorClass.monomial([1, 70], 80)
+        assert as_tuple_terms(a.add(b)) == {(1,): 1, (70,): 1}
+        assert as_tuple_terms(pair.scale(3)) == {(1, 70): 3}
+        assert as_tuple_terms(a - b) == {(1,): 1, (70,): -1}
+        assert (pair - pair).is_zero
+
+    def test_rank_80_mod2(self):
+        pair = ExteriorClass.monomial([1, 70], 80)
+        assert as_tuple_terms(mod2(pair.scale(3))) == {(1, 70): 1}
+        assert mod2(pair.scale(2)).is_zero
+
+    def test_big_coefficients_are_exact(self):
+        big = 10 ** 40 + 1
+        x = ExteriorClass.monomial([1, 2], 4, coeff=big)
+        y = ExteriorClass.monomial([3, 4], 4, coeff=big)
+        assert as_tuple_terms(x.wedge(y)) == {(1, 2, 3, 4): big * big}
+
+
 class TestMonomial:
     def test_indices_roundtrip(self):
         m = Monomial.from_indices([2, 5, 7])
