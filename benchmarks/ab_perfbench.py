@@ -15,10 +15,10 @@ medians and quartiles, how many pairs the change won (ties count for
 neither) and whether a gain would meet the claim rule: at least 9 pairs
 in 10 won, and the medians further apart than the parent's quartile
 spread. Per-layer self times and counters come from 5 traced pairs per
-workload, seed 1 for 10 s each, alternating which side runs first as the
-untraced pairs do; the file holds each side's median of each metric,
-because one traced run of unchanged code can move a layer's self time by
-a third. `--workload` may be repeated.
+workload, seed 1, each run as long as an untraced one and alternating
+which side runs first as the untraced pairs do; the file holds each
+side's median of each metric, because one traced run of unchanged code
+can move a layer's self time by a third. `--workload` may be repeated.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
-TRACE_PAIRS, TRACE_SEED, TRACE_SECONDS = 5, 1, 10
+TRACE_PAIRS, TRACE_SEED = 5, 1
 
 
 def git(*args: str) -> str:
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
                                                  runs["change"], spec)
                            for spec in specs}}
         traced = alternating(checkouts, workload, [TRACE_SEED] * TRACE_PAIRS,
-                             TRACE_SECONDS, 1)
+                             seconds, 1)
         result["traced"][workload] = {
             "seed": TRACE_SEED, "pairs": TRACE_PAIRS,
             "correct": {side: all(run["correct"] for run in side_runs)

@@ -53,7 +53,7 @@ class ColumnEntry:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupReport:
     """Result of assembling {complex, S^N}.
 
@@ -68,12 +68,18 @@ class GroupReport:
     notes: Tuple[str, ...]
     differentials: Tuple[str, ...]
     complex: StableCellComplex = field(repr=False)
+    _by_cell: Dict[StableCell, ColumnEntry] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_cell",
+                           {entry.cell: entry for entry in self.entries})
 
     def entry_for(self, cell: StableCell) -> ColumnEntry:
-        for entry in self.entries:
-            if entry.cell == cell:
-                return entry
-        raise KeyError(f"no column for cell {cell.name()}")
+        try:
+            return self._by_cell[cell]
+        except KeyError:
+            raise KeyError(f"no column for cell {cell.name()}") from None
 
     def blocks(self) -> Dict[str, AbelianGroup]:
         """Surviving contribution split by fiber kind (unknowns excluded)."""
@@ -325,54 +331,62 @@ def _mark_unknowns(complex_, columns, notes):
     killed columns stay killed: the kill was a surjection and holds
     whatever the unknown maps do.
 
-    Each column is decided from the per-gap defaults and its own
-    exceptions; only the pairs at threatening gaps are visited, and each
-    threatening pair gets one note, in canonical pair order. A note is
-    a head naming the column plus a tail that depends only on the upper
-    cell's dimension and the lower cell, so the default-labelled tails
-    are built once per dimension.
+    Each threatening pair gets one note, in canonical pair order. A note
+    is a head naming the column plus a tail that depends only on the
+    upper cell's dimension and the lower cell. The default-labelled
+    tails of a dimension, {lower: tail} in canonical order, are built
+    once per dimension; after that a column costs O(its exceptions) on
+    top of writing its notes. An exception replaces its lower's tail,
+    drops it when the label is no threat, or adds a new tail; only an
+    added tail needs the row sorted again.
     """
     labels = complex_.attachments
     defaults = labels.rules.defaults
-    by_dim: Dict[int, Tuple[List[int], Dict[StableCell, str]]] = {}
+    by_dim: Dict[int, Dict[StableCell, str]] = {}
 
     def tail(value, gap, lower, source_q):
         return (f"{value} gap-{gap} label from {lower.name()} "
                 f"(source stem {source_q})")
 
     def threats_at(dim, q):
-        """The threatening default gaps and {lower: tail} of their pairs,
-        in canonical order (lower dims ascend, so gaps descend)."""
+        """{lower: tail} of the pairs at the threatening default gaps, in
+        canonical order (lower dims ascend, so gaps descend)."""
         if dim not in by_dim:
-            gaps = sorted((gap for gap, label in defaults.items()
-                           if _threat_source(label.value, gap, q) is not None),
-                          reverse=True)
             tails = {}
-            for gap in gaps:
+            for gap in sorted(defaults, reverse=True):
                 value = defaults[gap].value
                 source_q = _threat_source(value, gap, q)
-                for lower in labels.cells_at(dim - gap):
-                    tails[lower] = tail(value, gap, lower, source_q)
-            by_dim[dim] = gaps, tails
+                if source_q is not None:
+                    for lower in labels.cells_at(dim - gap):
+                        tails[lower] = tail(value, gap, lower, source_q)
+            by_dim[dim] = tails
         return by_dim[dim]
 
     for column in columns:
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
-        gaps, tails = threats_at(upper.dim, q)
+        tails = threats_at(upper.dim, q)
+        found = tails.values()
         if labels.has_exceptions(upper):
-            found = []
-            for lower, label in labels.row(upper, gaps):
+            changed: Dict[StableCell, Optional[str]] = {}
+            added = False
+            for lower, label in labels.row(upper, gaps=()):
                 gap = upper.dim - lower.dim
-                if label is defaults.get(gap) and lower in tails:
-                    found.append(tails[lower])
-                    continue
                 source_q = _threat_source(label.value, gap, q)
-                if source_q is not None:
-                    found.append(tail(label.value, gap, lower, source_q))
-        else:
-            found = tails.values()
+                text = None if source_q is None else \
+                    tail(label.value, gap, lower, source_q)
+                if lower in tails:
+                    if text != tails[lower]:
+                        changed[lower] = text
+                elif text is not None:
+                    changed[lower] = text
+                    added = True
+            if changed:
+                row = {**tails, **changed}
+                order = sorted(row, key=StableCell.sort_key) if added else row
+                found = [row[lower] for lower in order
+                         if row[lower] is not None]
         if found:
             column.status = UNKNOWN
             column.killer = None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import stems
@@ -280,7 +281,7 @@ def _parse_element(text, where: str):
 
 # -- running ------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     spec: ScenarioSpec
     manifold: ManifoldData
@@ -289,9 +290,13 @@ class RunResult:
     final_complex: StableCellComplex
     target_n: int
     report: GroupReport
-    assignment: Dict[StableCell, stems.StemElement]
+    assignment: Mapping[StableCell, stems.StemElement]   # read-only
     verdict: str
     certificate: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignment",
+                           MappingProxyType(dict(self.assignment)))
 
 
 def resolve_manifold(spec: ScenarioSpec) -> ManifoldData:

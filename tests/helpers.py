@@ -242,6 +242,16 @@ def canonical_pairs(labels):
 
 # -- per-pair unknown-column oracle -------------------------------------------
 
+def thom_rung(b1):
+    """The benchmark ladder's scaling probe as a scenario: a det-3 torus
+    summed with a b1 - 4 block `[1,2,3,4] = 5`, one suspension (target
+    S^10). Its stem-2 columns carry gap-4 nu_odd exceptions."""
+    return {"schema": "thomstem-scenario/1", "name": f"thom-b1-{b1}",
+            "manifolds": [{"determinant": 3},
+                          {"b1": b1 - 4, "quad_form": ["[1,2,3,4] = 5"]}],
+            "suspensions": 1}
+
+
 def per_pair_mark_unknowns(complex_, columns, notes):
     """Drop-in for `ahss._mark_unknowns`: walks every threatening pair of
     every column and formats each note from scratch."""

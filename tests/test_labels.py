@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from helpers import canonical_pairs, dense_attachments, per_pair_mark_unknowns
-from thomstem import ahss
+from helpers import (canonical_pairs, dense_attachments,
+                     per_pair_mark_unknowns, thom_rung)
+from thomstem import ahss, pipeline
 from thomstem.ahss import assemble
 from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
@@ -108,11 +109,12 @@ def test_random_bundles_match_dense_oracle():
     assert {ETA_LABEL, NU_ODD} <= detected
 
 
-def assert_notes_match_oracle(complex_):
+def assert_notes_match_oracle(complex_, targets=None):
     """Unknown-column notes and column statuses equal the per-pair oracle's
-    at every target that keeps the stems in the table."""
+    at `targets`, by default every target that keeps the stems in the
+    table."""
     top = max(cell.dim for cell in complex_.cells)
-    for target_n in range(top - 7, top - 1):
+    for target_n in targets or range(top - 7, top - 1):
         fast = assemble(complex_, target_n)
         original = ahss._mark_unknowns
         ahss._mark_unknowns = per_pair_mark_unknowns
@@ -182,6 +184,49 @@ def test_hand_built_exception_notes_match_per_pair_oracle():
         complex_.cells, complex_.bundle, complex_.basepoint_policy,
         {pair: label for pair, label in exceptions.items()
          if label.value not in (ETA_LABEL, NU_ODD)}))
+
+
+def test_ladder_rung_notes_match_per_pair_oracle():
+    result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(9)))
+    assert result.target_n == 10
+    assert_notes_match_oracle(result.final_complex, targets=[10])
+
+
+def test_exception_rows_are_never_walked_pair_by_pair(monkeypatch):
+    from thomstem.thom import AttachmentView
+
+    row = AttachmentView.row
+    calls = []
+
+    def exceptions_only(self, upper, gaps=None):
+        if gaps != ():
+            raise AssertionError(f"walked the row of {upper.name()} pair "
+                                 "by pair")
+        calls.append(upper)
+        return row(self, upper, gaps)
+
+    monkeypatch.setattr(AttachmentView, "row", exceptions_only)
+    for b1, notes in ((9, 4548), (10, 32624)):
+        result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(b1)))
+        pipeline.report_json(result)
+        assert len(result.report.notes) == notes
+    assert calls
+
+
+def test_reports_and_results_are_frozen():
+    result = pipeline.run_scenario(pipeline.preset("paper-sec4", det1=3,
+                                                   det2=5))
+    report, top = result.report, result.final_complex.top_cell
+    with pytest.raises(FrozenInstanceError):
+        report.notes = ()
+    with pytest.raises(FrozenInstanceError):
+        result.verdict = "trivial"
+    with pytest.raises(TypeError):
+        result.assignment[top] = None
+    assert report.entry_for(top) == next(
+        entry for entry in report.entries if entry.cell == top)
+    with pytest.raises(KeyError, match="no column for cell"):
+        report.entry_for(result.final_complex.basepoint_cell)
 
 
 def test_label_counts_are_arithmetic_and_exact():
