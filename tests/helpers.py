@@ -240,16 +240,20 @@ def canonical_pairs(labels):
                                             pair[1].sort_key()))
 
 
-# -- per-pair unknown-column oracle -------------------------------------------
+# -- scaling probe -----------------------------------------------------------
 
 def thom_rung(b1):
-    """The benchmark ladder's scaling probe as a scenario: a det-3 torus
-    summed with a b1 - 4 block `[1,2,3,4] = 5`, one suspension (target
-    S^10). Its stem-2 columns carry gap-4 nu_odd exceptions."""
+    """The complex of the benchmark ladder's thom rungs as a scenario with
+    the zero class: a det-3 torus summed with a b1 - 4 block
+    `[1,2,3,4] = 5`, one suspension (target S^10). Its stem-2 columns
+    carry gap-4 nu_odd exceptions."""
     return {"schema": "thomstem-scenario/1", "name": f"thom-b1-{b1}",
             "manifolds": [{"determinant": 3},
                           {"b1": b1 - 4, "quad_form": ["[1,2,3,4] = 5"]}],
             "suspensions": 1}
+
+
+# -- per-pair unknown-column oracle -------------------------------------------
 
 
 def per_pair_mark_unknowns(complex_, columns, notes):
