@@ -39,19 +39,6 @@ class ColumnEntry:
     killer: Optional[str] = None
     reduced_index: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "cell": self.cell.name(),
-            "dim": self.cell.dim,
-            "stem": self.stem_q,
-            "group": self.group.pretty(),
-            "status": self.status,
-            "killer": self.killer,
-        }
-        if self.reduced_index is not None:
-            out["reduced_index"] = self.reduced_index
-        return out
-
 
 @dataclass(frozen=True)
 class GroupReport:
@@ -88,22 +75,6 @@ class GroupReport:
             if entry.status in (SURVIVES, REDUCED):
                 parts.setdefault(entry.cell.fiber_part, []).append(entry.group)
         return {key: group_sum(groups) for key, groups in parts.items()}
-
-    def to_dict(self) -> dict:
-        out = {
-            "target": self.target_n,
-            "entries": [e.to_dict() for e in self.entries],
-            "assembled": self.assembled.pretty() if self.assembled else None,
-            "notes": list(self.notes),
-        }
-        if self.bounds:
-            out["assembled_bounds"] = {
-                "lower_quotient": self.bounds[0].pretty(),
-                "upper_sum": self.bounds[1].pretty(),
-            }
-        out["blocks"] = {k: g.pretty() for k, g in sorted(self.blocks().items())}
-        out["differentials"] = list(self.differentials)
-        return out
 
 
 ClassAssignment = Mapping[StableCell, StemElement]

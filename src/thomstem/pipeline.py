@@ -9,10 +9,9 @@ README (quad-form rows are written "[i,j,k,l] = value").
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,9 +21,9 @@ from .ahss import (GroupReport, assemble, evaluate_class, stem_groups,
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
 from .thom import (BASEPOINT_NOTE, ETA_LABEL, NU_ODD, StableCell,
-                   StableCellComplex, complex_to_dict, infer_attachments,
-                   label_counts, skeletal_quotient, sphere_bundle_quotient,
-                   suspend, thom_cells)
+                   StableCellComplex, infer_attachments, label_counts,
+                   skeletal_quotient, sphere_bundle_quotient, suspend,
+                   thom_cells)
 
 SCHEMA_SCENARIO = "thomstem-scenario/1"
 SCHEMA_REPORT = "thomstem-report/1"
@@ -65,26 +64,10 @@ class ScenarioSpec:
 
     def with_overrides(self, target: Optional[int] = None,
                        extra_suspensions: int = 0) -> "ScenarioSpec":
-        spec = self
-        if extra_suspensions:
-            spec = ScenarioSpec(**{**_as_kwargs(spec),
-                                   "suspensions": spec.suspensions + extra_suspensions})
-        if target is not None:
-            spec = ScenarioSpec(**{**_as_kwargs(spec), "target_override": target})
-        return spec
-
-
-def _as_kwargs(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "manifolds": spec.manifolds,
-        "pipeline": spec.pipeline,
-        "suspensions": spec.suspensions,
-        "skeletal_cut": spec.skeletal_cut,
-        "target_shift": spec.target_shift,
-        "target_override": spec.target_override,
-        "class_assignment": spec.class_assignment,
-    }
+        return replace(self,
+                       suspensions=self.suspensions + extra_suspensions,
+                       target_override=self.target_override if target is None
+                       else target)
 
 
 def preset(name: str, det: int = 1, det1: int = 1, det2: int = 1) -> ScenarioSpec:
@@ -396,6 +379,81 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 
 # -- rendering ----------------------------------------------------------
 
+class Rows:
+    """A report table kept by column: one {key: column list} dict per run
+    of rows that share one key set. Written as the list `as_dicts` gives."""
+
+    def __init__(self, *runs: Dict[str, list]):
+        self.runs = runs
+
+    def as_dicts(self) -> List[dict]:
+        return [dict(zip(run, row)) for run in self.runs
+                for row in zip(*run.values())]
+
+
+def complex_to_dict(complex_: StableCellComplex) -> dict:
+    """JSON-ready description: cells, dims, label counts, detected labels."""
+    cells = complex_.cells
+    out = {
+        "basepoint_policy": complex_.basepoint_policy,
+        "gap3_trivial_flag": complex_.gap3_trivial,
+        "cells": Rows({
+            "name": [cell.name() for cell in cells],
+            "base": [cell.base_indices for cell in cells],
+            "fiber": [cell.fiber_part for cell in cells],
+            "suspension": [cell.suspension for cell in cells],
+            "dim": [cell.dim for cell in cells],
+            "basepoint": [complex_.is_basepoint(cell) for cell in cells],
+        }),
+        "cells_by_dim": {str(d): n
+                         for d, n in sorted(complex_.cells_by_dim().items())},
+    }
+    labels = complex_.attachments
+    if labels is not None:
+        out["label_counts"] = label_counts(labels)
+        detected = [(pair, label) for pair, label in labels.exceptions
+                    if label.value in (ETA_LABEL, NU_ODD)]
+        out["detected_labels"] = Rows({
+            "upper": [upper.name() for (upper, _), _ in detected],
+            "lower": [lower.name() for (_, lower), _ in detected],
+            "dims": [(upper.dim, lower.dim) for (upper, lower), _ in detected],
+            "label": [label.value for _, label in detected],
+            "justification": [label.justification for _, label in detected],
+        })
+    return out
+
+
+def _assembly_dict(report: GroupReport) -> dict:
+    runs = []   # a new run wherever the optional reduced_index key appears
+    for reduced, run in groupby(report.entries,
+                                lambda entry: entry.reduced_index is not None):
+        run = list(run)
+        runs.append({
+            "cell": [entry.cell.name() for entry in run],
+            "dim": [entry.cell.dim for entry in run],
+            "stem": [entry.stem_q for entry in run],
+            "group": [entry.group.pretty() for entry in run],
+            "status": [entry.status for entry in run],
+            "killer": [entry.killer for entry in run],
+        })
+        if reduced:
+            runs[-1]["reduced_index"] = [entry.reduced_index for entry in run]
+    out = {
+        "target": report.target_n,
+        "entries": Rows(*runs),
+        "assembled": report.assembled.pretty() if report.assembled else None,
+        "notes": report.notes,
+        "blocks": {k: g.pretty() for k, g in sorted(report.blocks().items())},
+        "differentials": report.differentials,
+    }
+    if report.bounds:
+        out["assembled_bounds"] = {
+            "lower_quotient": report.bounds[0].pretty(),
+            "upper_sum": report.bounds[1].pretty(),
+        }
+    return out
+
+
 def _manifold_dict(m: ManifoldData) -> dict:
     return {
         "label": m.label,
@@ -441,7 +499,7 @@ def report_dict(result: RunResult) -> dict:
         "manifold": _manifold_dict(result.manifold),
         "bundle": _bundle_dict(result.bundle),
         "complex": complex_to_dict(result.final_complex),
-        "assembly": result.report.to_dict(),
+        "assembly": _assembly_dict(result.report),
         "class_assignment": [
             {"cell": cell.name(), "element": str(element)}
             for cell, element in sorted(result.assignment.items(),
@@ -452,8 +510,9 @@ def report_dict(result: RunResult) -> dict:
 
 
 def report_json(result: RunResult) -> str:
-    """The report as json.dumps(indent=2, sort_keys=True) writes it, plus a
-    newline, byte for byte; strings go through the C escaper."""
+    """The report as json.dumps(indent=2, sort_keys=True,
+    default=Rows.as_dicts) writes it, plus a newline, byte for byte;
+    strings go through the C escaper."""
     parts: List[str] = []
     _write(report_dict(result), "\n", parts)
     parts.append("\n")
@@ -473,15 +532,17 @@ _PROBE_ITEMS = 4096     # strings per probe, so its copy stays small
 
 
 def _write(value, newline: str, parts: List[str]) -> None:
-    """Append the list, tuple or dict `value` as JSON; `newline` is the
-    line break plus the indent of the line `value` starts on. Items are
-    str, int, bool, None or containers again, and dict keys are str;
+    """Append the list, tuple, dict or `Rows` value as JSON; `newline` is
+    the line break plus the indent of the line `value` starts on. Items
+    are str, int, bool, None or containers again, and dict keys are str;
     anything else (a float too, or a subclass of a scalar) raises
-    TypeError, so the report stays exact. A list of one scalar type, or
-    of dicts of scalars and int lists, is written by `_write_list` in one
-    join; a mixed list goes one part per item."""
+    TypeError, so the report stays exact. A list of one scalar type is
+    written by `_write_list` in one join, and `Rows` by `_write_rows` a
+    column at a time; any other list goes one part per item."""
     inner = newline + "  "
-    if isinstance(value, dict):
+    if type(value) is Rows:
+        _write_rows(value, newline, parts)
+    elif isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
@@ -518,9 +579,9 @@ def _write(value, newline: str, parts: List[str]) -> None:
 
 def _write_list(items, newline: str, parts: List[str]) -> bool:
     """Append the nonempty list `items` as JSON in one join if its items
-    share one type: str, int, bool, None, or dict (see `_row_texts`).
-    Returns False, appending nothing, for any other list. The joined
-    body is a part of its own: it can be megabytes long."""
+    share one scalar type: str, int, bool or None. Returns False,
+    appending nothing, for any other list. The joined body is a part of
+    its own: it can be megabytes long."""
     inner = newline + "  "
     sep = "," + inner
     kinds = set(map(type, items))
@@ -531,16 +592,9 @@ def _write_list(items, newline: str, parts: List[str]) -> bool:
                   '"' + newline + "]")
         return True
     text = _SCALARS.get(kind)
-    if text is not None:
-        body = sep.join(map(text, items))
-    elif kind is dict:
-        rows = _row_texts(items, inner)
-        if rows is None:
-            return False
-        body = sep.join(rows)
-    else:
+    if text is None:
         return False
-    parts += ("[" + inner, body, newline + "]")
+    parts += ("[" + inner, sep.join(map(text, items)), newline + "]")
     return True
 
 
@@ -555,45 +609,36 @@ def _plain(strings) -> bool:
     return True
 
 
-def _row_texts(rows, inner: str) -> Optional[List[str]]:
-    """JSON texts of the dicts `rows`, each starting on a line indented
-    as `inner`, or None if a value is neither a scalar nor a list of int.
-    Rows are taken in runs that share one key set: the keys are sorted
-    once per run, each column is written by `_column_texts`, and each row
-    is one %-template."""
+def _write_rows(rows: Rows, newline: str, parts: List[str]) -> None:
+    """Append `rows` as JSON in one join: each run sorts its keys once and
+    fills one %-template per row from the `_column_texts` of its columns."""
+    inner = newline + "  "
     key_line = inner + "  "
-    out: List[str] = []
-    for keys, run in groupby(rows, dict.keys):
-        names = sorted(keys)                       # mixed key types raise
-        if not names:
-            return None
-        run = list(run)
-        columns = []
-        for name in names:
-            column = _column_texts(list(map(itemgetter(name), run)), key_line)
-            if column is None:
-                return None
-            columns.append(column)
+    texts: List[str] = []
+    for run in rows.runs:
+        names = sorted(run)                        # mixed key types raise
+        columns = [_column_texts(run[name], key_line) for name in names]
         template = "{" + ",".join(
             key_line + encode_basestring_ascii(name).replace("%", "%%")
             + ": %s" for name in names) + inner + "}"
-        out += map(template.__mod__, zip(*columns))
-    return out
+        texts += map(template.__mod__, zip(*columns))
+    parts += ("[" + inner, ("," + inner).join(texts), newline + "]") \
+        if texts else ("[]",)
 
 
-def _column_texts(values: list, newline: str) -> Optional[List[str]]:
+def _column_texts(values: list, newline: str) -> List[str]:
     """JSON texts of one column of row values written on lines indented
-    as `newline`, or None if a value is neither a scalar nor a list or
-    tuple of exact int."""
+    as `newline`. A value that is neither a scalar nor a list or tuple of
+    exact int raises TypeError."""
     kinds = set(map(type, values))
     if len(kinds) == 1 and kinds <= _SCALARS.keys():
         return list(map(_SCALARS[kinds.pop()], values))
     lists = kinds & {list, tuple}
-    if not kinds - lists <= _SCALARS.keys():
-        return None
-    if lists and not set(map(type, chain.from_iterable(
-            value for value in values if type(value) in lists))) <= {int}:
-        return None
+    if not kinds - lists <= _SCALARS.keys() or lists and not set(map(
+            type, chain.from_iterable(value for value in values
+                                      if type(value) in lists))) <= {int}:
+        raise TypeError("a report row holds a value that is neither a "
+                        "scalar nor a list of int")
     inner = newline + "  "
     sep = "," + inner
     return [_SCALARS[type(value)](value) if type(value) in _SCALARS else

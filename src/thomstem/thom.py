@@ -64,6 +64,13 @@ class StableCell:
         object.__setattr__(self, "_key",
                            (dim, _FIBER_ORDER[self.fiber_part], self.base_mask,
                             self.suspension))
+        # the dataclass hash, computed once: set and dict order stay as is
+        object.__setattr__(self, "_hash", hash((
+            self.base_mask, self.fiber_part, self.fiber_offset,
+            self.suspension)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -498,33 +505,3 @@ def label_counts(labels: AttachmentView) -> Dict[str, int]:
     """{"gap<g>:<value>": count}, sorted by key, for reports and explain."""
     return dict(sorted((f"gap{gap}:{value}", n)
                        for (gap, value), n in labels.counts().items()))
-
-
-def complex_to_dict(complex_: StableCellComplex) -> dict:
-    """JSON-ready description: cells, dims, label counts, detected labels."""
-    cells = [{
-        "name": cell.name(),
-        "base": list(cell.base_indices),
-        "fiber": cell.fiber_part,
-        "suspension": cell.suspension,
-        "dim": cell.dim,
-        "basepoint": complex_.is_basepoint(cell),
-    } for cell in complex_.cells]
-    out = {
-        "basepoint_policy": complex_.basepoint_policy,
-        "gap3_trivial_flag": complex_.gap3_trivial,
-        "cells": cells,
-        "cells_by_dim": {str(d): n
-                         for d, n in sorted(complex_.cells_by_dim().items())},
-    }
-    labels = complex_.attachments
-    if labels is not None:
-        out["label_counts"] = label_counts(labels)
-        out["detected_labels"] = [{
-            "upper": upper.name(), "lower": lower.name(),
-            "dims": [upper.dim, lower.dim],
-            "label": label.value,
-            "justification": label.justification,
-        } for (upper, lower), label in labels.exceptions
-            if label.value in (ETA_LABEL, NU_ODD)]
-    return out

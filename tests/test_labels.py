@@ -14,9 +14,9 @@ from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass
 from thomstem.thom import (ETA_LABEL, NU_ODD, TRIVIAL, UNKNOWN, AttachLabel,
-                           LabelRules, StableCellComplex, complex_to_dict,
-                           infer_attachments, skeletal_quotient,
-                           sphere_bundle_quotient, suspend, thom_cells)
+                           LabelRules, StableCellComplex, infer_attachments,
+                           skeletal_quotient, sphere_bundle_quotient, suspend,
+                           thom_cells)
 
 
 def assert_matches_oracle(complex_, oracle=None):
@@ -237,7 +237,7 @@ def test_label_counts_are_arithmetic_and_exact():
             for (upper, lower), label in dense_attachments(complex_).items():
                 key = f"gap{upper.dim - lower.dim}:{label.value}"
                 counts[key] = counts.get(key, 0) + 1
-            assert complex_to_dict(complex_)["label_counts"] == \
+            assert pipeline.complex_to_dict(complex_)["label_counts"] == \
                 dict(sorted(counts.items()))
 
 

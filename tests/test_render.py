@@ -1,21 +1,24 @@
 """The report writer against the stdlib encoder it stands in for.
 
 `report_json` must give `json.dumps(report_dict(r), indent=2,
-sort_keys=True) + "\n"` byte for byte, and refuse what a report must
-never hold.
+sort_keys=True, default=Rows.as_dicts) + "\n"` byte for byte, and refuse
+what a report must never hold.
 """
 
 import enum
 import json
+from itertools import groupby
 
 import pytest
 
 from test_golden import CASES
 from thomstem import pipeline
+from thomstem.pipeline import Rows
 
 
 def stdlib(value):
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return json.dumps(value, indent=2, sort_keys=True,
+                      default=Rows.as_dicts) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -71,6 +74,14 @@ def test_value_zoo_matches_stdlib_encoder(monkeypatch, value):
     [{"a": 1}, {1: "int key"}],
     # a report is a container
     "top-level string", 12, None,
+    # a Rows column holds scalars of exact type or lists of exact int
+    Rows({"dim": [1, 2.0]}), Rows({"dim": [Level.HIGH]}),
+    Rows({"name": ["a", Name("b")]}), Rows({"a": [1]}, {"name": [Name("b")]}),
+    Rows({"base": [[1, [2]], [3]]}), Rows({"base": [[1], ["2"]]}),
+    Rows({"base": [[True]]}), Rows({"base": [(1, 2.0)]}),
+    Rows({"nested": [{"a": 1}]}), Rows({"set": [{1, 2}]}),
+    # and its keys are str
+    Rows({1: ["int key"]}), Rows({"a": [1], 1: [2]}), Rows({"a": [1]}, {2: [3]}),
 ])
 def test_values_a_report_cannot_hold_raise(monkeypatch, value):
     monkeypatch.setattr(pipeline, "report_dict", lambda result: value)
@@ -113,6 +124,16 @@ def test_str_probe_reads_every_slice():
     assert written(strings) == stdlib(strings)
 
 
+def as_rows(dicts):
+    """`dicts` as a `Rows` value: one run per run of rows with one key set."""
+    runs = []
+    for keys, run in groupby(dicts, dict.keys):
+        run = list(run)
+        runs.append({key: [row[key] for row in run] for key in keys})
+    return Rows(*runs)
+
+
+# written as Rows too, by `as_rows`
 COLUMNAR_ROWS = [
     # a column of None and str, as the assembly's killer column
     [{"killer": None, "n": 1}, {"killer": 'd2 "into" x', "n": 2},
@@ -136,6 +157,7 @@ COLUMNAR_ROWS = [
     [{'"q"': "a\nb", "é": 1, "": None}, {'"q"': "c", "é": 2, "": True}],
 ]
 
+# not valid as Rows, and written item by item as plain lists
 ITEMWISE_ROWS = [
     # a list column holding a nested or a non-int list
     [{"base": [1, [2]]}, {"base": [3]}],
@@ -149,12 +171,27 @@ ITEMWISE_ROWS = [
 
 @pytest.mark.parametrize("rows", COLUMNAR_ROWS + ITEMWISE_ROWS)
 def test_row_lists_match_stdlib(rows):
-    columnar = pipeline._row_texts(rows, "\n  ") is not None
-    assert columnar == (rows in COLUMNAR_ROWS)
-    assert written(rows) == stdlib(rows)
-    assert written({"rows": rows, "after": 1}) == \
-        stdlib({"rows": rows, "after": 1})
-    assert written([rows, rows]) == stdlib([rows, rows])
+    values = [rows]
+    if rows in COLUMNAR_ROWS:
+        table = as_rows(rows)
+        assert table.as_dicts() == rows
+        values.append(table)
+    for value in values:
+        assert written(value) == stdlib(rows)
+        assert written({"rows": value, "after": 1}) == \
+            stdlib({"rows": rows, "after": 1})
+        assert written([value, value]) == stdlib([rows, rows])
+
+
+@pytest.mark.parametrize("table", [
+    Rows(), Rows({}), Rows({"a": [], "b": []}), Rows({"a": []}, {"b": []}),
+    # runs that share a key set are written as one
+    Rows({"a": [1]}, {"a": [2, 3]}),
+    Rows({"a": [1], "b": [None]}, {}, {"b": ["x"], "a": [2]}),
+])
+def test_rows_edge_cases_match_stdlib(table):
+    assert written(table) == stdlib(table)
+    assert written({"t": table}) == stdlib({"t": table.as_dicts()})
 
 
 @pytest.mark.parametrize("value", [
@@ -171,8 +208,11 @@ def test_large_lists_are_not_written_one_part_per_item():
                       {"b1": 5, "quad_form": ["[1,2,3,4] = 5"]}],
         "suspensions": 1})
     report = pipeline.report_dict(pipeline.run_scenario(spec))
+    tables = (report["complex"]["cells"], report["complex"]["detected_labels"],
+              report["assembly"]["entries"])
+    assert all(type(table) is Rows for table in tables)
     assert len(report["assembly"]["notes"]) == 4548
-    assert len(report["complex"]["cells"]) == 513
+    assert len(report["complex"]["cells"].as_dicts()) == 513
     parts = []
     pipeline._write(report, "\n", parts)
     assert len(parts) < 200

@@ -259,3 +259,21 @@ class TestCellNames:
                                "fiber_offset=4, suspension=2)")
         with pytest.raises(FrozenInstanceError):
             named._name = "other"
+
+    def test_hash_is_cached_and_equals_the_field_tuple_hash(self):
+        cells = [StableCell(mask, part, offset, suspension)
+                 for mask in (0, 0b1011, 1 << 40)
+                 for part, offset in (("point", 0), (FIBER_THOM, 4),
+                                      ("sphere_two", 2))
+                 for suspension in (0, 3)]
+        for cell in cells:
+            twin = StableCell(cell.base_mask, cell.fiber_part,
+                              cell.fiber_offset, cell.suspension)
+            assert twin == cell and hash(twin) == hash(cell)
+            assert hash(cell) == hash((cell.base_mask, cell.fiber_part,
+                                       cell.fiber_offset, cell.suspension))
+            lifted = cell.suspended(2)
+            assert hash(lifted) == hash((cell.base_mask, cell.fiber_part,
+                                         cell.fiber_offset,
+                                         cell.suspension + 2))
+            assert hash(lifted) != hash(cell)
