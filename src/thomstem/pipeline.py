@@ -35,8 +35,8 @@ PRESET_NAMES = ("paper-sec3", "paper-sec4", "paper-sec5")
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: thom
-# b1 = 12 takes 0.34 s to run and 0.52 s to render, and gives a 114 MB
-# report (860k notes) at 403 MB peak RSS (best of 3 fresh processes,
+# b1 = 12 takes 0.27 s to run and 0.41 s to render, and gives a 114 MB
+# report (860k notes) at 396 MB peak RSS (best of 3 fresh processes,
 # Python 3.11, 2-vCPU VM).
 MAX_TOTAL_B1 = 12
 

@@ -76,12 +76,14 @@ def test_value_zoo_matches_stdlib_encoder(monkeypatch, value):
     "top-level string", 12, None,
     # a Rows column holds scalars of exact type or lists of exact int
     Rows({"dim": [1, 2.0]}), Rows({"dim": [Level.HIGH]}),
-    Rows({"name": ["a", Name("b")]}), Rows({"a": [1]}, {"name": [Name("b")]}),
+    Rows({"name": ["a", Name("b")]}),
+    Rows({"a": [1]}, {"name": [Name("b")]}),
     Rows({"base": [[1, [2]], [3]]}), Rows({"base": [[1], ["2"]]}),
     Rows({"base": [[True]]}), Rows({"base": [(1, 2.0)]}),
     Rows({"nested": [{"a": 1}]}), Rows({"set": [{1, 2}]}),
     # and its keys are str
-    Rows({1: ["int key"]}), Rows({"a": [1], 1: [2]}), Rows({"a": [1]}, {2: [3]}),
+    Rows({1: ["int key"]}), Rows({"a": [1], 1: [2]}),
+    Rows({"a": [1]}, {2: [3]}),
 ])
 def test_values_a_report_cannot_hold_raise(monkeypatch, value):
     monkeypatch.setattr(pipeline, "report_dict", lambda result: value)
@@ -157,7 +159,7 @@ COLUMNAR_ROWS = [
     [{'"q"': "a\nb", "é": 1, "": None}, {'"q"': "c", "é": 2, "": True}],
 ]
 
-# not valid as Rows, and written item by item as plain lists
+# refused as Rows, and written item by item as plain lists
 ITEMWISE_ROWS = [
     # a list column holding a nested or a non-int list
     [{"base": [1, [2]]}, {"base": [3]}],
@@ -171,11 +173,13 @@ ITEMWISE_ROWS = [
 
 @pytest.mark.parametrize("rows", COLUMNAR_ROWS + ITEMWISE_ROWS)
 def test_row_lists_match_stdlib(rows):
-    values = [rows]
+    values, table = [rows], as_rows(rows)
     if rows in COLUMNAR_ROWS:
-        table = as_rows(rows)
         assert table.as_dicts() == rows
         values.append(table)
+    elif table.as_dicts() == rows:      # a row without keys is no Rows row
+        with pytest.raises(TypeError):
+            written(table)
     for value in values:
         assert written(value) == stdlib(rows)
         assert written({"rows": value, "after": 1}) == \
