@@ -132,8 +132,8 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 
     # page order: all d2 effects, then d4; gap-3 labels never act
     # definitively (trivial = no differential, unknown handled last).
-    _run_eta_rules(complex_, index, differentials)
-    _run_nu_rules(complex_, index, differentials, notes)
+    drained = _run_eta_rules(complex_, index, differentials)
+    _run_nu_rules(complex_, index, drained, differentials, notes)
     _mark_unknowns(complex_, columns, notes)
     entries = tuple(column.freeze() for column in columns)
 
@@ -164,14 +164,6 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
                        tuple(notes), tuple(differentials), complex_)
 
 
-def _sorted_labelled(complex_, value):
-    # only trivial and unknown can be default labels, so every detected
-    # label is an exception
-    for (upper, lower), label in complex_.attachments.exceptions:
-        if label.value == value:
-            yield upper, lower, label
-
-
 def _check_gap(upper, lower, expected, value):
     # a differential d_r spans exactly gap r; anything else means the
     # labels were built by hand and are inconsistent
@@ -190,10 +182,18 @@ def _run_eta_rules(complex_, index, differentials):
     Z/2 -> Z/2 iso) wipes it out. Source side: a lower column at stem 0
     is reduced to the kernel 2Z (still Z); at stem 1 it is consumed
     entirely (eta composes to an isomorphism onto the next stem).
+
+    Returns the lower cells of the eta attachments whose upper column
+    sits at stem 1, for the d4 pass.
     """
-    for upper, lower, label in _sorted_labelled(complex_, ETA_LABEL):
+    drained = set()
+    for (upper, lower), label in complex_.attachments.detected:
+        if label.value != ETA_LABEL:
+            continue
         _check_gap(upper, lower, 2, ETA_LABEL)
         up, low = index[upper], index[lower]
+        if up.stem_q == 1:
+            drained.add(lower)
         if up.stem_q in (1, 2) and up.status != KILLED and low.status != KILLED:
             # check the composition is onto: (generator of source stem) o eta
             source = stems.one(1) if up.stem_q == 1 else stems.eta()
@@ -216,33 +216,26 @@ def _run_eta_rules(complex_, index, differentials):
             differentials.append(
                 f"d2: column {lower.name()} consumed as a d2 source onto "
                 f"{upper.name()} (eta composes injectively)")
-
-
-def _eta_drained_sources(complex_, index):
-    """Cells whose Z column one degree over already fired a d2.
-
-    An eta attachment whose upper cell sits at in-report stem 1 consumed
-    half of the lower cell's source column (kernel 2Z); a later d4 out of
-    that column only reaches the even multiples of nu and is no longer
-    onto Z/24.
-    """
-    drained = set()
-    for upper, lower, label in _sorted_labelled(complex_, ETA_LABEL):
-        if index[upper].stem_q == 1:
-            drained.add(lower)
     return drained
 
 
-def _run_nu_rules(complex_, index, differentials, notes):
+def _run_nu_rules(complex_, index, drained, differentials, notes):
     """d4 driven by odd-nu attachments.
 
     Kill side: an upper Z/24 column (stem 3) dies because any odd multiple
     of nu generates pi_3, so the composition from the lower cell's Z
     column is onto. Source side: a lower Z column at stem 0 is reduced to
     the kernel 24Z (still Z).
+
+    `drained` holds the cells whose Z column one degree over already
+    fired a d2: an eta attachment whose upper cell sits at in-report
+    stem 1 consumed half of the lower cell's source column (kernel 2Z),
+    so a d4 out of that column only reaches the even multiples of nu and
+    is no longer onto Z/24.
     """
-    drained = _eta_drained_sources(complex_, index)
-    for upper, lower, label in _sorted_labelled(complex_, NU_ODD):
+    for (upper, lower), label in complex_.attachments.detected:
+        if label.value != NU_ODD:
+            continue
         _check_gap(upper, lower, 4, NU_ODD)
         up, low = index[upper], index[lower]
         if up.stem_q == 3 and up.status != KILLED and low.status != KILLED:
@@ -424,8 +417,8 @@ def vanishing_certificate(report: GroupReport,
         lines.append(line)
         labels = report.complex.attachments
         if entry.status == KILLED and labels:
-            for _, label in labels.row(cell, gaps=()):
-                if label.value in (ETA_LABEL, NU_ODD):
+            for (upper, _), label in labels.detected:
+                if upper == cell:
                     lines.append(f"  label {label.value}: {label.justification}")
     verdict = evaluate_class(report, assignment)
     lines.append(f"verdict: {verdict}")

@@ -27,6 +27,10 @@ EXIT_BAD_SPEC = 2
 EXIT_UNKNOWN = 3
 EXIT_OUT_OF_TABLE = 4
 
+# the determinant flags each preset reads
+_DET_FLAGS = {"paper-sec3": ("det",), "paper-sec4": ("det1", "det2"),
+              "paper-sec5": ("det1", "det2")}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,8 +75,13 @@ def _load_spec(args) -> ScenarioSpec:
             raise SpecError("--spec", f"not valid JSON: {exc}")
         spec = pipeline.parse_scenario(data, source="spec")
     else:
+        for flag in _DET_FLAGS[args.scenario]:
+            if getattr(args, flag) == 0:
+                raise SpecError(f"--{flag}", "must be a nonzero integer")
         spec = pipeline.preset(args.scenario, det=args.det,
                                det1=args.det1, det2=args.det2)
+    if args.suspend < 0:
+        raise SpecError("--suspend", "must be nonnegative")
     return spec.with_overrides(target=args.target,
                                extra_suspensions=args.suspend)
 
@@ -107,8 +116,11 @@ def _text_report(result) -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecError("--out", f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -162,14 +162,6 @@ class ExteriorClass:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted({m.bit_count() for m in self._terms}))
-
-    def homogeneous_degree(self):
-        """The common degree of all terms, or None if mixed or zero."""
-        degs = self.degrees()
-        return degs[0] if len(degs) == 1 else None
-
     def degree_part(self, d: int) -> "ExteriorClass":
         terms = {m: c for m, c in self._terms.items() if m.bit_count() == d}
         return ExteriorClass._raw(terms, self.ambient_rank, self.modulus)

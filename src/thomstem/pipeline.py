@@ -20,10 +20,9 @@ from .ahss import (GroupReport, assemble, evaluate_class, stem_groups,
                    vanishing_certificate)
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
-from .thom import (BASEPOINT_NOTE, ETA_LABEL, NU_ODD, StableCell,
-                   StableCellComplex, infer_attachments, label_counts,
-                   skeletal_quotient, sphere_bundle_quotient, suspend,
-                   thom_cells)
+from .thom import (BASEPOINT_NOTE, StableCell, StableCellComplex,
+                   infer_attachments, label_counts, skeletal_quotient,
+                   sphere_bundle_quotient, suspend, thom_cells)
 
 SCHEMA_SCENARIO = "thomstem-scenario/1"
 SCHEMA_REPORT = "thomstem-report/1"
@@ -269,7 +268,6 @@ class RunResult:
     spec: ScenarioSpec
     manifold: ManifoldData
     bundle: BundleData
-    built_complex: StableCellComplex   # labeled, before cut/suspension
     final_complex: StableCellComplex
     target_n: int
     report: GroupReport
@@ -305,14 +303,6 @@ def resolve_target(spec: ScenarioSpec, manifold: ManifoldData,
     if spec.target_override is not None:
         return spec.target_override
     return 4 * bundle.sphere_shift + manifold.b_plus + spec.target_shift
-
-
-def build_complex(spec: ScenarioSpec, bundle: BundleData) -> StableCellComplex:
-    if spec.pipeline == PIPELINE_SPHERE:
-        built = sphere_bundle_quotient(bundle)
-    else:
-        built = thom_cells(bundle)
-    return infer_attachments(built)
 
 
 def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
@@ -352,28 +342,37 @@ def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
     return out
 
 
-def final_complex(spec: ScenarioSpec,
-                  built: StableCellComplex) -> StableCellComplex:
-    """The built complex after the spec's skeletal cut and suspensions."""
+def _stages(spec: ScenarioSpec) -> Tuple[ManifoldData, BundleData,
+                                         StableCellComplex, StableCellComplex,
+                                         int]:
+    """The chain `run_scenario` and `explain_text` share: manifold ->
+    index bundle -> cells -> labels -> cut, then suspend -> target.
+    Returns (manifold, bundle, built, final, target_n); `built` is the
+    labelled complex before the cut and the suspensions. Each stage is
+    looked up in this module's namespace when it is called, so that a
+    wrapper set there sees every call."""
+    manifold = resolve_manifold(spec)
+    bundle = index_bundle(manifold)
+    if spec.pipeline == PIPELINE_SPHERE:
+        built = infer_attachments(sphere_bundle_quotient(bundle))
+    else:
+        built = infer_attachments(thom_cells(bundle))
     final = built
     if spec.skeletal_cut is not None:
         final = skeletal_quotient(final, spec.skeletal_cut)
     if spec.suspensions:
         final = suspend(final, spec.suspensions)
-    return final
+    target_n = resolve_target(spec, manifold, bundle)
+    return manifold, bundle, built, final, target_n
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
-    manifold = resolve_manifold(spec)
-    bundle = index_bundle(manifold)
-    built = build_complex(spec, bundle)
-    final = final_complex(spec, built)
-    target_n = resolve_target(spec, manifold, bundle)
+    manifold, bundle, _, final, target_n = _stages(spec)
     report = assemble(final, target_n)
     assignment = resolve_assignment(spec, final, target_n)
     verdict = evaluate_class(report, assignment)
     certificate = vanishing_certificate(report, assignment)
-    return RunResult(spec, manifold, bundle, built, final, target_n, report,
+    return RunResult(spec, manifold, bundle, final, target_n, report,
                      assignment, verdict, certificate)
 
 
@@ -411,8 +410,7 @@ def complex_to_dict(complex_: StableCellComplex) -> dict:
     labels = complex_.attachments
     if labels is not None:
         out["label_counts"] = label_counts(labels)
-        detected = [(pair, label) for pair, label in labels.exceptions
-                    if label.value in (ETA_LABEL, NU_ODD)]
+        detected = labels.detected
         out["detected_labels"] = Rows({
             "upper": [upper.name() for (upper, _), _ in detected],
             "lower": [lower.name() for (_, lower), _ in detected],
@@ -653,11 +651,7 @@ def explain_text(spec: ScenarioSpec) -> str:
     table is checked and the class assignment resolved on the final
     complex in the order `run_scenario` does, so a spec that `run`
     rejects is rejected here too, with the same error."""
-    manifold = resolve_manifold(spec)
-    bundle = index_bundle(manifold)
-    built = build_complex(spec, bundle)
-    target_n = resolve_target(spec, manifold, bundle)
-    final = final_complex(spec, built)
+    manifold, bundle, built, final, target_n = _stages(spec)
     stem_groups(final, target_n)        # raises as `assemble` would
     resolve_assignment(spec, final, target_n)
 
@@ -698,8 +692,7 @@ def explain_text(spec: ScenarioSpec) -> str:
     labels = built.attachments
     lines.append("labels by gap: " + (", ".join(
         f"{k}={v}" for k, v in label_counts(labels).items()) or "none"))
-    detected = [(pair, label) for pair, label in labels.exceptions
-                if label.value in (ETA_LABEL, NU_ODD)]
+    detected = labels.detected
     lines.append("Sq detections:" if detected else "Sq detections: none")
     for (upper, lower), label in detected:
         lines.append(f"  {label.value}: {upper.name()} (dim {upper.dim})"

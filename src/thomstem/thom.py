@@ -137,11 +137,12 @@ class AttachmentView(Mapping):
     Every query is answered from the complex's `LabelRules`; no pair map
     is written out. `len` is arithmetic, and iteration is lazy, in
     canonical (upper._key, lower._key) order. `exceptions` lists the
-    exceptions in that order.
+    exceptions in that order, and `detected` those of them whose label is
+    a Hopf class that Sq^2 or Sq^4 detects (eta or nu_odd).
     """
 
-    __slots__ = ("rules", "exceptions", "_cells", "_proper", "_by_dim",
-                 "_gaps", "_by_upper", "_len")
+    __slots__ = ("rules", "exceptions", "detected", "_cells", "_proper",
+                 "_by_dim", "_gaps", "_by_upper", "_len")
 
     def __init__(self, cells: Tuple[StableCell, ...],
                  proper_cells: Tuple[StableCell, ...], rules: LabelRules):
@@ -158,6 +159,10 @@ class AttachmentView(Mapping):
                                 MappingProxyType(exceptions))
         self.exceptions = tuple(sorted(
             exceptions.items(), key=lambda kv: (kv[0][0]._key, kv[0][1]._key)))
+        # only trivial and unknown can be defaults, so every detected
+        # label is an exception
+        self.detected = tuple(item for item in self.exceptions
+                              if item[1].value in (ETA_LABEL, NU_ODD))
         self._cells = cells
         self._proper = frozenset(proper_cells)
         by_dim: Dict[int, list] = {}

@@ -108,8 +108,42 @@ class TestExitCodes:
         assert "manifolds[0].quad_form[0]" in err
 
     def test_zero_determinant_is_exit_two(self, capsys):
-        code, _, _ = run_cli(capsys, "paper-sec3", "--det", "0")
+        code, _, err = run_cli(capsys, "paper-sec3", "--det", "0")
         assert code == EXIT_BAD_SPEC
+        assert err.startswith("thomstem: malformed scenario: --det: ")
+
+    @pytest.mark.parametrize("argv, pointer", [
+        (("paper-sec4", "--suspend", "-1"), "--suspend"),
+        (("paper-sec5", "--suspend", "-3"), "--suspend"),
+        (("paper-sec4", "--det1", "0", "--det2", "5"), "--det1"),
+        (("paper-sec5", "--det1", "3", "--det2", "0"), "--det2"),
+    ], ids=["sec4-suspend", "sec5-suspend", "sec4-det1", "sec5-det2"])
+    @pytest.mark.parametrize("command", [(), ("explain",)],
+                             ids=["run", "explain"])
+    def test_bad_flag_names_itself(self, capsys, tmp_path, command, argv,
+                                   pointer):
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *command, *argv,
+                                 "--out", str(out_path))
+        assert code == EXIT_BAD_SPEC
+        assert err.startswith(f"thomstem: malformed scenario: {pointer}: ")
+        assert out == "" and not out_path.exists()
+
+    def test_unread_determinant_flag_is_not_checked(self, capsys):
+        # paper-sec3 reads --det only
+        code, _, _ = run_cli(capsys, "paper-sec3", "--det1", "0")
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", [(), ("explain",)],
+                             ids=["run", "explain"])
+    def test_unwritable_out_is_exit_two(self, capsys, tmp_path, command):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, *command, "paper-sec3",
+                                 "--out", str(out_path))
+        assert code == EXIT_BAD_SPEC
+        assert err.startswith("thomstem: malformed scenario: --out: "
+                              f"cannot write {out_path}: ")
+        assert out == "" and not out_path.exists()
 
     def test_missing_spec_file_is_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--spec", "/nonexistent.json")
