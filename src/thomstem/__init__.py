@@ -16,7 +16,7 @@ from .stems import (AbelianGroup, OutOfTableError, StemElement, compose,
                     eta, eta_sq, nu_multiple, one, stem_group, zero)
 from .thom import (AttachLabel, AttachmentView, LabelRules, StableCell,
                    StableCellComplex, infer_attachments, skeletal_quotient,
-                   sphere_bundle_quotient, sq_thom, suspend, thom_cells)
+                   sphere_bundle_quotient, suspend, thom_cells)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",
     "evaluate_class", "index_bundle", "infer_attachments",
     "make_homology_torus", "mod2", "nu_multiple", "one", "scale",
-    "skeletal_quotient", "sphere_bundle_quotient", "sq_thom", "sq_torus",
+    "skeletal_quotient", "sphere_bundle_quotient", "sq_torus",
     "stem_group", "suspend", "thom_cells", "top_coefficient",
     "vanishing_certificate", "wedge", "zero",
 ]

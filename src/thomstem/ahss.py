@@ -17,9 +17,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import stems
 from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
-from .thom import (ETA_LABEL, FIBER_SPHERE_ZERO, NU_ODD, POLICY_REDUCED,
-                   StableCell, StableCellComplex, TRIVIAL, UNKNOWN,
-                   infer_attachments)
+from .thom import (DETECTION_OF, DETECTIONS, FIBER_SPHERE_ZERO,
+                   POLICY_REDUCED, StableCell, StableCellComplex, TRIVIAL,
+                   UNKNOWN, infer_attachments)
 
 SURVIVES, KILLED, REDUCED = "survives", "killed", "reduced"
 # column status "unknown" reuses thom.UNKNOWN
@@ -164,45 +164,35 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
                        tuple(notes), tuple(differentials), complex_)
 
 
-def _check_gap(upper, lower, expected, value):
-    # a differential d_r spans exactly gap r; anything else means the
-    # labels were built by hand and are inconsistent
-    gap = upper.dim - lower.dim
-    if gap != expected:
-        raise ValueError(
-            f"label {value} on a gap-{gap} attachment {upper.name()} -> "
-            f"{lower.name()}: d{expected} spans gap {expected} only")
+_ETA, _NU = DETECTIONS
 
 
 def _run_eta_rules(complex_, index, differentials):
     """d2 driven by eta attachments.
 
-    Kill side: an upper column at stem 1 or 2 is hit from the lower cell's
-    column one degree over, and composition with eta (Z -> Z/2 onto, or
-    Z/2 -> Z/2 iso) wipes it out. Source side: a lower column at stem 0
-    is reduced to the kernel 2Z (still Z); at stem 1 it is consumed
-    entirely (eta composes to an isomorphism onto the next stem).
+    Kill side: an upper column at a stem in `_ETA.decides` is hit from
+    the lower cell's column one degree over, and composition with eta
+    (Z -> Z/2 onto, or Z/2 -> Z/2 iso) wipes it out. Source side: a
+    lower column at stem 0 is reduced to the kernel 2Z (still Z); at
+    stem 1 it is consumed entirely (eta composes injectively).
 
     Returns the lower cells of the eta attachments whose upper column
     sits at stem 1, for the d4 pass.
     """
     drained = set()
     for (upper, lower), label in complex_.attachments.detected:
-        if label.value != ETA_LABEL:
+        if label.value != _ETA.value:
             continue
-        _check_gap(upper, lower, 2, ETA_LABEL)
         up, low = index[upper], index[lower]
         if up.stem_q == 1:
             drained.add(lower)
-        if up.stem_q in (1, 2) and up.status != KILLED and low.status != KILLED:
-            # check the composition is onto: (generator of source stem) o eta
-            source = stems.one(1) if up.stem_q == 1 else stems.eta()
-            if not stems.compose(source, stems.eta()).is_zero:
-                up.status = KILLED
-                up.killer = f"d2 from {lower.name()}"
-                differentials.append(
-                    f"d2: column {upper.name()} ({up.group.pretty()}) killed "
-                    f"by composition with eta from {lower.name()}")
+        if up.stem_q in _ETA.decides and KILLED not in (up.status, low.status):
+            # onto: 1 o eta = eta and eta o eta = eta^2 generate stems 1, 2
+            up.status = KILLED
+            up.killer = f"d2 from {lower.name()}"
+            differentials.append(
+                f"d2: column {upper.name()} ({up.group.pretty()}) killed "
+                f"by composition with eta from {lower.name()}")
         if low.stem_q == 0 and low.status == SURVIVES:
             low.status = REDUCED
             low.reduced_index = 2
@@ -222,10 +212,10 @@ def _run_eta_rules(complex_, index, differentials):
 def _run_nu_rules(complex_, index, drained, differentials, notes):
     """d4 driven by odd-nu attachments.
 
-    Kill side: an upper Z/24 column (stem 3) dies because any odd multiple
-    of nu generates pi_3, so the composition from the lower cell's Z
-    column is onto. Source side: a lower Z column at stem 0 is reduced to
-    the kernel 24Z (still Z).
+    Kill side: an upper Z/24 column at a stem in `_NU.decides` dies
+    because any odd multiple of nu generates pi_3, so the composition
+    from the lower cell's Z column is onto. Source side: a lower Z
+    column at stem 0 is reduced to the kernel 24Z (still Z).
 
     `drained` holds the cells whose Z column one degree over already
     fired a d2: an eta attachment whose upper cell sits at in-report
@@ -234,11 +224,10 @@ def _run_nu_rules(complex_, index, drained, differentials, notes):
     is no longer onto Z/24.
     """
     for (upper, lower), label in complex_.attachments.detected:
-        if label.value != NU_ODD:
+        if label.value != _NU.value:
             continue
-        _check_gap(upper, lower, 4, NU_ODD)
         up, low = index[upper], index[lower]
-        if up.stem_q == 3 and up.status != KILLED and low.status != KILLED:
+        if up.stem_q in _NU.decides and KILLED not in (up.status, low.status):
             if lower in drained:
                 up.status = UNKNOWN
                 up.killer = None
@@ -249,17 +238,16 @@ def _run_nu_rules(complex_, index, drained, differentials, notes):
                 continue
             # any odd multiple of nu generates pi_3, so the composition
             # from the intact source Z column is onto
-            if not stems.compose(stems.one(1), stems.nu_multiple(1)).is_zero:
-                up.status = KILLED
-                up.killer = f"d4 from {lower.name()}"
-                differentials.append(
-                    f"d4: column {upper.name()} (Z/24) killed by composition "
-                    f"with nu from {lower.name()}; the source Z column one "
-                    "degree over is reduced to index 24")
-                notes.append(
-                    f"d4 source recorded as {lower.name()}, the first "
-                    "nu-attached cell in canonical order; any of the "
-                    "nu-attached cells kills the column")
+            up.status = KILLED
+            up.killer = f"d4 from {lower.name()}"
+            differentials.append(
+                f"d4: column {upper.name()} (Z/24) killed by composition "
+                f"with nu from {lower.name()}; the source Z column one "
+                "degree over is reduced to index 24")
+            notes.append(
+                f"d4 source recorded as {lower.name()}, the first "
+                "nu-attached cell in canonical order; any of the "
+                "nu-attached cells kills the column")
         if low.stem_q == 0 and low.status == SURVIVES:
             low.status = REDUCED
             low.reduced_index = 24
@@ -274,8 +262,8 @@ def _threat_source(value: str, gap: int, stem_q: int) -> Optional[int]:
     nontrivial column at `stem_q`, or None when it cannot."""
     if value == TRIVIAL:
         return None
-    if (value == ETA_LABEL and stem_q in (1, 2)) or \
-            (value == NU_ODD and stem_q == 3):
+    rule = DETECTION_OF.get(value)
+    if rule is not None and stem_q in rule.decides:
         return None     # handled definitively by the d2/d4 rules
     source_q = stem_q - gap + 1
     if source_q < 0:

@@ -12,7 +12,8 @@ the Picard torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from .exterior import ExteriorClass
@@ -34,11 +35,12 @@ class ManifoldData:
     """Algebraic stand-in for a spin 4-manifold (or a connected sum).
 
     quad_form maps ascending 4-subsets of {1..b1} to the integer value of
-    the quadruple cup product on the corresponding H^1 basis elements.
+    the quadruple cup product on the corresponding H^1 basis elements; it
+    is stored read-only and left out of the hash.
     """
 
     b1: int
-    quad_form: Mapping[Tuple[int, int, int, int], int]
+    quad_form: Mapping[Tuple[int, int, int, int], int] = field(hash=False)
     signature: int = 0
     b_plus: int = 3
     label: str = "M"
@@ -57,7 +59,7 @@ class ManifoldData:
                 clean[subset] = value
         if self.b1 < 4 and clean:
             raise ValueError("b1 < 4 forces an empty quadruple form")
-        object.__setattr__(self, "quad_form", clean)
+        object.__setattr__(self, "quad_form", MappingProxyType(clean))
 
     def quad(self, subset: Tuple[int, ...]) -> int:
         return self.quad_form.get(tuple(subset), 0)

@@ -71,8 +71,8 @@ def _load_spec(args) -> ScenarioSpec:
                 data = json.load(handle)
         except OSError as exc:
             raise SpecError("--spec", f"cannot read {args.spec}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SpecError("--spec", f"not valid JSON: {exc}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SpecError("--spec", f"not valid UTF-8 JSON: {exc}")
         spec = pipeline.parse_scenario(data, source="spec")
     else:
         for flag in _DET_FLAGS[args.scenario]:

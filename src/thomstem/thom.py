@@ -41,6 +41,23 @@ BASEPOINT_NOTE = (
 TRIVIAL, ETA_LABEL, NU_ODD, UNKNOWN = "trivial", "eta", "nu_odd", "unknown"
 
 
+class Detection(NamedTuple):
+    """Sq^gap detects the Hopf class `hopf`, labelled `value`, on a pair of
+    Thom-fiber cells at dimension gap `gap`; the d_gap it drives settles
+    an upper column at the stems in `decides` and no other."""
+
+    gap: int
+    value: str
+    hopf: str
+    decides: Tuple[int, ...]
+
+
+# the one table of detection rules, in page order (d2 before d4)
+DETECTIONS = (Detection(2, ETA_LABEL, "eta", (1, 2)),
+              Detection(4, NU_ODD, "odd multiples of nu", (3,)))
+DETECTION_OF = {rule.value: rule for rule in DETECTIONS}
+
+
 @dataclass(frozen=True)
 class StableCell:
     """One stable cell: base subset, fiber contribution, suspension count.
@@ -138,7 +155,7 @@ class AttachmentView(Mapping):
     is written out. `len` is arithmetic, and iteration is lazy, in
     canonical (upper._key, lower._key) order. `exceptions` lists the
     exceptions in that order, and `detected` those of them whose label is
-    a Hopf class that Sq^2 or Sq^4 detects (eta or nu_odd).
+    a `DETECTIONS` value; a detected label off its rule's gap is rejected.
     """
 
     __slots__ = ("rules", "exceptions", "detected", "_cells", "_proper",
@@ -162,7 +179,14 @@ class AttachmentView(Mapping):
         # only trivial and unknown can be defaults, so every detected
         # label is an exception
         self.detected = tuple(item for item in self.exceptions
-                              if item[1].value in (ETA_LABEL, NU_ODD))
+                              if item[1].value in DETECTION_OF)
+        for (upper, lower), label in self.detected:
+            gap, rule = upper.dim - lower.dim, DETECTION_OF[label.value]
+            if gap != rule.gap:     # d_r spans exactly gap r
+                raise ValueError(
+                    f"label {rule.value} on a gap-{gap} attachment "
+                    f"{upper.name()} -> {lower.name()}: d{rule.gap} spans "
+                    f"gap {rule.gap} only")
         self._cells = cells
         self._proper = frozenset(proper_cells)
         by_dim: Dict[int, list] = {}
@@ -389,20 +413,6 @@ def sphere_bundle_quotient(bundle: BundleData) -> StableCellComplex:
                              gap3_trivial=True)
 
 
-def sq_thom(i: int, x: ExteriorClass, bundle: BundleData) -> ExteriorClass:
-    """Sq^i on a Thom-basis class u*x: the Cartan formula collapses to
-    u * (w_i wedge x) because the squares vanish on torus classes.
-
-    `x` is the base part of the class, mod 2; the Thom class u is
-    implicit, and the result is the base part of Sq^i(u*x).
-    """
-    if i not in (1, 2, 3, 4):
-        raise ValueError("sq_thom supports Sq^1..Sq^4")
-    if x.modulus != 2:
-        x = x.mod2()
-    return bundle.w_class(i).wedge(x)
-
-
 def _default_labels(complex_: StableCellComplex) -> Dict[int, AttachLabel]:
     """The label of every pair at gaps 1..4 that no Sq detection hits."""
     bundle = complex_.bundle
@@ -428,20 +438,19 @@ def _default_labels(complex_: StableCellComplex) -> Dict[int, AttachLabel]:
     }
 
 
-def _detected_labels(complex_: StableCellComplex, gap: int
+def _detected_labels(complex_: StableCellComplex, rule: Detection
                      ) -> Dict[Pair, AttachLabel]:
-    """Pairs of Thom-fiber cells whose attaching map Sq^gap detects.
+    """Pairs of Thom-fiber cells whose attaching map `rule` detects.
 
     By the Cartan formula Sq^gap(u*x_L) = u*(w_gap ^ x_L), so the only
     candidates are the pairs (L | w, L) for w in supp(w_gap) disjoint
     from L, and a pair is detected when it is hit an odd number of times.
     The work is O(cells * |supp w_gap|).
     """
+    gap = rule.gap
     w = complex_.bundle.w_class(gap)
     if w.is_zero:
         return {}
-    value, hopf = (ETA_LABEL, "eta") if gap == 2 else \
-        (NU_ODD, "odd multiples of nu")
     thom = {(cell.base_mask, cell.dim): cell for cell in complex_.proper_cells
             if cell.fiber_part == FIBER_THOM}
     w_masks = tuple(m.mask for m in w.support())
@@ -452,8 +461,8 @@ def _detected_labels(complex_: StableCellComplex, gap: int
             if upper is not None:
                 hits[(upper, lower)] = hits.get((upper, lower), 0) ^ 1
     return {(upper, lower): AttachLabel(
-        value,
-        f"Sq^{gap} detects {hopf}: Sq^{gap}(u*x{Monomial(lower.base_mask)})"
+        rule.value, f"Sq^{gap} detects {rule.hopf}: "
+        f"Sq^{gap}(u*x{Monomial(lower.base_mask)})"
         f" contains u*x{Monomial(upper.base_mask)} via w{gap} = {w}")
         for (upper, lower), odd in hits.items() if odd}
 
@@ -463,10 +472,10 @@ def infer_attachments(complex_: StableCellComplex) -> StableCellComplex:
 
     Deterministic: labels depend only on the bundle data and the cell
     pair. Basepoint cells carry no labels. The labels are kept as rules:
-    one default per gap plus the Sq-detected pairs as exceptions.
+    one default per gap plus the pairs `DETECTIONS` detects as exceptions.
     """
-    exceptions = {**_detected_labels(complex_, 2),
-                  **_detected_labels(complex_, 4)}
+    exceptions = {pair: label for rule in DETECTIONS
+                  for pair, label in _detected_labels(complex_, rule).items()}
     return StableCellComplex(complex_.cells, complex_.bundle,
                              complex_.basepoint_policy,
                              LabelRules(_default_labels(complex_), exceptions),

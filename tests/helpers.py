@@ -4,7 +4,9 @@ The wedge oracle multiplies index tuples by concatenation and bubble-sorts
 with an explicit swap count; the Chern oracle expands exp(Omega) in a flat
 symbol algebra with no bitmasks and no Koszul bookkeeping; the assembly
 oracle direct-sums stems straight off the cell list; the label oracle
-writes out every attachment pair the way the library once stored them;
+writes out every attachment pair the way the library once stored them,
+deciding each Sq detection by a wedge with a Stiefel-Whitney class
+(`sq_thom`) rather than by the library's bitmask walk over `DETECTIONS`;
 the unknown-column oracle formats one note per threatening pair, pair by
 pair, the way assembly once did.
 """
@@ -166,16 +168,23 @@ def _binom(n, k):
     return out
 
 
+# -- Steenrod squares on Thom classes ---------------------------------------
+
+def sq_thom(i: int, x: ExteriorClass, bundle) -> ExteriorClass:
+    """Sq^i on a Thom-basis class u*x: the Cartan formula collapses to
+    u * (w_i wedge x) because the squares vanish on torus classes.
+
+    `x` is the base part of the class, mod 2; the Thom class u is
+    implicit, and the result is the base part of Sq^i(u*x).
+    """
+    if i not in (1, 2, 3, 4):
+        raise ValueError("sq_thom supports Sq^1..Sq^4")
+    if x.modulus != 2:
+        x = x.mod2()
+    return bundle.w_class(i).wedge(x)
+
+
 # -- dense label oracle ------------------------------------------------------
-
-def _sq_hits(w_masks, lower_mask, upper_mask):
-    """Mod-2 count: does u*x_upper appear in (w wedge x_lower)?"""
-    hits = 0
-    for wm in w_masks:
-        if not wm & lower_mask and (wm | lower_mask) == upper_mask:
-            hits ^= 1
-    return bool(hits)
-
 
 def _dense_labeler(complex_, gap):
     bundle = complex_.bundle
@@ -204,11 +213,20 @@ def _dense_labeler(complex_, gap):
         miss = AttachLabel(UNKNOWN, f"Sq^4(u*x) = u*(w4^x) misses the upper "
                            f"cell (w4 = {w}); even multiples of nu are "
                            "undetected, so the class stays unknown")
-    w_masks = tuple(m.mask for m in w.support())
+    hits_by_lower = {}
+
+    def hits(lower):
+        """The base masks of the upper cells in Sq^gap(u*x_lower)."""
+        if lower not in hits_by_lower:
+            x = ExteriorClass({lower.base_mask: 1}, bundle.base_rank,
+                              modulus=2)
+            hits_by_lower[lower] = {
+                m.mask for m in sq_thom(gap, x, bundle).support()}
+        return hits_by_lower[lower]
 
     def labeler(upper, lower):
         if (upper.fiber_part == FIBER_THOM and lower.fiber_part == FIBER_THOM
-                and _sq_hits(w_masks, lower.base_mask, upper.base_mask)):
+                and upper.base_mask in hits(lower)):
             return AttachLabel(
                 detected_value,
                 f"Sq^{gap} detects {hopf}: Sq^{gap}(u*x{Monomial(lower.base_mask)})"

@@ -6,11 +6,12 @@ import pytest
 
 from helpers import direct_sum_oracle
 from thomstem import stems
-from thomstem.ahss import (KILLED, REDUCED, VERDICT_NONTRIVIAL,
+from thomstem.ahss import (KILLED, REDUCED, SURVIVES, VERDICT_NONTRIVIAL,
                            VERDICT_TRIVIAL, VERDICT_UNKNOWN, assemble,
                            evaluate_class, vanishing_certificate)
-from thomstem.chern import (ManifoldData, connected_sum, index_bundle,
-                            make_homology_torus)
+from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
+                            connected_sum, index_bundle, make_homology_torus)
+from thomstem.exterior import ExteriorClass
 from thomstem.stems import AbelianGroup, OutOfTableError
 from thomstem.thom import (ETA_LABEL, FIBER_SPHERE_TWO, FIBER_SPHERE_ZERO,
                            NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, StableCell,
@@ -51,6 +52,106 @@ def two_cell_complex(gap: int, label_value: str) -> StableCellComplex:
     upper = synthetic_cell(1, 2 + gap)
     labels = {(upper, lower): AttachLabel(label_value, "synthetic")}
     return StableCellComplex((lower, upper), _point_bundle(), "thom", labels)
+
+
+def eta_torus_complex():
+    """Labelled Thom cells of a hand-built rank-1 quaternionic bundle over
+    T^4 with c1 = x{1,2} and c2 = -3 x{1,2,3,4}: w2 = x{1,2} puts eta
+    labels on (L | {1,2}, L) for every L off {1,2}, and w4 a nu_odd label
+    on the top cell over H{}."""
+    c1 = ExteriorClass.monomial([1, 2], 4)
+    c2 = ExteriorClass.monomial([1, 2, 3, 4], 4).scale(-3)
+    zero2 = ExteriorClass.zero(4, modulus=2)
+    bundle = BundleData(4, QUATERNIONIC, 1, c1, c2,
+                        (zero2, c1.mod2(), zero2, c2.mod2()), 1)
+    return infer_attachments(thom_cells(bundle))
+
+
+_UNKNOWN_NOTE = ("column {} marked unknown: reachable through a {} gap-{} "
+                 "label from {} (source stem {})")
+_BOUNDS_NOTE = ("{} column(s) unknown: assembled group reported as bounds "
+                "(lower = unknowns die, upper = unknowns survive)")
+
+# target -> (differentials, notes after the two fixed ones, {cell name:
+# (status, killer, reduced_index)} of every column that does not survive)
+D2_PINNED = {
+    3: (("d2: column H{} consumed as a d2 source onto H{1,2} (eta composes "
+         "injectively)",),
+        (_UNKNOWN_NOTE.format("H{1,2}", "eta", 2, "H{}", 2),
+         _BOUNDS_NOTE.format(1)),
+        {"H{}": (KILLED, "d2 into H{1,2} (source consumed)", None),
+         "H{1,2}": (UNKNOWN, None, None)}),
+    4: (("d2: column H{1,2} (Z/2) killed by composition with eta from H{}",
+         "d2: column H{} reduced to index 2 (kernel of composition with eta "
+         "into H{1,2}); still Z abstractly",
+         "d2: column H{3} consumed as a d2 source onto H{1,2,3} (eta "
+         "composes injectively)",
+         "d2: column H{4} consumed as a d2 source onto H{1,2,4} (eta "
+         "composes injectively)"),
+        (_UNKNOWN_NOTE.format("H{1,2,3}", "unknown", 3, "H{}", 1),
+         _UNKNOWN_NOTE.format("H{1,2,3}", "eta", 2, "H{3}", 2),
+         _UNKNOWN_NOTE.format("H{1,2,4}", "unknown", 3, "H{}", 1),
+         _UNKNOWN_NOTE.format("H{1,2,4}", "eta", 2, "H{4}", 2),
+         _UNKNOWN_NOTE.format("H{1,3,4}", "unknown", 3, "H{}", 1),
+         _UNKNOWN_NOTE.format("H{2,3,4}", "unknown", 3, "H{}", 1),
+         _BOUNDS_NOTE.format(4)),
+        {"H{}": (REDUCED, "d2 into H{1,2}", 2),
+         "H{3}": (KILLED, "d2 into H{1,2,3} (source consumed)", None),
+         "H{4}": (KILLED, "d2 into H{1,2,4} (source consumed)", None),
+         "H{1,2}": (KILLED, "d2 from H{}", None),
+         "H{1,2,3}": (UNKNOWN, None, None),
+         "H{1,2,4}": (UNKNOWN, None, None),
+         "H{1,3,4}": (UNKNOWN, None, None),
+         "H{2,3,4}": (UNKNOWN, None, None)}),
+    5: (("d2: column H{1,2} (Z/2) killed by composition with eta from H{}",
+         "d2: column H{1,2,3} (Z/2) killed by composition with eta from "
+         "H{3}",
+         "d2: column H{3} reduced to index 2 (kernel of composition with "
+         "eta into H{1,2,3}); still Z abstractly",
+         "d2: column H{1,2,4} (Z/2) killed by composition with eta from "
+         "H{4}",
+         "d2: column H{4} reduced to index 2 (kernel of composition with "
+         "eta into H{1,2,4}); still Z abstractly",
+         "d2: column H{3,4} consumed as a d2 source onto H{1,2,3,4} (eta "
+         "composes injectively)"),
+        ("column H{1,2,3,4} marked unknown: the d4 source H{} was reduced "
+         "by an earlier d2, so the composition with nu reaches only even "
+         "multiples",
+         _UNKNOWN_NOTE.format("H{1,3,4}", "unknown", 3, "H{}", 0),
+         _UNKNOWN_NOTE.format("H{2,3,4}", "unknown", 3, "H{}", 0),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{1}", 1),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{2}", 1),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{3}", 1),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{4}", 1),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "eta", 2, "H{3,4}", 2),
+         _BOUNDS_NOTE.format(3)),
+        {"H{3}": (REDUCED, "d2 into H{1,2,3}", 2),
+         "H{4}": (REDUCED, "d2 into H{1,2,4}", 2),
+         "H{1,2}": (KILLED, "d2 from H{}", None),
+         "H{3,4}": (KILLED, "d2 into H{1,2,3,4} (source consumed)", None),
+         "H{1,2,3}": (KILLED, "d2 from H{3}", None),
+         "H{1,2,4}": (KILLED, "d2 from H{4}", None),
+         "H{1,3,4}": (UNKNOWN, None, None),
+         "H{2,3,4}": (UNKNOWN, None, None),
+         "H{1,2,3,4}": (UNKNOWN, None, None)}),
+    6: (("d2: column H{1,2,3} (Z/2) killed by composition with eta from "
+         "H{3}",
+         "d2: column H{1,2,4} (Z/2) killed by composition with eta from "
+         "H{4}",
+         "d2: column H{1,2,3,4} (Z/2) killed by composition with eta from "
+         "H{3,4}",
+         "d2: column H{3,4} reduced to index 2 (kernel of composition with "
+         "eta into H{1,2,3,4}); still Z abstractly"),
+        (),
+        {"H{3,4}": (REDUCED, "d2 into H{1,2,3,4}", 2),
+         "H{1,2,3}": (KILLED, "d2 from H{3}", None),
+         "H{1,2,4}": (KILLED, "d2 from H{4}", None),
+         "H{1,2,3,4}": (KILLED, "d2 from H{3,4}", None)}),
+    7: (("d2: column H{1,2,3,4} (Z/2) killed by composition with eta from "
+         "H{3,4}",),
+        (),
+        {"H{1,2,3,4}": (KILLED, "d2 from H{3,4}", None)}),
+}
 
 
 class TestSec3Assembly:
@@ -214,6 +315,32 @@ class TestTwoCellComplexes:
             assemble(two_cell_complex(3, ETA_LABEL), 3)
         with pytest.raises(ValueError):
             assemble(two_cell_complex(3, NU_ODD), 2)
+
+
+class TestEtaTorusPinned:
+    """The d2 branch on a bundle with w2 != 0, pinned as the engine reads
+    it today: the kill, the index-2 reduction, the consumed source and
+    the note on a d4 source reduced by an earlier d2, at targets 3..7.
+
+    No golden and no benchmark catalogue item reaches a d2 (their bundles
+    have w2 = 0), so these literals are its only byte record. They are
+    not all sound: a column killed as a consumed d2 source leaves its
+    eta class a non-cycle, so a later change that makes an assigned
+    class a permanent cycle will change them on purpose.
+    """
+
+    @pytest.mark.parametrize("target", sorted(D2_PINNED))
+    def test_d2_text_and_columns(self, target):
+        differentials, notes, moved = D2_PINNED[target]
+        report = assemble(eta_torus_complex(), target)
+        assert report.differentials == differentials
+        assert report.notes[2:] == notes
+        assert {entry.cell.name(): (entry.status, entry.killer,
+                                    entry.reduced_index)
+                for entry in report.entries
+                if entry.status != SURVIVES} == moved
+        assert all((entry.killer, entry.reduced_index) == (None, None)
+                   for entry in report.entries if entry.status == SURVIVES)
 
 
 class TestAllTrivialOracle:

@@ -27,6 +27,20 @@ class TestHomologyTorus:
         with pytest.raises(ValueError):
             make_homology_torus(0)
 
+    def test_quad_form_is_read_only(self):
+        given = {(1, 2, 3, 4): 3}
+        m = ManifoldData(b1=4, quad_form=given)
+        with pytest.raises(TypeError):
+            m.quad_form[(1, 2, 3, 4)] = 5
+        given[(1, 2, 3, 4)] = 5
+        assert m.quad_form == {(1, 2, 3, 4): 3}
+
+    def test_equal_manifolds_hash_equal(self):
+        a, b = make_homology_torus(3), make_homology_torus(3)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_homology_torus(5, label=a.label)
+        assert len({a, b, make_homology_torus(5)}) == 2
+
     def test_quad_form_validation(self):
         with pytest.raises(ValueError):
             ManifoldData(b1=4, quad_form={(1, 2, 3): 1})

@@ -145,6 +145,16 @@ class TestExitCodes:
                               f"cannot write {out_path}: ")
         assert out == "" and not out_path.exists()
 
+    @pytest.mark.parametrize("command", [(), ("explain",)],
+                             ids=["run", "explain"])
+    def test_non_utf8_spec_names_the_flag(self, capsys, tmp_path, command):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, *command, "run", "--spec", str(spec))
+        assert code == EXIT_BAD_SPEC
+        assert err.startswith("thomstem: malformed scenario: --spec: ")
+        assert out == ""
+
     def test_missing_spec_file_is_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--spec", "/nonexistent.json")
         assert code == EXIT_BAD_SPEC

@@ -5,13 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from helpers import as_tuple_terms
-from thomstem.chern import connected_sum, index_bundle, make_homology_torus
+from helpers import as_tuple_terms, sq_thom
+from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
+                            index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
-from thomstem.thom import (FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN, StableCell,
-                           infer_attachments,
+from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_THOM,
+                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, StableCell,
+                           StableCellComplex, infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
-                           sq_thom, suspend, thom_cells)
+                           suspend, thom_cells)
 
 
 def torus_bundle(det=1):
@@ -141,6 +143,40 @@ class TestInferAttachments:
         assert basepoint is not None
         for upper, lower in complex_.attachments:
             assert basepoint not in (upper, lower)
+
+
+class TestDetections:
+    def test_detected_labels_follow_their_rule(self):
+        # w2 = x{1,2} (eta) and w4 = x{1,2,3,4} (nu_odd) on a hand-built
+        # bundle, so both rules fire
+        c1 = ExteriorClass.monomial([1, 2], 4)
+        c2 = ExteriorClass.monomial([1, 2, 3, 4], 4)
+        zero2 = ExteriorClass.zero(4, modulus=2)
+        bundle = BundleData(4, QUATERNIONIC, 1, c1, c2,
+                            (zero2, c1.mod2(), zero2, c2.mod2()), 1)
+        detected = infer_attachments(thom_cells(bundle)).attachments.detected
+        assert {label.value for _, label in detected} == {ETA_LABEL, NU_ODD}
+        for (upper, lower), label in detected:
+            rule = DETECTION_OF[label.value]
+            assert upper.dim - lower.dim == rule.gap
+            assert label.justification.startswith(
+                f"Sq^{rule.gap} detects {rule.hopf}: ")
+
+    @pytest.mark.parametrize("value, gap, message", [
+        (ETA_LABEL, 3, "label eta on a gap-3 attachment H{1,2,3} -> H{}: "
+                       "d2 spans gap 2 only"),
+        (NU_ODD, 2, "label nu_odd on a gap-2 attachment H{1,2} -> H{}: "
+                    "d4 spans gap 4 only"),
+    ])
+    def test_detected_label_off_its_gap_is_rejected_when_built(
+            self, value, gap, message):
+        # before any assembly runs
+        lower = StableCell(0, FIBER_THOM, 4)
+        upper = StableCell((1 << gap) - 1, FIBER_THOM, 4)
+        with pytest.raises(ValueError) as err:
+            StableCellComplex((lower, upper), torus_bundle(), "thom",
+                              {(upper, lower): AttachLabel(value, "hand")})
+        assert str(err.value) == message
 
 
 class TestSuspend:
