@@ -10,8 +10,7 @@ from .ahss import (ColumnEntry, GroupReport, assemble, evaluate_class,
                    vanishing_certificate)
 from .chern import (BundleData, ManifoldData, chern_character_index,
                     connected_sum, index_bundle, make_homology_torus)
-from .exterior import (ExteriorClass, Monomial, RankMismatchError, add, mod2,
-                       scale, sq_torus, top_coefficient, wedge)
+from .exterior import ExteriorClass, Monomial, RankMismatchError, sq_torus
 from .stems import (AbelianGroup, OutOfTableError, StemElement, compose,
                     eta, eta_sq, nu_multiple, one, stem_group, zero)
 from .thom import (AttachLabel, AttachmentView, LabelRules, StableCell,
@@ -23,13 +22,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup", "AttachLabel", "AttachmentView", "BundleData",
     "ColumnEntry", "ExteriorClass", "GroupReport", "LabelRules",
-    "ManifoldData",
-    "Monomial", "OutOfTableError", "RankMismatchError", "StableCell",
-    "StableCellComplex", "StemElement", "add", "assemble",
+    "ManifoldData", "Monomial", "OutOfTableError", "RankMismatchError",
+    "StableCell", "StableCellComplex", "StemElement", "assemble",
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",
     "evaluate_class", "index_bundle", "infer_attachments",
-    "make_homology_torus", "mod2", "nu_multiple", "one", "scale",
-    "skeletal_quotient", "sphere_bundle_quotient", "sq_torus",
-    "stem_group", "suspend", "thom_cells", "top_coefficient",
-    "vanishing_certificate", "wedge", "zero",
+    "make_homology_torus", "nu_multiple", "one", "skeletal_quotient",
+    "sphere_bundle_quotient", "sq_torus", "stem_group", "suspend",
+    "thom_cells", "vanishing_certificate", "zero",
 ]

@@ -404,7 +404,7 @@ def vanishing_certificate(report: GroupReport,
             line += f" [{entry.killer}]"
         lines.append(line)
         labels = report.complex.attachments
-        if entry.status == KILLED and labels:
+        if entry.status == KILLED and labels is not None:
             for (upper, _), label in labels.detected:
                 if upper == cell:
                     lines.append(f"  label {label.value}: {label.justification}")

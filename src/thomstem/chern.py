@@ -65,7 +65,7 @@ class ManifoldData:
         return self.quad_form.get(tuple(subset), 0)
 
 
-def make_homology_torus(determinant: int, label: str = None) -> ManifoldData:
+def make_homology_torus(determinant: int) -> ManifoldData:
     """A homology 4-torus: b1 = 4, signature 0, b+ = 3, given determinant."""
     if determinant == 0:
         raise ValueError("determinant must be nonzero (degenerate cup form)")
@@ -74,7 +74,7 @@ def make_homology_torus(determinant: int, label: str = None) -> ManifoldData:
         quad_form={(1, 2, 3, 4): determinant},
         signature=0,
         b_plus=3,
-        label=label or f"T(det={determinant})",
+        label=f"T(det={determinant})",
     )
 
 

@@ -73,7 +73,7 @@ def _load_spec(args) -> ScenarioSpec:
             raise SpecError("--spec", f"cannot read {args.spec}: {exc}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError("--spec", f"not valid UTF-8 JSON: {exc}")
-        spec = pipeline.parse_scenario(data, source="spec")
+        spec = pipeline.parse_scenario(data)
     else:
         for flag in _DET_FLAGS[args.scenario]:
             if getattr(args, flag) == 0:

@@ -152,9 +152,6 @@ class ExteriorClass:
         for mask in sorted(self._terms):
             yield Monomial(mask), self._terms[mask]
 
-    def coefficient(self, key: MonomialKey) -> int:
-        return self._terms.get(_as_mask(key), 0)
-
     def support(self) -> Tuple[Monomial, ...]:
         return tuple(Monomial(m) for m in sorted(self._terms))
 
@@ -229,28 +226,6 @@ class ExteriorClass:
         """Coefficient of the full monomial {1..b} (the orientation class)."""
         return self._terms.get((1 << self.ambient_rank) - 1, 0)
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.wedge(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __xor__(self, other):
-        return self.wedge(other)
-
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other):
@@ -267,7 +242,7 @@ class ExteriorClass:
         tag = " mod 2" if self.modulus else ""
         return f"<ExteriorClass rank {self.ambient_rank}{tag}: {self.format()}>"
 
-    def format(self, symbol: str = "a") -> str:
+    def format(self) -> str:
         if not self._terms:
             return "0"
         parts = []
@@ -275,40 +250,17 @@ class ExteriorClass:
             if mono.mask == 0:
                 parts.append(str(coeff))
             elif coeff == 1:
-                parts.append(f"{symbol}{mono}")
+                parts.append(f"a{mono}")
             elif coeff == -1:
-                parts.append(f"-{symbol}{mono}")
+                parts.append(f"-a{mono}")
             else:
-                parts.append(f"{coeff}*{symbol}{mono}")
+                parts.append(f"{coeff}*a{mono}")
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
     __str__ = format
-
-
-# Module-level spellings of the operations, matching how they read in the
-# calculus: wedge(a, b), add(a, b), scale(n, a), mod2(a), ...
-
-def wedge(a: ExteriorClass, b: ExteriorClass) -> ExteriorClass:
-    return a.wedge(b)
-
-
-def add(a: ExteriorClass, b: ExteriorClass) -> ExteriorClass:
-    return a.add(b)
-
-
-def scale(n: int, a: ExteriorClass) -> ExteriorClass:
-    return a.scale(n)
-
-
-def mod2(a: ExteriorClass) -> ExteriorClass:
-    return a.mod2()
-
-
-def top_coefficient(a: ExteriorClass) -> int:
-    return a.top_coefficient()
 
 
 def sq_torus(i: int, x: ExteriorClass) -> ExteriorClass:

@@ -1,15 +1,15 @@
 """Scenario plumbing: building manifolds from structured specs, running the
 manifold -> bundle -> complex -> assembly pipeline, and rendering reports.
 
-The built-in presets live here as read-only scenario builders; custom
-scenarios come in through the versioned JSON schema documented in the
-README (quad-form rows are written "[i,j,k,l] = value").
+The built-in presets and custom scenarios alike are documents in the
+versioned JSON schema documented in the README (quad-form rows are written
+"[i,j,k,l] = value"), checked by `parse_scenario`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
@@ -30,7 +30,13 @@ SCHEMA_REPORT = "thomstem-report/1"
 PIPELINE_THOM = "thom"
 PIPELINE_SPHERE = "sphere_quotient"
 
-PRESET_NAMES = ("paper-sec3", "paper-sec4", "paper-sec5")
+# preset -> (pipeline, suspensions, skeletal_cut, element on the top cell)
+_PRESETS = {
+    "paper-sec3": (PIPELINE_THOM, 0, 5, "eta"),
+    "paper-sec4": (PIPELINE_THOM, 1, None, "nu_multiple(12)"),
+    "paper-sec5": (PIPELINE_SPHERE, 2, None, "eta_sq"),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: thom
@@ -50,10 +56,13 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A fully resolved scenario: what to build and what class to evaluate."""
+    """A fully resolved scenario: what to build and what class to evaluate.
+
+    Each manifold entry is a read-only mapping, left out of the hash.
+    """
 
     name: str
-    manifolds: Tuple[Mapping, ...]
+    manifolds: Tuple[Mapping, ...] = field(hash=False)
     pipeline: str = PIPELINE_THOM
     suspensions: int = 0
     skeletal_cut: Optional[int] = None
@@ -72,38 +81,24 @@ class ScenarioSpec:
 def preset(name: str, det: int = 1, det1: int = 1, det2: int = 1) -> ScenarioSpec:
     """The read-only built-in presets.
 
+    Each preset is a scenario document checked by `parse_scenario`, so a
+    bad argument fails with a `SpecError` that names the field.
+
     The `paper-sec5` verdict does not depend on `det1` and `det2`: the
     sphere quotient has w = 0, so it is `nontrivial` for det 2,4 too,
     while the paper's theorem needs both determinants odd. Its `eta_sq`
     on the top cell is a hypothesis input, like every class assignment,
     not a class derived from the determinants.
     """
-    if name == "paper-sec3":
-        return ScenarioSpec(
-            name=name,
-            manifolds=({"determinant": det},),
-            pipeline=PIPELINE_THOM,
-            suspensions=0,
-            skeletal_cut=5,
-            class_assignment=(("top", "eta"),),
-        )
-    if name == "paper-sec4":
-        return ScenarioSpec(
-            name=name,
-            manifolds=({"determinant": det1}, {"determinant": det2}),
-            pipeline=PIPELINE_THOM,
-            suspensions=1,
-            class_assignment=(("top", "nu_multiple(12)"),),
-        )
-    if name == "paper-sec5":
-        return ScenarioSpec(
-            name=name,
-            manifolds=({"determinant": det1}, {"determinant": det2}),
-            pipeline=PIPELINE_SPHERE,
-            suspensions=2,
-            class_assignment=(("top", "eta_sq"),),
-        )
-    raise SpecError("scenario", f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise SpecError("scenario", f"unknown preset {name!r}")
+    pipeline, suspensions, cut, element = _PRESETS[name]
+    dets = (det,) if name == "paper-sec3" else (det1, det2)
+    return parse_scenario({
+        "schema": SCHEMA_SCENARIO, "name": name, "pipeline": pipeline,
+        "manifolds": [{"determinant": d} for d in dets],
+        "suspensions": suspensions, "skeletal_cut": cut,
+        "class_assignment": [{"cell": "top", "element": element}]})
 
 
 # -- structured-text scenario files ------------------------------------
@@ -112,51 +107,51 @@ _QUAD_ROW = re.compile(r"^\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]
                        r"\s*=\s*(-?\d+)\s*$")
 
 
-def parse_scenario(data: Mapping, source: str = "spec") -> ScenarioSpec:
+def parse_scenario(data: Mapping) -> ScenarioSpec:
     """Validate a scenario mapping (already JSON-decoded) into a spec."""
     if not isinstance(data, Mapping):
-        raise SpecError(source, "scenario must be a JSON object")
+        raise SpecError("spec", "scenario must be a JSON object")
     schema = data.get("schema")
     if schema != SCHEMA_SCENARIO:
-        raise SpecError(f"{source}.schema",
+        raise SpecError("spec.schema",
                         f"expected {SCHEMA_SCENARIO!r}, got {schema!r}")
     name = data.get("name", "custom")
     if not isinstance(name, str):
-        raise SpecError(f"{source}.name", "must be a string")
+        raise SpecError("spec.name", "must be a string")
     pipeline = data.get("pipeline", PIPELINE_THOM)
     if pipeline not in (PIPELINE_THOM, PIPELINE_SPHERE):
-        raise SpecError(f"{source}.pipeline",
+        raise SpecError("spec.pipeline",
                         f"must be {PIPELINE_THOM!r} or {PIPELINE_SPHERE!r}")
     manifolds = data.get("manifolds")
     if not _is_list(manifolds):
-        raise SpecError(f"{source}.manifolds", "must be a list")
+        raise SpecError("spec.manifolds", "must be a list")
     resolved = []
     for i, m in enumerate(manifolds):
-        resolved.append(_check_manifold(m, f"{source}.manifolds[{i}]"))
+        resolved.append(_check_manifold(m, f"spec.manifolds[{i}]"))
     total_b1 = sum(m.get("b1", 4) for m in resolved)
     if total_b1 > MAX_TOTAL_B1:
-        raise SpecError(f"{source}.manifolds",
+        raise SpecError("spec.manifolds",
                         f"total b1 = {total_b1} exceeds the limit of "
                         f"{MAX_TOTAL_B1} (a homology torus counts 4)")
     if sum(m.get("signature", 0) for m in resolved):
         first = next(i for i, m in enumerate(resolved) if m.get("signature"))
-        raise SpecError(f"{source}.manifolds[{first}].signature",
+        raise SpecError(f"spec.manifolds[{first}].signature",
                         "signatures must sum to 0: the A-hat factor is "
                         "fixed to 1")
     for key in ("suspensions", "target_shift"):
         if key in data and not _is_int(data[key]):
-            raise SpecError(f"{source}.{key}", "must be an integer")
+            raise SpecError(f"spec.{key}", "must be an integer")
     if data.get("suspensions", 0) < 0:
-        raise SpecError(f"{source}.suspensions", "must be nonnegative")
+        raise SpecError("spec.suspensions", "must be nonnegative")
     cut = data.get("skeletal_cut")
     if cut is not None and not _is_int(cut):
-        raise SpecError(f"{source}.skeletal_cut", "must be an integer or null")
+        raise SpecError("spec.skeletal_cut", "must be an integer or null")
     rows = data.get("class_assignment", [])
     if not _is_list(rows):
-        raise SpecError(f"{source}.class_assignment", "must be a list")
+        raise SpecError("spec.class_assignment", "must be a list")
     assignment = []
     for i, row in enumerate(rows):
-        where = f"{source}.class_assignment[{i}]"
+        where = f"spec.class_assignment[{i}]"
         if not isinstance(row, Mapping) or "cell" not in row or "element" not in row:
             raise SpecError(where, "needs 'cell' and 'element' fields")
         _parse_element(row["element"], where + ".element")  # validate early
@@ -189,7 +184,7 @@ def _check_manifold(m, where: str) -> Mapping:
     if "determinant" in m:
         if not _is_int(m["determinant"]) or m["determinant"] == 0:
             raise SpecError(f"{where}.determinant", "must be a nonzero integer")
-        return {"determinant": m["determinant"]}
+        return MappingProxyType({"determinant": m["determinant"]})
     if "b1" not in m:
         raise SpecError(where, "needs 'determinant' or an explicit 'b1' block")
     out = {"b1": m["b1"], "signature": m.get("signature", 0),
@@ -220,7 +215,8 @@ def _check_manifold(m, where: str) -> Mapping:
                             "indices must ascend strictly within "
                             f"1..b1 = {out['b1']}")
         out["quad_form"][subset] = int(match.group(5))
-    return out
+    out["quad_form"] = MappingProxyType(out["quad_form"])
+    return MappingProxyType(out)
 
 
 def _freeze_selector(selector, where: str):
@@ -286,10 +282,7 @@ def resolve_manifold(spec: ScenarioSpec) -> ManifoldData:
         if "determinant" in m:
             built.append(make_homology_torus(m["determinant"]))
         else:
-            built.append(ManifoldData(
-                b1=m["b1"], quad_form=m["quad_form"],
-                signature=m.get("signature", 0), b_plus=m.get("b_plus", 3),
-                label=m.get("label", "M")))
+            built.append(ManifoldData(**m))
     if not built:
         raise SpecError("spec.manifolds", "at least one manifold is required")
     out = built[0]

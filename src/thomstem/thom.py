@@ -159,7 +159,7 @@ class AttachmentView(Mapping):
     """
 
     __slots__ = ("rules", "exceptions", "detected", "_cells", "_proper",
-                 "_by_dim", "_gaps", "_by_upper", "_len")
+                 "_by_dim", "_gaps", "_by_upper")
 
     def __init__(self, cells: Tuple[StableCell, ...],
                  proper_cells: Tuple[StableCell, ...], rules: LabelRules):
@@ -198,8 +198,6 @@ class AttachmentView(Mapping):
         self._by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
         for (upper, lower), label in self.exceptions:
             self._by_upper.setdefault(upper, {})[lower] = label
-        self._len = sum(self._pairs_at(gap) for gap in defaults) + sum(
-            1 for pair in exceptions if not self._covered(*pair))
 
     def _pairs_at(self, gap: int) -> int:
         return sum(len(uppers) * len(self._by_dim.get(dim - gap, ()))
@@ -222,7 +220,7 @@ class AttachmentView(Mapping):
         raise KeyError(pair)
 
     def __len__(self) -> int:
-        return self._len
+        return sum(self.counts().values())
 
     def __iter__(self) -> Iterator[Pair]:
         return (pair for pair, _ in self._items())
@@ -307,9 +305,9 @@ class StableCellComplex:
 
     `attachments` maps (upper, lower) cell pairs with dimension gap 1..4
     to labels; it is None until infer_attachments has run. It may be
-    given as `LabelRules`, as another complex's `AttachmentView`, or as a
-    plain mapping of hand-built labels (exceptions with no defaults); it
-    is always stored as an `AttachmentView` over this complex's cells.
+    given as `LabelRules` or as a plain mapping of hand-built labels
+    (exceptions with no defaults); it is always stored as an
+    `AttachmentView` over this complex's cells.
     `gap3_trivial` is the geometric flag (pi_2(SO(3)) = 1) that
     sphere-bundle complexes carry, upgrading gap-3 labels from unknown to
     trivial.
@@ -327,9 +325,7 @@ class StableCellComplex:
         labels = self.attachments
         if labels is None:
             return
-        if isinstance(labels, AttachmentView):
-            labels = labels.rules
-        elif not isinstance(labels, LabelRules):
+        if not isinstance(labels, LabelRules):
             labels = LabelRules({}, labels)
         object.__setattr__(self, "attachments", AttachmentView(
             self.cells, self.proper_cells, labels))

@@ -394,6 +394,13 @@ class TestGuards:
         names = {e.cell.name() for e in report.entries}
         assert complex_.basepoint_cell.name() not in names
 
+    def test_class_on_basepoint_rejected(self):
+        complex_ = infer_attachments(thom_cells(index_bundle(
+            make_homology_torus(3))))
+        report = assemble(complex_, 7)
+        with pytest.raises(ValueError, match="carries no assembly column"):
+            evaluate_class(report, {complex_.basepoint_cell: stems.eta()})
+
 
 class TestCertificates:
     def test_sec4_certificate_names_the_rules(self):

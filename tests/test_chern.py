@@ -38,7 +38,8 @@ class TestHomologyTorus:
     def test_equal_manifolds_hash_equal(self):
         a, b = make_homology_torus(3), make_homology_torus(3)
         assert a == b and hash(a) == hash(b)
-        assert a != make_homology_torus(5, label=a.label)
+        assert a != ManifoldData(b1=4, quad_form={(1, 2, 3, 4): 5},
+                                 label=a.label)
         assert len({a, b, make_homology_torus(5)}) == 2
 
     def test_quad_form_validation(self):

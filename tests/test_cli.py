@@ -159,6 +159,27 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "--spec", "/nonexistent.json")
         assert code == EXIT_BAD_SPEC
 
+    def test_run_without_spec_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "run")
+        assert (code, out) == (EXIT_BAD_SPEC, "")
+        assert err == ("thomstem: malformed scenario: --spec: the 'run' "
+                       "scenario needs --spec FILE\n")
+
+    @pytest.mark.parametrize("document, message", [
+        ([1, 2], "spec: scenario must be a JSON object"),
+        ({"schema": "thomstem-scenario/1", "manifolds": [3]},
+         "spec.manifolds[0]: must be an object"),
+        ({"schema": "thomstem-scenario/1", "manifolds": [{"label": "x"}]},
+         "spec.manifolds[0]: needs 'determinant' or an explicit 'b1' block"),
+    ], ids=["not-an-object", "manifold-not-an-object", "manifold-no-b1"])
+    def test_malformed_document_is_exit_two(self, capsys, tmp_path,
+                                            document, message):
+        spec = tmp_path / "malformed.json"
+        spec.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "run", "--spec", str(spec))
+        assert (code, out) == (EXIT_BAD_SPEC, "")
+        assert err == f"thomstem: malformed scenario: {message}\n"
+
 
 _MALFORMED_BASE = {
     "schema": "thomstem-scenario/1",
@@ -278,13 +299,13 @@ class TestSizeLimit:
                 "manifolds": [{"b1": b} for b in b1s]}
 
     def test_limit_is_inclusive(self):
-        spec = parse_scenario(self._spec(MAX_TOTAL_B1), source="spec")
+        spec = parse_scenario(self._spec(MAX_TOTAL_B1))
         assert spec.manifolds[0]["b1"] == MAX_TOTAL_B1
 
     @pytest.mark.parametrize("b1s", [(13,), (40,), (6, 7)])
     def test_total_above_limit_rejected(self, b1s):
         with pytest.raises(SpecError) as err:
-            parse_scenario(self._spec(*b1s), source="spec")
+            parse_scenario(self._spec(*b1s))
         assert err.value.pointer == "spec.manifolds"
         assert f"total b1 = {sum(b1s)}" in str(err.value)
 
@@ -292,8 +313,40 @@ class TestSizeLimit:
         raw = {**_MALFORMED_BASE, "manifolds": [
             {"determinant": 3}, {"determinant": 5}, {"b1": 5}]}
         with pytest.raises(SpecError) as err:
-            parse_scenario(raw, source="spec")
+            parse_scenario(raw)
         assert "total b1 = 13" in str(err.value)
+
+
+class TestPresetSpecs:
+    """Presets are scenario documents checked by `parse_scenario`."""
+
+    def test_unknown_preset(self):
+        with pytest.raises(SpecError) as err:
+            pipeline.preset("paper-sec9")
+        assert err.value.pointer == "scenario"
+
+    def test_zero_determinant_names_the_field(self):
+        with pytest.raises(SpecError) as err:
+            pipeline.preset("paper-sec3", det=0)
+        assert err.value.pointer == "spec.manifolds[0].determinant"
+
+    def test_manifold_entries_are_read_only(self):
+        spec = pipeline.preset("paper-sec4", det1=3, det2=5)
+        with pytest.raises(TypeError):
+            spec.manifolds[1]["determinant"] = 4
+        block = parse_scenario({**_MALFORMED_BASE, "manifolds": [
+            {"b1": 4, "quad_form": ["[1,2,3,4] = 3"]}]})
+        with pytest.raises(TypeError):
+            block.manifolds[0]["b1"] = 5
+        with pytest.raises(TypeError):
+            block.manifolds[0]["quad_form"][(1, 2, 3, 4)] = 4
+
+    def test_equal_specs_hash_equal(self):
+        a = pipeline.preset("paper-sec4", det1=3, det2=5)
+        b = pipeline.preset("paper-sec4", det1=3, det2=5)
+        assert a == b and hash(a) == hash(b)
+        assert a != pipeline.preset("paper-sec4", det1=3, det2=7)
+        assert len({a, b, pipeline.preset("paper-sec5", det1=3, det2=5)}) == 2
 
 
 # A second valid spec for the fuzz test: an explicit b1 block and a base
@@ -424,6 +477,14 @@ class TestExplain:
         assert code == EXIT_OK
         assert "trivial bundle, sphere model" in out
 
+    def test_trivial_bundle_over_a_torus(self, capsys, tmp_path):
+        spec = tmp_path / "torus.json"
+        spec.write_text(json.dumps({"schema": "thomstem-scenario/1",
+                                    "manifolds": [{"b1": 2}]}))
+        code, out, _ = run_cli(capsys, "explain", "run", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert "\ntrivial bundle (c2 = 0)\n" in out
+
     def test_explain_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "explain", "paper-sec4",
                               "--det1", "3", "--det2", "5")
@@ -438,6 +499,13 @@ class TestTextOutput:
         assert code == EXIT_OK
         assert "verdict: nontrivial" in out
         assert "Z^4 + Z/2" in out
+
+    def test_unknown_verdict_prints_bounds(self, capsys):
+        code, out, _ = run_cli(capsys, "paper-sec4", "--det1", "2",
+                               "--det2", "4", "--text")
+        assert code == EXIT_UNKNOWN
+        assert re.search(r"^assembled: bounds \S.* \.\. \S", out, re.M)
+        assert "verdict: unknown" in out
 
     def test_color_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THOMSTEM_COLOR", "1")
