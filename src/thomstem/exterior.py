@@ -10,11 +10,31 @@ permutation) are exact. Values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 
 class RankMismatchError(ValueError):
     """Operands live in exterior algebras of different ambient rank."""
+
+
+# mask -> (ascending generator indices, their digit text "1,2,4"), filled
+# on demand: each mask is read off and formatted once per process, however
+# many monomials and cells carry it. Keyed by mask, never a dense 2^b
+# array, so a mask of rank 80 costs one entry.
+_MASK_TEXT: Dict[int, Tuple[Tuple[int, ...], str]] = {}
+
+
+def mask_text(mask: int) -> Tuple[Tuple[int, ...], str]:
+    """(ascending indices, comma-joined digits) of a generator bitmask."""
+    entry = _MASK_TEXT.get(mask)
+    if entry is None:
+        out, rest = [], mask
+        while rest:                     # one step per set bit, lowest first
+            low = rest & -rest
+            out.append(low.bit_length())
+            rest ^= low
+        entry = _MASK_TEXT[mask] = (tuple(out), ",".join(map(str, out)))
+    return entry
 
 
 @dataclass(frozen=True)
@@ -37,12 +57,7 @@ class Monomial:
 
     @property
     def indices(self) -> Tuple[int, ...]:
-        out, mask = [], self.mask
-        while mask:                     # one step per set bit, lowest first
-            low = mask & -mask
-            out.append(low.bit_length())
-            mask ^= low
-        return tuple(out)
+        return mask_text(self.mask)[0]
 
     @property
     def degree(self) -> int:
@@ -51,7 +66,7 @@ class Monomial:
     def __str__(self) -> str:
         if not self.mask:
             return "1"
-        return "{" + ",".join(str(k) for k in self.indices) + "}"
+        return "{" + mask_text(self.mask)[1] + "}"
 
 
 MonomialKey = Union[Monomial, int, Iterable[int]]

@@ -20,9 +20,10 @@ from .ahss import (GroupReport, assemble, evaluate_class, stem_groups,
                    vanishing_certificate)
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
-from .thom import (BASEPOINT_NOTE, StableCell, StableCellComplex,
-                   infer_attachments, label_counts, skeletal_quotient,
-                   sphere_bundle_quotient, suspend, thom_cells)
+from .thom import (BASEPOINT_NOTE, FIBER_PARTS, FIBER_THOM, StableCell,
+                   StableCellComplex, infer_attachments, label_counts,
+                   skeletal_quotient, sphere_bundle_quotient, suspend,
+                   thom_cells)
 
 SCHEMA_SCENARIO = "thomstem-scenario/1"
 SCHEMA_REPORT = "thomstem-report/1"
@@ -40,8 +41,8 @@ PRESET_NAMES = tuple(_PRESETS)
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: thom
-# b1 = 12 takes 0.27 s to run and 0.41 s to render, and gives a 114 MB
-# report (860k notes) at 396 MB peak RSS (best of 3 fresh processes,
+# b1 = 12 takes 0.28 s to run and 0.40 s to render, and gives a 114 MB
+# report (860k notes) at 392 MB peak RSS (best of 3 fresh processes,
 # Python 3.11, 2-vCPU VM).
 MAX_TOTAL_B1 = 12
 
@@ -232,7 +233,11 @@ def _freeze_selector(selector, where: str):
                                 "generator indices are integers >= 1")
         if len(set(base)) != len(base):
             raise SpecError(f"{where}.base", "repeats a generator index")
-        return (tuple(base), selector.get("fiber", "thom"))
+        fiber = selector.get("fiber", FIBER_THOM)
+        if fiber not in FIBER_PARTS:
+            raise SpecError(f"{where}.fiber", "must be one of " + ", ".join(
+                map(repr, FIBER_PARTS)))
+        return (tuple(base), fiber)
     raise SpecError(where, 'must be "top" or {"base": [...], "fiber": ...}')
 
 
@@ -415,6 +420,9 @@ def complex_to_dict(complex_: StableCellComplex) -> dict:
 
 
 def _assembly_dict(report: GroupReport) -> dict:
+    # a report holds a few group objects, one per stem, over many columns
+    groups = {id(entry.group): entry.group for entry in report.entries}
+    pretty = {key: group.pretty() for key, group in groups.items()}
     runs = []   # a new run wherever the optional reduced_index key appears
     for reduced, run in groupby(report.entries,
                                 lambda entry: entry.reduced_index is not None):
@@ -423,7 +431,7 @@ def _assembly_dict(report: GroupReport) -> dict:
             "cell": [entry.cell.name() for entry in run],
             "dim": [entry.cell.dim for entry in run],
             "stem": [entry.stem_q for entry in run],
-            "group": [entry.group.pretty() for entry in run],
+            "group": [pretty[id(entry.group)] for entry in run],
             "status": [entry.status for entry in run],
             "killer": [entry.killer for entry in run],
         })
@@ -633,9 +641,24 @@ def _column_texts(values: list, newline: str) -> List[str]:
     inner = newline + "  "
     sep = "," + inner
     return [_SCALARS[type(value)](value) if type(value) in _SCALARS else
-            "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]"
-            if value else "[]"
+            "[" + inner + _int_list_text(value).replace(",", sep)
+            + newline + "]" if value else "[]"
             for value in values]
+
+
+# the digits of each int list a report row holds, "1,2,4", joined once per
+# process: a base index tuple recurs in every report over the same torus.
+# Keyed by tuple, so read only once the caller has checked that every item
+# is an exact int: (True,) == (1,) and the two hash alike.
+_INT_LIST_TEXT: Dict[tuple, str] = {}
+
+
+def _int_list_text(value) -> str:
+    key = tuple(value)
+    text = _INT_LIST_TEXT.get(key)
+    if text is None:
+        text = _INT_LIST_TEXT[key] = ",".join(map(int.__repr__, key))
+    return text
 
 
 def explain_text(spec: ScenarioSpec) -> str:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .chern import QUATERNIONIC, REAL, BundleData
-from .exterior import ExteriorClass, Monomial
+from .exterior import ExteriorClass, Monomial, mask_text
 
 # Fiber kinds and the dimension they add on top of the base subset.
 FIBER_POINT = "point"            # basepoint at infinity (Thom construction)
@@ -25,8 +25,8 @@ FIBER_THOM = "thom"              # the 4m-cell of the quaternionic fiber
 FIBER_SPHERE_ZERO = "sphere_zero"  # 0-cell of the S^2 fiber
 FIBER_SPHERE_TWO = "sphere_two"    # 2-cell of the S^2 fiber
 
-_FIBER_ORDER = {FIBER_POINT: 0, FIBER_THOM: 1, FIBER_SPHERE_ZERO: 2,
-                FIBER_SPHERE_TWO: 3}
+FIBER_PARTS = (FIBER_POINT, FIBER_THOM, FIBER_SPHERE_ZERO, FIBER_SPHERE_TWO)
+_FIBER_ORDER = {part: i for i, part in enumerate(FIBER_PARTS)}
 _FIBER_TAG = {FIBER_POINT: "*", FIBER_THOM: "H", FIBER_SPHERE_ZERO: "S0",
               FIBER_SPHERE_TWO: "S2"}
 
@@ -95,15 +95,7 @@ class StableCell:
 
     @property
     def base_indices(self) -> Tuple[int, ...]:
-        # read off the mask once and, like the name formatted from it,
-        # kept outside the dataclass fields, so ==, hash and repr do not
-        # see it; getattr with a default raises no AttributeError, and
-        # reading self.__dict__ would slow every later attribute load
-        base = getattr(self, "_base", None)
-        if base is None:
-            base = Monomial(self.base_mask).indices
-            object.__setattr__(self, "_base", base)
-        return base
+        return mask_text(self.base_mask)[0]
 
     def suspended(self, k: int) -> "StableCell":
         return StableCell(self.base_mask, self.fiber_part, self.fiber_offset,
@@ -113,10 +105,14 @@ class StableCell:
         return self._key
 
     def name(self) -> str:
+        # formatted once per cell and kept outside the dataclass fields,
+        # so ==, hash and repr do not see it; getattr with a default
+        # raises no AttributeError, and reading self.__dict__ would slow
+        # every later attribute load
         out = getattr(self, "_name", None)
         if out is None:
             out = (f"{_FIBER_TAG[self.fiber_part]}"
-                   f"{{{','.join(map(str, self.base_indices))}}}")
+                   f"{{{mask_text(self.base_mask)[1]}}}")
             if self.suspension:
                 out += f"+{self.suspension}"
             object.__setattr__(self, "_name", out)
@@ -456,10 +452,11 @@ def _detected_labels(complex_: StableCellComplex, rule: Detection
             upper = None if wm & mask else thom.get((mask | wm, dim + gap))
             if upper is not None:
                 hits[(upper, lower)] = hits.get((upper, lower), 0) ^ 1
+    via = f" via w{gap} = {w}"      # one text of w for every pair
     return {(upper, lower): AttachLabel(
         rule.value, f"Sq^{gap} detects {rule.hopf}: "
         f"Sq^{gap}(u*x{Monomial(lower.base_mask)})"
-        f" contains u*x{Monomial(upper.base_mask)} via w{gap} = {w}")
+        f" contains u*x{Monomial(upper.base_mask)}{via}")
         for (upper, lower), odd in hits.items() if odd}
 
 

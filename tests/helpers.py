@@ -8,7 +8,8 @@ writes out every attachment pair the way the library once stored them,
 deciding each Sq detection by a wedge with a Stiefel-Whitney class
 (`sq_thom`) rather than by the library's bitmask walk over `DETECTIONS`;
 the unknown-column oracle formats one note per threatening pair, pair by
-pair, the way assembly once did.
+pair, the way assembly once did; the monomial-text oracle reads a mask off
+bit by bit on every call, the way each monomial and cell once did.
 """
 
 import random
@@ -56,6 +57,25 @@ def bubble_wedge(a_terms, b_terms):
 
 def as_tuple_terms(cls: ExteriorClass):
     return {mono.indices: coeff for mono, coeff in cls.terms()}
+
+
+# -- monomial-text oracle: a fresh bit loop per call ---------------------
+
+def bit_loop_indices(mask):
+    """Ascending generator indices of a bitmask, lowest set bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def bit_loop_str(mask):
+    """The text of `Monomial(mask)`: "1" for the empty monomial."""
+    if not mask:
+        return "1"
+    return "{" + ",".join(str(k) for k in bit_loop_indices(mask)) + "}"
 
 
 # -- random class generator ----------------------------------------------

@@ -225,8 +225,9 @@ class TestInputContract:
             "class_assignment[0].cell"),
         ({"class_assignment": [{"cell": {"base": [1, 1]}, "element": "zero"}]},
          "spec.class_assignment[0].cell.base"),
+        # a fiber part the thom pipeline does not build
         _resolve_time(11, {"class_assignment": [
-            {"cell": {"base": [1], "fiber": "H"}, "element": "zero"}]},
+            {"cell": {"base": [1], "fiber": "sphere_two"}, "element": "zero"}]},
             "class_assignment[0].cell"),
         ({"manifolds": [{"b1": 4, "quad_form": ["[2,1,3,4] = 1"]}]},
          "spec.manifolds[0].quad_form[0]"),
@@ -259,6 +260,13 @@ class TestInputContract:
         # the size limit, checked before anything is built
         ({"manifolds": [{"determinant": 3}, {"b1": 9}]}, "spec.manifolds"),
         ({"manifolds": [{"b1": 40}]}, "spec.manifolds"),
+        # a fiber that is not one of the four fiber-part names
+        ({"class_assignment": [{"cell": {"base": [1], "fiber": "H"},
+                                "element": "zero"}]},
+         "spec.class_assignment[0].cell.fiber"),
+        ({"class_assignment": [{"cell": {"base": [1], "fiber": ["thom"]},
+                                "element": "zero"}]},
+         "spec.class_assignment[0].cell.fiber"),
     ])
     def test_exit_two_names_the_field(self, capsys, tmp_path, patch, pointer):
         spec = tmp_path / "malformed.json"

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from helpers import as_tuple_terms, bubble_wedge, random_class
+from helpers import (as_tuple_terms, bit_loop_indices, bit_loop_str,
+                     bubble_wedge, random_class)
+from thomstem import exterior
 from thomstem.exterior import (ExteriorClass, Monomial, RankMismatchError,
                                sq_torus)
 
@@ -141,6 +143,38 @@ class TestMonomial:
     def test_repeated_index_rejected(self):
         with pytest.raises(ValueError):
             Monomial.from_indices([1, 1])
+
+
+# every mask of the spec limit (b1 <= 12), and masks past the machine words
+TEXT_MASKS = [*range(1 << 12), 1 << 40, 1 << 63, 1 << 64, 1 << 79,
+              (1 << 79) | (1 << 64) | (1 << 63) | (1 << 40) | 0b101,
+              (1 << 64) - 1, (1 << 80) - 1]
+
+
+class TestMaskText:
+    """Indices and text come from the mask table: equal to a fresh bit
+    loop, and the same objects on every read."""
+
+    def test_indices_and_text_match_the_bit_loop(self):
+        for mask in TEXT_MASKS:
+            mono = Monomial(mask)
+            assert mono.indices == bit_loop_indices(mask), mask
+            assert str(mono) == bit_loop_str(mask), mask
+            assert Monomial(mask).indices is mono.indices
+
+    def test_table_is_filled_per_mask_not_per_rank(self):
+        mask = (1 << 79) | (1 << 41)
+        exterior._MASK_TEXT.pop(mask, None)
+        before = len(exterior._MASK_TEXT)
+        assert Monomial(mask).indices == (42, 80)
+        assert str(Monomial(mask)) == "{42,80}"
+        assert len(exterior._MASK_TEXT) == before + 1
+
+    def test_entries_are_immutable(self):
+        for mask in (0, 0b1011, 1 << 79):
+            indices, text = exterior.mask_text(mask)
+            assert type(indices) is tuple and type(text) is str
+            assert text == ",".join(map(str, bit_loop_indices(mask)))
 
 
 class TestRandomizedAxioms:

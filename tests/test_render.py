@@ -205,6 +205,26 @@ def test_one_scalar_type_lists_match_stdlib(value):
     assert written(value) == stdlib(value)
 
 
+def test_int_lists_that_recur_match_stdlib():
+    """An int list's digits are joined once per process and reused: a
+    tuple object in several rows and both columns, the dims pairs, and a
+    bool list after the int list it equals all give their own bytes."""
+    shared = (1, 2, 4)
+    rows = [{"base": shared, "dims": (6, 4)},
+            {"base": shared, "dims": (7, 5)},
+            {"base": (), "dims": shared},
+            {"base": shared, "dims": [6, 4]},
+            {"base": [10 ** 20, -3], "dims": (6, 4)}]
+    for _ in range(2):
+        assert written(as_rows(rows)) == stdlib(rows)
+        assert written({"t": as_rows(rows)}) == stdlib({"t": rows})
+    assert written(Rows({"dims": [(1,), (1, 0)]})) == \
+        stdlib([{"dims": [1]}, {"dims": [1, 0]}])
+    for bools in ((True,), [True, False]):
+        with pytest.raises(TypeError):
+            written(Rows({"dims": [bools]}))
+
+
 def test_large_lists_are_not_written_one_part_per_item():
     spec = pipeline.parse_scenario({
         "schema": "thomstem-scenario/1", "name": "thom-b1-9",

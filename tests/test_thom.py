@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import as_tuple_terms, sq_thom
+from helpers import as_tuple_terms, bit_loop_indices, sq_thom
 from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
@@ -280,6 +280,19 @@ class TestCellNames:
                     base = cell.base_indices
                     assert base == Monomial(cell.base_mask).indices
                     assert cell.base_indices is base
+
+    def test_every_fiber_and_suspension_matches_fresh_formatting(self):
+        masks = [*range(1 << 7), (1 << 11) | 1, (1 << 12) - 1, 1 << 40,
+                 (1 << 79) | (1 << 64) | (1 << 63) | 1]
+        for part, offset in (("point", 0), (FIBER_THOM, 4),
+                             ("sphere_zero", 0), ("sphere_two", 2)):
+            for suspension in (0, 1, 2):
+                for mask in masks:
+                    cell = StableCell(mask, part, offset, suspension)
+                    assert cell.name() == self.fresh_name(cell)
+                    assert cell.base_indices == bit_loop_indices(mask)
+                    twin = StableCell(mask, part, offset, suspension + 1)
+                    assert twin.base_indices is cell.base_indices
 
     def test_cache_is_not_a_field(self):
         def make():
