@@ -12,7 +12,7 @@ direct-summed; extension problems are ignored and noted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import stems
@@ -85,21 +85,6 @@ def _surviving_sum(entries) -> AbelianGroup:
                      if entry.status in (SURVIVES, REDUCED))
 
 
-class _Column:
-    """Mutable column state while the rules run; frozen at the end."""
-
-    __slots__ = ("cell", "stem_q", "group", "status", "killer",
-                 "reduced_index")
-
-    def __init__(self, cell: StableCell, stem_q: int, group: AbelianGroup):
-        self.cell, self.stem_q, self.group = cell, stem_q, group
-        self.status, self.killer, self.reduced_index = SURVIVES, None, None
-
-    def freeze(self) -> ColumnEntry:
-        return ColumnEntry(self.cell, self.stem_q, self.group, self.status,
-                           self.killer, self.reduced_index)
-
-
 def stem_groups(complex_: StableCellComplex, target_n: int
                 ) -> Dict[int, AbelianGroup]:
     """The stable stem group of each stem that holds a column: a proper
@@ -114,14 +99,14 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     if complex_.attachments is None:
         complex_ = infer_attachments(complex_)
 
-    columns: List[_Column] = []
-    index: Dict[StableCell, _Column] = {}
+    # one entry per proper cell; a rule that changes a column stores a
+    # new entry at its position, and each label reads its entries afresh,
+    # so a later label sees an earlier kill
     groups = stem_groups(complex_, target_n)
-    for cell in complex_.proper_cells:
-        q = cell.dim - target_n
-        column = _Column(cell, q, groups[q])
-        columns.append(column)
-        index[cell] = column
+    columns = [ColumnEntry(cell, cell.dim - target_n,
+                           groups[cell.dim - target_n])
+               for cell in complex_.proper_cells]
+    index = {cell: i for i, cell in enumerate(complex_.proper_cells)}
 
     notes = [
         "surviving columns are direct-summed; extension problems in reading "
@@ -132,10 +117,10 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 
     # page order: all d2 effects, then d4; gap-3 labels never act
     # definitively (trivial = no differential, unknown handled last).
-    drained = _run_eta_rules(complex_, index, differentials)
-    _run_nu_rules(complex_, index, drained, differentials, notes)
+    drained = _run_eta_rules(complex_, columns, index, differentials)
+    _run_nu_rules(complex_, columns, index, drained, differentials, notes)
     _mark_unknowns(complex_, columns, notes)
-    entries = tuple(column.freeze() for column in columns)
+    entries = tuple(columns)
 
     if complex_.basepoint_policy == POLICY_REDUCED:
         for entry in entries:
@@ -167,7 +152,7 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 _ETA, _NU = DETECTIONS
 
 
-def _run_eta_rules(complex_, index, differentials):
+def _run_eta_rules(complex_, columns, index, differentials):
     """d2 driven by eta attachments.
 
     Kill side: an upper column at a stem in `_ETA.decides` is hit from
@@ -183,33 +168,34 @@ def _run_eta_rules(complex_, index, differentials):
     for (upper, lower), label in complex_.attachments.detected:
         if label.value != _ETA.value:
             continue
-        up, low = index[upper], index[lower]
+        i, j = index[upper], index[lower]
+        up, low = columns[i], columns[j]
         if up.stem_q == 1:
             drained.add(lower)
         if up.stem_q in _ETA.decides and KILLED not in (up.status, low.status):
             # onto: 1 o eta = eta and eta o eta = eta^2 generate stems 1, 2
-            up.status = KILLED
-            up.killer = f"d2 from {lower.name()}"
+            columns[i] = replace(up, status=KILLED,
+                                 killer=f"d2 from {lower.name()}")
             differentials.append(
                 f"d2: column {upper.name()} ({up.group.pretty()}) killed "
                 f"by composition with eta from {lower.name()}")
         if low.stem_q == 0 and low.status == SURVIVES:
-            low.status = REDUCED
-            low.reduced_index = 2
-            low.killer = f"d2 into {upper.name()}"
+            columns[j] = replace(low, status=REDUCED, reduced_index=2,
+                                 killer=f"d2 into {upper.name()}")
             differentials.append(
                 f"d2: column {lower.name()} reduced to index 2 (kernel of "
                 f"composition with eta into {upper.name()}); still Z abstractly")
         elif low.stem_q == 1 and low.status == SURVIVES:
-            low.status = KILLED
-            low.killer = f"d2 into {upper.name()} (source consumed)"
+            columns[j] = replace(
+                low, status=KILLED,
+                killer=f"d2 into {upper.name()} (source consumed)")
             differentials.append(
                 f"d2: column {lower.name()} consumed as a d2 source onto "
                 f"{upper.name()} (eta composes injectively)")
     return drained
 
 
-def _run_nu_rules(complex_, index, drained, differentials, notes):
+def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
     """d4 driven by odd-nu attachments.
 
     Kill side: an upper Z/24 column at a stem in `_NU.decides` dies
@@ -226,11 +212,11 @@ def _run_nu_rules(complex_, index, drained, differentials, notes):
     for (upper, lower), label in complex_.attachments.detected:
         if label.value != _NU.value:
             continue
-        up, low = index[upper], index[lower]
+        i, j = index[upper], index[lower]
+        up, low = columns[i], columns[j]
         if up.stem_q in _NU.decides and KILLED not in (up.status, low.status):
             if lower in drained:
-                up.status = UNKNOWN
-                up.killer = None
+                columns[i] = replace(up, status=UNKNOWN, killer=None)
                 notes.append(
                     f"column {upper.name()} marked unknown: the d4 source "
                     f"{lower.name()} was reduced by an earlier d2, so the "
@@ -238,8 +224,8 @@ def _run_nu_rules(complex_, index, drained, differentials, notes):
                 continue
             # any odd multiple of nu generates pi_3, so the composition
             # from the intact source Z column is onto
-            up.status = KILLED
-            up.killer = f"d4 from {lower.name()}"
+            columns[i] = replace(up, status=KILLED,
+                                 killer=f"d4 from {lower.name()}")
             differentials.append(
                 f"d4: column {upper.name()} (Z/24) killed by composition "
                 f"with nu from {lower.name()}; the source Z column one "
@@ -249,9 +235,8 @@ def _run_nu_rules(complex_, index, drained, differentials, notes):
                 "nu-attached cell in canonical order; any of the "
                 "nu-attached cells kills the column")
         if low.stem_q == 0 and low.status == SURVIVES:
-            low.status = REDUCED
-            low.reduced_index = 24
-            low.killer = f"d4 into {upper.name()}"
+            columns[j] = replace(low, status=REDUCED, reduced_index=24,
+                                 killer=f"d4 into {upper.name()}")
             differentials.append(
                 f"d4: column {lower.name()} reduced to index 24 (kernel of "
                 f"composition with nu into {upper.name()}); still Z abstractly")
@@ -314,7 +299,7 @@ def _mark_unknowns(complex_, columns, notes):
             by_dim[dim] = tails
         return by_dim[dim]
 
-    for column in columns:
+    for i, column in enumerate(columns):
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
@@ -340,8 +325,7 @@ def _mark_unknowns(complex_, columns, notes):
                 found = [row[lower] for lower in order
                          if row[lower] is not None]
         if found:
-            column.status = UNKNOWN
-            column.killer = None
+            columns[i] = replace(column, status=UNKNOWN, killer=None)
             head = f"column {upper.name()} marked unknown: reachable through a "
             notes.extend(head + text for text in found)
 

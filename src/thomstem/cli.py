@@ -27,10 +27,6 @@ EXIT_BAD_SPEC = 2
 EXIT_UNKNOWN = 3
 EXIT_OUT_OF_TABLE = 4
 
-# the determinant flags each preset reads
-_DET_FLAGS = {"paper-sec3": ("det",), "paper-sec4": ("det1", "det2"),
-              "paper-sec5": ("det1", "det2")}
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,7 +71,8 @@ def _load_spec(args) -> ScenarioSpec:
             raise SpecError("--spec", f"not valid UTF-8 JSON: {exc}")
         spec = pipeline.parse_scenario(data)
     else:
-        for flag in _DET_FLAGS[args.scenario]:
+        # the last field of a preset row names the determinant flags it reads
+        for flag in pipeline._PRESETS[args.scenario][-1]:
             if getattr(args, flag) == 0:
                 raise SpecError(f"--{flag}", "must be a nonzero integer")
         spec = pipeline.preset(args.scenario, det=args.det,

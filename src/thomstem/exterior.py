@@ -43,6 +43,10 @@ class Monomial:
 
     mask: int
 
+    def __post_init__(self):
+        if self.mask < 0:
+            raise ValueError("monomial mask must be nonnegative")
+
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":
         mask = 0

@@ -31,11 +31,13 @@ SCHEMA_REPORT = "thomstem-report/1"
 PIPELINE_THOM = "thom"
 PIPELINE_SPHERE = "sphere_quotient"
 
-# preset -> (pipeline, suspensions, skeletal_cut, element on the top cell)
+# preset -> (pipeline, suspensions, skeletal_cut, element on the top cell,
+# the determinant arguments it reads: one homology torus each)
 _PRESETS = {
-    "paper-sec3": (PIPELINE_THOM, 0, 5, "eta"),
-    "paper-sec4": (PIPELINE_THOM, 1, None, "nu_multiple(12)"),
-    "paper-sec5": (PIPELINE_SPHERE, 2, None, "eta_sq"),
+    "paper-sec3": (PIPELINE_THOM, 0, 5, "eta", ("det",)),
+    "paper-sec4": (PIPELINE_THOM, 1, None, "nu_multiple(12)",
+                   ("det1", "det2")),
+    "paper-sec5": (PIPELINE_SPHERE, 2, None, "eta_sq", ("det1", "det2")),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -93,11 +95,11 @@ def preset(name: str, det: int = 1, det1: int = 1, det2: int = 1) -> ScenarioSpe
     """
     if name not in _PRESETS:
         raise SpecError("scenario", f"unknown preset {name!r}")
-    pipeline, suspensions, cut, element = _PRESETS[name]
-    dets = (det,) if name == "paper-sec3" else (det1, det2)
+    pipeline, suspensions, cut, element, flags = _PRESETS[name]
+    given = {"det": det, "det1": det1, "det2": det2}
     return parse_scenario({
         "schema": SCHEMA_SCENARIO, "name": name, "pipeline": pipeline,
-        "manifolds": [{"determinant": d} for d in dets],
+        "manifolds": [{"determinant": given[flag]} for flag in flags],
         "suspensions": suspensions, "skeletal_cut": cut,
         "class_assignment": [{"cell": "top", "element": element}]})
 
@@ -199,10 +201,7 @@ def _check_manifold(m, where: str) -> Mapping:
     if not isinstance(out["label"], str):
         raise SpecError(f"{where}.label", "must be a string")
     rows = m.get("quad_form", [])
-    if isinstance(rows, Mapping):
-        rows = [f"[{','.join(str(k) for k in key)}] = {val}"
-                for key, val in rows.items()]
-    elif not _is_list(rows):
+    if not _is_list(rows):
         raise SpecError(f"{where}.quad_form",
                         'must be a list of "[i,j,k,l] = value" rows')
     for j, row in enumerate(rows):

@@ -1,5 +1,5 @@
-"""Low stable homotopy groups of spheres, named generators, and the
-composition products the spectral-sequence rules consume.
+"""Low stable homotopy groups of spheres, named generators, and their
+composition products. The assembly rules read only the stem table.
 
 The table is deliberately finite (stems 0..7) and queries beyond it raise
 OutOfTableError: a silent zero here would fabricate a vanishing result.
@@ -7,7 +7,6 @@ OutOfTableError: a silent zero here would fabricate a vanishing result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -33,12 +32,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    @property
-    def order(self):
-        if self.free_rank:
-            return math.inf
-        return math.prod(self.torsion) if self.torsion else 1
 
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.free_rank + other.free_rank,

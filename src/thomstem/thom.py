@@ -12,7 +12,7 @@ lower cell L carries the Hopf class that Sq^g detects.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -71,6 +71,8 @@ class StableCell:
     suspension: int = 0
 
     def __post_init__(self):
+        if self.base_mask < 0:
+            raise ValueError("base mask must be nonnegative")
         if self.fiber_part not in _FIBER_ORDER:
             raise ValueError(f"unknown fiber part {self.fiber_part!r}")
         if self.suspension < 0:
@@ -306,7 +308,12 @@ class StableCellComplex:
     `AttachmentView` over this complex's cells.
     `gap3_trivial` is the geometric flag (pi_2(SO(3)) = 1) that
     sphere-bundle complexes carry, upgrading gap-3 labels from unknown to
-    trivial.
+    trivial. `proper_cells`, the cells other than the basepoint in
+    canonical order, is computed once when the complex is made.
+
+    A derived complex is made with `dataclasses.replace`, which always
+    passes `attachments` (rules or None): the old complex's view would be
+    read as a plain mapping and write out every pair as an exception.
     """
 
     cells: Tuple[StableCell, ...]
@@ -314,10 +321,14 @@ class StableCellComplex:
     basepoint_policy: str
     attachments: Optional[AttachmentMap] = None
     gap3_trivial: bool = False
+    proper_cells: Tuple[StableCell, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cells",
-                           tuple(sorted(self.cells, key=StableCell.sort_key)))
+        cells = tuple(sorted(self.cells, key=StableCell.sort_key))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "proper_cells", tuple(
+            c for c in cells if not self.is_basepoint(c)))
         labels = self.attachments
         if labels is None:
             return
@@ -337,10 +348,6 @@ class StableCellComplex:
             if self.is_basepoint(cell):
                 return cell
         return None
-
-    @property
-    def proper_cells(self) -> Tuple[StableCell, ...]:
-        return tuple(c for c in self.cells if not self.is_basepoint(c))
 
     def cells_by_dim(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -469,10 +476,8 @@ def infer_attachments(complex_: StableCellComplex) -> StableCellComplex:
     """
     exceptions = {pair: label for rule in DETECTIONS
                   for pair, label in _detected_labels(complex_, rule).items()}
-    return StableCellComplex(complex_.cells, complex_.bundle,
-                             complex_.basepoint_policy,
-                             LabelRules(_default_labels(complex_), exceptions),
-                             complex_.gap3_trivial)
+    return replace(complex_, attachments=LabelRules(_default_labels(complex_),
+                                                    exceptions))
 
 
 def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
@@ -488,9 +493,7 @@ def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
         rules = LabelRules(defaults, {
             (lifted[u], lifted[l]): label
             for (u, l), label in exceptions.items()})
-    return StableCellComplex(tuple(lifted.values()), complex_.bundle,
-                             complex_.basepoint_policy, rules,
-                             complex_.gap3_trivial)
+    return replace(complex_, cells=tuple(lifted.values()), attachments=rules)
 
 
 def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:
@@ -503,9 +506,7 @@ def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:
         rules = LabelRules(defaults, {
             (u, l): label for (u, l), label in exceptions.items()
             if u.dim > k and l.dim > k})
-    return StableCellComplex(cells, complex_.bundle,
-                             complex_.basepoint_policy, rules,
-                             complex_.gap3_trivial)
+    return replace(complex_, cells=cells, attachments=rules)
 
 
 def label_counts(labels: AttachmentView) -> Dict[str, int]:

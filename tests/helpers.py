@@ -13,6 +13,7 @@ bit by bit on every call, the way each monomial and cell once did.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -296,9 +297,10 @@ def thom_rung(b1):
 
 def per_pair_mark_unknowns(complex_, columns, notes):
     """Drop-in for `ahss._mark_unknowns`: walks every threatening pair of
-    every column and formats each note from scratch."""
+    every column and formats each note from scratch. Like it, stores an
+    unknown column's new entry at that column's position in `columns`."""
     labels = complex_.attachments
-    for column in columns:
+    for i, column in enumerate(columns):
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
@@ -311,8 +313,7 @@ def per_pair_mark_unknowns(complex_, columns, notes):
             if source_q is None:
                 continue
             if head is None:
-                column.status = UNKNOWN
-                column.killer = None
+                columns[i] = replace(column, status=UNKNOWN, killer=None)
                 head = f"column {upper.name()} marked unknown: reachable " \
                        "through a "
             notes.append(f"{head}{label.value} gap-{gap} label from "

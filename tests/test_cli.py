@@ -267,6 +267,9 @@ class TestInputContract:
         ({"class_assignment": [{"cell": {"base": [1], "fiber": ["thom"]},
                                 "element": "zero"}]},
          "spec.class_assignment[0].cell.fiber"),
+        # a JSON object has no row index to point at
+        ({"manifolds": [{"b1": 4, "quad_form": {"[1,2,3,4]": 5}}]},
+         "spec.manifolds[0].quad_form"),
     ])
     def test_exit_two_names_the_field(self, capsys, tmp_path, patch, pointer):
         spec = tmp_path / "malformed.json"

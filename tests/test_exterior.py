@@ -144,6 +144,12 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.from_indices([1, 1])
 
+    def test_negative_mask_rejected_when_made(self):
+        # only made, never read: the bit loop of a negative mask never ends
+        for mask in (-1, -3, -(1 << 70)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                Monomial(mask)
+
 
 # every mask of the spec limit (b1 <= 12), and masks past the machine words
 TEXT_MASKS = [*range(1 << 12), 1 << 40, 1 << 63, 1 << 64, 1 << 79,

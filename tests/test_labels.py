@@ -192,6 +192,24 @@ def test_ladder_rung_notes_match_per_pair_oracle():
     assert_notes_match_oracle(result.final_complex, targets=[10])
 
 
+@pytest.mark.parametrize("raw", [
+    thom_rung(9),
+    {"schema": "thomstem-scenario/1", "manifolds": [{"determinant": 5}],
+     "skeletal_cut": 5},
+    {"schema": "thomstem-scenario/1", "pipeline": "sphere_quotient",
+     "manifolds": [{"determinant": 3}, {"determinant": 5}],
+     "suspensions": 2},
+], ids=["thom-b1-9", "sec3-cut", "sec5-suspended"])
+def test_derived_complexes_keep_only_the_detected_exceptions(raw):
+    # a complex derived from a labelled one must get its rules, not its
+    # view: a view read as a plain mapping lists every pair as an exception
+    _, _, built, final, _ = pipeline._stages(pipeline.parse_scenario(raw))
+    assert final is not built
+    for complex_ in (built, final, suspend(skeletal_quotient(built, 6), 1)):
+        view = complex_.attachments
+        assert len(view.rules.exceptions) == len(view.detected)
+
+
 def test_exception_rows_are_never_walked_pair_by_pair(monkeypatch):
     from thomstem.thom import AttachmentView
 

@@ -218,6 +218,22 @@ class TestSkeletalQuotient:
         assert skeletal_quotient(complex_, 8).cells == ()
 
 
+class TestProperCells:
+    def test_computed_once_and_left_out_of_repr(self):
+        bundle = sum_bundle(3, 5)
+        thom = infer_attachments(thom_cells(bundle))
+        sphere = infer_attachments(sphere_bundle_quotient(bundle))
+        for complex_ in (thom, sphere, skeletal_quotient(thom, 5),
+                         suspend(thom, 1), suspend(sphere, 2),
+                         suspend(skeletal_quotient(sphere, 3), 1)):
+            proper = complex_.proper_cells
+            assert proper is complex_.proper_cells
+            assert proper == tuple(cell for cell in complex_.cells
+                                   if not complex_.is_basepoint(cell))
+            assert "proper_cells" not in repr(complex_)
+        assert len(thom.proper_cells) == len(thom.cells) - 1
+
+
 class TestSphereBundleQuotient:
     def test_dim_table_rank_eight(self):
         complex_ = sphere_bundle_quotient(sum_bundle(3, 5))
@@ -308,6 +324,13 @@ class TestCellNames:
                                "fiber_offset=4, suspension=2)")
         with pytest.raises(FrozenInstanceError):
             named._name = "other"
+
+    def test_negative_mask_rejected_when_made(self):
+        # only made, never named: the bit loop of a negative mask never ends
+        for mask, part, offset in ((-3, FIBER_THOM, 4), (-1, "point", 0),
+                                   (-(1 << 70), "sphere_two", 2)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                StableCell(mask, part, offset)
 
     def test_hash_is_cached_and_equals_the_field_tuple_hash(self):
         cells = [StableCell(mask, part, offset, suspension)
