@@ -5,8 +5,8 @@ perfbench records its per-layer spans by swapping the functions that
 `SPAN_OF`), and skips a name the module lacks without an error. So a
 stage that is renamed, or called through a reference held elsewhere,
 would lose its span silently; these tests make that loud. The benchmark
-modules are imported read-only from `perfbench/`, as the CI catalogue
-step does.
+modules are imported read-only from `perfbench/`, as
+`tests/test_catalogue.py` does.
 """
 
 import pathlib
