@@ -19,7 +19,7 @@ from . import stems
 from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
 from .thom import (DETECTION_OF, DETECTIONS, FIBER_SPHERE_ZERO,
                    POLICY_REDUCED, StableCell, StableCellComplex, TRIVIAL,
-                   UNKNOWN, infer_attachments)
+                   UNKNOWN)
 
 SURVIVES, KILLED, REDUCED = "survives", "killed", "reduced"
 # column status "unknown" reuses thom.UNKNOWN
@@ -97,7 +97,8 @@ def stem_groups(complex_: StableCellComplex, target_n: int
 def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     """Assemble {complex, S^N} from cell columns and attachment labels."""
     if complex_.attachments is None:
-        complex_ = infer_attachments(complex_)
+        raise ValueError("assemble needs a labelled complex: run "
+                         "infer_attachments first")
 
     # one entry per proper cell; a rule that changes a column stores a
     # new entry at its position, and each label reads its entries afresh,
@@ -304,30 +305,24 @@ def _mark_unknowns(complex_, columns, notes):
             continue
         upper, q = column.cell, column.stem_q
         tails = threats_at(upper.dim, q)
-        found = tails.values()
-        if labels.has_exceptions(upper):
-            changed: Dict[StableCell, Optional[str]] = {}
-            added = False
-            for lower, label in labels.row(upper, gaps=()):
+        own = labels.exceptions_from(upper)
+        if own:
+            tails, added = dict(tails), False
+            for lower, label in own:
                 gap = upper.dim - lower.dim
                 source_q = _threat_source(label.value, gap, q)
-                text = None if source_q is None else \
-                    tail(label.value, gap, lower, source_q)
-                if lower in tails:
-                    if text != tails[lower]:
-                        changed[lower] = text
-                elif text is not None:
-                    changed[lower] = text
-                    added = True
-            if changed:
-                row = {**tails, **changed}
-                order = sorted(row, key=StableCell.sort_key) if added else row
-                found = [row[lower] for lower in order
-                         if row[lower] is not None]
-        if found:
+                if source_q is None:
+                    tails.pop(lower, None)
+                    continue
+                added = added or lower not in tails
+                tails[lower] = tail(label.value, gap, lower, source_q)
+            if added:
+                tails = {lower: tails[lower]
+                         for lower in sorted(tails, key=StableCell.sort_key)}
+        if tails:
             columns[i] = replace(column, status=UNKNOWN, killer=None)
             head = f"column {upper.name()} marked unknown: reachable through a "
-            notes.extend(head + text for text in found)
+            notes.extend(head + text for text in tails.values())
 
 
 def evaluate_class(report: GroupReport, assignment: ClassAssignment) -> str:
@@ -375,11 +370,8 @@ def vanishing_certificate(report: GroupReport,
         for cell in sorted(nonzero, key=StableCell.sort_key):
             lines.append(f"class assignment: {nonzero[cell]} on cell "
                          f"{cell.name()} (dim {cell.dim})")
-    if report.differentials == ("direct sum, no differentials",):
-        lines.append("assembly: direct sum, no differentials")
-    else:
-        for diff in report.differentials:
-            lines.append(f"assembly: {diff}")
+    for diff in report.differentials:
+        lines.append(f"assembly: {diff}")
     for cell in sorted(nonzero, key=StableCell.sort_key):
         entry = report.entry_for(cell)
         line = (f"column {cell.name()} (stem {entry.stem_q}, "

@@ -67,8 +67,10 @@ def _load_spec(args) -> ScenarioSpec:
                 data = json.load(handle)
         except OSError as exc:
             raise SpecError("--spec", f"cannot read {args.spec}: {exc}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SpecError("--spec", f"not valid UTF-8 JSON: {exc}")
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors, and
+            # so is an integer literal over the int-to-str digit limit
+            raise SpecError("--spec", f"not readable as UTF-8 JSON: {exc}")
         spec = pipeline.parse_scenario(data)
     else:
         # the last field of a preset row names the determinant flags it reads

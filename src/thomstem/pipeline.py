@@ -534,7 +534,7 @@ def _write(value, newline: str, parts: List[str]) -> None:
     the line break plus the indent of the line `value` starts on. Items
     are str, int, bool, None or containers again, and dict keys are str;
     anything else (a float too, or a subclass of a scalar) raises
-    TypeError, so the report stays exact. A list of one scalar type is
+    TypeError, so the report stays exact. A list of plain strings is
     written by `_write_list` in one join, and `Rows` by `_write_rows` a
     column at a time; any other list goes one part per item."""
     inner = newline + "  "
@@ -576,23 +576,16 @@ def _write(value, newline: str, parts: List[str]) -> None:
 
 
 def _write_list(items, newline: str, parts: List[str]) -> bool:
-    """Append the nonempty list `items` as JSON in one join if its items
-    share one scalar type: str, int, bool or None. Returns False,
-    appending nothing, for any other list. The joined body is a part of
-    its own: it can be megabytes long."""
-    inner = newline + "  "
-    sep = "," + inner
-    kinds = set(map(type, items))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is str and _plain(items):
-        # each string is its own JSON text between quotes
-        parts += ("[" + inner + '"', ('"' + sep + '"').join(items),
-                  '"' + newline + "]")
-        return True
-    text = _SCALARS.get(kind)
-    if text is None:
+    """Append the nonempty list `items` as JSON in one join if every item
+    is a plain str (see `_plain`). Returns False, appending nothing, for
+    any other list. The joined body is a part of its own: it can be
+    megabytes long."""
+    if set(map(type, items)) != {str} or not _plain(items):
         return False
-    parts += ("[" + inner, sep.join(map(text, items)), newline + "]")
+    # each string is its own JSON text between quotes
+    inner = newline + "  "
+    parts += ("[" + inner + '"', ('",' + inner + '"').join(items),
+              '"' + newline + "]")
     return True
 
 

@@ -151,13 +151,13 @@ class AttachmentView(Mapping):
 
     Every query is answered from the complex's `LabelRules`; no pair map
     is written out. `len` is arithmetic, and iteration is lazy, in
-    canonical (upper._key, lower._key) order. `exceptions` lists the
-    exceptions in that order, and `detected` those of them whose label is
-    a `DETECTIONS` value; a detected label off its rule's gap is rejected.
+    canonical (upper._key, lower._key) order. `detected` lists, in that
+    order, the exceptions whose label is a `DETECTIONS` value; a detected
+    label off its rule's gap is rejected.
     """
 
-    __slots__ = ("rules", "exceptions", "detected", "_cells", "_proper",
-                 "_by_dim", "_gaps", "_by_upper")
+    __slots__ = ("rules", "detected", "_cells", "_proper", "_by_dim",
+                 "_gaps", "_by_upper")
 
     def __init__(self, cells: Tuple[StableCell, ...],
                  proper_cells: Tuple[StableCell, ...], rules: LabelRules):
@@ -172,11 +172,11 @@ class AttachmentView(Mapping):
                                  "names a cell outside the complex")
         self.rules = LabelRules(MappingProxyType(defaults),
                                 MappingProxyType(exceptions))
-        self.exceptions = tuple(sorted(
-            exceptions.items(), key=lambda kv: (kv[0][0]._key, kv[0][1]._key)))
+        ordered = sorted(exceptions.items(),
+                         key=lambda kv: (kv[0][0]._key, kv[0][1]._key))
         # only trivial and unknown can be defaults, so every detected
         # label is an exception
-        self.detected = tuple(item for item in self.exceptions
+        self.detected = tuple(item for item in ordered
                               if item[1].value in DETECTION_OF)
         for (upper, lower), label in self.detected:
             gap, rule = upper.dim - lower.dim, DETECTION_OF[label.value]
@@ -194,7 +194,7 @@ class AttachmentView(Mapping):
         # lower dims ascend in canonical order, so gaps descend
         self._gaps = tuple(sorted(defaults, reverse=True))
         self._by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
-        for (upper, lower), label in self.exceptions:
+        for (upper, lower), label in ordered:
             self._by_upper.setdefault(upper, {})[lower] = label
 
     def _pairs_at(self, gap: int) -> int:
@@ -230,36 +230,24 @@ class AttachmentView(Mapping):
         return _Values(self)
 
     def _items(self) -> Iterator[Tuple[Pair, AttachLabel]]:
-        defaults = self.rules.defaults
         for upper in self._cells:
-            if upper in self._by_upper or upper not in self._proper:
-                for lower, label in self.row(upper):
-                    yield (upper, lower), label
-                continue
-            for gap in self._gaps:
-                label = defaults[gap]
-                for lower in self._by_dim.get(upper.dim - gap, ()):
-                    yield (upper, lower), label
+            for lower, label in self.row(upper):
+                yield (upper, lower), label
 
     def cells_at(self, dim: int) -> Tuple[StableCell, ...]:
         """The proper cells of dimension `dim`, in canonical order."""
         return self._by_dim.get(dim, ())
 
-    def has_exceptions(self, upper: StableCell) -> bool:
-        """Does any exception start at `upper`?"""
-        return upper in self._by_upper
+    def exceptions_from(self, upper: StableCell) -> ItemsView:
+        """(lower, label) of every exception out of `upper`, in canonical
+        order: a read-only view, empty when there is none."""
+        return self._by_upper.get(upper, {}).items()
 
-    def row(self, upper: StableCell, gaps: Optional[Iterable[int]] = None
+    def row(self, upper: StableCell
             ) -> Iterator[Tuple[StableCell, AttachLabel]]:
-        """(lower, label) of every label out of `upper`, in canonical order.
-
-        With `gaps`, the default-labelled pairs are limited to those gaps;
-        every exception out of `upper` is still listed.
-        """
+        """(lower, label) of every label out of `upper`, in canonical order."""
         own = self._by_upper.get(upper, {})
-        chosen = ()
-        if upper in self._proper:
-            chosen = tuple(g for g in self._gaps if gaps is None or g in gaps)
+        chosen = self._gaps if upper in self._proper else ()
         lowers = [lower for gap in chosen
                   for lower in self._by_dim.get(upper.dim - gap, ())]
         extra = [lower for lower in own
@@ -276,7 +264,7 @@ class AttachmentView(Mapping):
         defaults = self.rules.defaults
         out = {(gap, label.value): self._pairs_at(gap)
                for gap, label in defaults.items()}
-        for (upper, lower), label in self.exceptions:
+        for (upper, lower), label in self.rules.exceptions.items():
             gap = upper.dim - lower.dim
             if self._covered(upper, lower):
                 out[(gap, defaults[gap].value)] -= 1
@@ -294,32 +282,24 @@ class _Values(ValuesView):
         return (label for _, label in self._mapping._items())
 
 
-AttachmentMap = Mapping[Pair, AttachLabel]
-
-
 @dataclass(frozen=True)
 class StableCellComplex:
     """A finite stable cell complex together with its bundle of origin.
 
     `attachments` maps (upper, lower) cell pairs with dimension gap 1..4
-    to labels; it is None until infer_attachments has run. It may be
-    given as `LabelRules` or as a plain mapping of hand-built labels
-    (exceptions with no defaults); it is always stored as an
-    `AttachmentView` over this complex's cells.
+    to labels; it is None until infer_attachments has run. It is given
+    as `LabelRules` and stored as an `AttachmentView` over this complex's
+    cells; any other value raises TypeError, a view passed back too.
     `gap3_trivial` is the geometric flag (pi_2(SO(3)) = 1) that
     sphere-bundle complexes carry, upgrading gap-3 labels from unknown to
     trivial. `proper_cells`, the cells other than the basepoint in
     canonical order, is computed once when the complex is made.
-
-    A derived complex is made with `dataclasses.replace`, which always
-    passes `attachments` (rules or None): the old complex's view would be
-    read as a plain mapping and write out every pair as an exception.
     """
 
     cells: Tuple[StableCell, ...]
     bundle: BundleData
     basepoint_policy: str
-    attachments: Optional[AttachmentMap] = None
+    attachments: Optional[AttachmentView] = None
     gap3_trivial: bool = False
     proper_cells: Tuple[StableCell, ...] = field(
         init=False, repr=False, compare=False)
@@ -333,7 +313,8 @@ class StableCellComplex:
         if labels is None:
             return
         if not isinstance(labels, LabelRules):
-            labels = LabelRules({}, labels)
+            raise TypeError("attachments must be LabelRules or None, not "
+                            f"{type(labels).__name__}")
         object.__setattr__(self, "attachments", AttachmentView(
             self.cells, self.proper_cells, labels))
 

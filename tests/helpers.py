@@ -304,10 +304,8 @@ def per_pair_mark_unknowns(complex_, columns, notes):
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
-        gaps = [gap for gap, label in labels.rules.defaults.items()
-                if _threat_source(label.value, gap, q) is not None]
         head = None
-        for lower, label in labels.row(upper, gaps):
+        for lower, label in labels.row(upper):
             gap = upper.dim - lower.dim
             source_q = _threat_source(label.value, gap, q)
             if source_q is None:

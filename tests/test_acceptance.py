@@ -173,7 +173,7 @@ def test_criterion_5_property_suites():
 
     # all-trivial-label assembly equals the direct-sum oracle, 100 randoms
     from test_ahss import _point_bundle, synthetic_cell
-    from thomstem.thom import AttachLabel, StableCellComplex
+    from thomstem.thom import AttachLabel, LabelRules, StableCellComplex
     rng = random.Random(55)
     for _ in range(100):
         cells = [synthetic_cell(tag, rng.randint(tag.bit_count(),
@@ -182,7 +182,7 @@ def test_criterion_5_property_suites():
         labels = {(u, l): AttachLabel(TRIVIAL, "synthetic")
                   for u in cells for l in cells if 1 <= u.dim - l.dim <= 4}
         complex_ = StableCellComplex(tuple(cells), _point_bundle(), "thom",
-                                     labels)
+                                     LabelRules({}, labels))
         target = rng.randint(max(c.dim for c in cells) - 7,
                              max(c.dim for c in cells) + 3)
         assert assemble(complex_, target).assembled == \

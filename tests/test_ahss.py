@@ -14,8 +14,8 @@ from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
 from thomstem.exterior import ExteriorClass
 from thomstem.stems import AbelianGroup, OutOfTableError
 from thomstem.thom import (ETA_LABEL, FIBER_SPHERE_TWO, FIBER_SPHERE_ZERO,
-                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, StableCell,
-                           StableCellComplex, infer_attachments,
+                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
+                           StableCell, StableCellComplex, infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient, suspend,
                            thom_cells)
 
@@ -51,7 +51,8 @@ def two_cell_complex(gap: int, label_value: str) -> StableCellComplex:
     lower = synthetic_cell(0, 2)
     upper = synthetic_cell(1, 2 + gap)
     labels = {(upper, lower): AttachLabel(label_value, "synthetic")}
-    return StableCellComplex((lower, upper), _point_bundle(), "thom", labels)
+    return StableCellComplex((lower, upper), _point_bundle(), "thom",
+                             LabelRules({}, labels))
 
 
 def eta_torus_complex():
@@ -302,12 +303,16 @@ class TestTwoCellComplexes:
         labels = {(mid, lower): AttachLabel(ETA_LABEL, "synthetic"),
                   (top, lower): AttachLabel(NU_ODD, "synthetic")}
         complex_ = StableCellComplex((lower, mid, top), _point_bundle(),
-                                     "thom", labels)
+                                     "thom", LabelRules({}, labels))
         report = assemble(complex_, 3)
         assert report.entry_for(mid).status == KILLED
         assert report.entry_for(top).status == UNKNOWN
         assert any("reduced by an earlier d2" in note
                    for note in report.notes)
+
+    def test_unlabelled_complex_is_rejected(self):
+        with pytest.raises(ValueError, match="infer_attachments"):
+            assemble(thom_cells(_point_bundle()), 4)
 
     def test_misplaced_labels_are_rejected(self):
         # eta off gap 2 / nu off gap 4 must never drive a differential
@@ -358,7 +363,7 @@ class TestAllTrivialOracle:
                     if 1 <= upper.dim - lower.dim <= 4:
                         labels[(upper, lower)] = AttachLabel(TRIVIAL, "synthetic")
             complex_ = StableCellComplex(tuple(cells), _point_bundle(),
-                                         "thom", labels)
+                                         "thom", LabelRules({}, labels))
             max_dim = max(c.dim for c in cells)
             target = rng.randint(max_dim - 7, max_dim + 3)
             report = assemble(complex_, target)

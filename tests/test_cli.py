@@ -149,11 +149,19 @@ class TestExitCodes:
                              ids=["run", "explain"])
     def test_non_utf8_spec_names_the_flag(self, capsys, tmp_path, command):
         spec = tmp_path / "bad.json"
-        spec.write_bytes(b"\xff\xfe{")
-        code, out, err = run_cli(capsys, *command, "run", "--spec", str(spec))
-        assert code == EXIT_BAD_SPEC
-        assert err.startswith("thomstem: malformed scenario: --spec: ")
-        assert out == ""
+        for content in (
+                b"\xff\xfe{",
+                # nested past every interpreter's recursion limit, so
+                # json.load raises RecursionError
+                b"[" * 100_000 + b"]" * 100_000,
+                # an integer over the int-to-str digit limit: ValueError
+                b"1" * 5000):
+            spec.write_bytes(content)
+            code, out, err = run_cli(capsys, *command, "run", "--spec",
+                                     str(spec))
+            assert code == EXIT_BAD_SPEC
+            assert err.startswith("thomstem: malformed scenario: --spec: ")
+            assert out == ""
 
     def test_missing_spec_file_is_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--spec", "/nonexistent.json")

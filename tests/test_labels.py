@@ -1,7 +1,7 @@
 """Rule-based attachment labels against the dense all-pairs oracle."""
 
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 
 import pytest
@@ -177,13 +177,18 @@ def test_hand_built_exception_notes_match_per_pair_oracle():
     hand = StableCellComplex(complex_.cells, complex_.bundle,
                              complex_.basepoint_policy,
                              LabelRules(defaults, exceptions))
+    # each cell's exception row is its pairs of the rules, canonical order
+    for cell in hand.cells:
+        assert list(hand.attachments.exceptions_from(cell)) == sorted(
+            ((lower, label) for (upper, lower), label in exceptions.items()
+             if upper == cell), key=lambda item: item[0].sort_key())
     assert_notes_match_oracle(hand)
     assert_notes_match_oracle(suspend(hand, 1))
     # exceptions only, no defaults
     assert_notes_match_oracle(StableCellComplex(
         complex_.cells, complex_.bundle, complex_.basepoint_policy,
-        {pair: label for pair, label in exceptions.items()
-         if label.value not in (ETA_LABEL, NU_ODD)}))
+        LabelRules({}, {pair: label for pair, label in exceptions.items()
+                        if label.value not in (ETA_LABEL, NU_ODD)})))
 
 
 def test_ladder_rung_notes_match_per_pair_oracle():
@@ -201,8 +206,8 @@ def test_ladder_rung_notes_match_per_pair_oracle():
      "suspensions": 2},
 ], ids=["thom-b1-9", "sec3-cut", "sec5-suspended"])
 def test_derived_complexes_keep_only_the_detected_exceptions(raw):
-    # a complex derived from a labelled one must get its rules, not its
-    # view: a view read as a plain mapping lists every pair as an exception
+    # a complex derived from a labelled one gets its rules, so it holds
+    # only the detected exceptions
     _, _, built, final, _ = pipeline._stages(pipeline.parse_scenario(raw))
     assert final is not built
     for complex_ in (built, final, suspend(skeletal_quotient(built, 6), 1)):
@@ -213,22 +218,25 @@ def test_derived_complexes_keep_only_the_detected_exceptions(raw):
 def test_exception_rows_are_never_walked_pair_by_pair(monkeypatch):
     from thomstem.thom import AttachmentView
 
-    row = AttachmentView.row
+    exceptions_from = AttachmentView.exceptions_from
     calls = []
 
-    def exceptions_only(self, upper, gaps=None):
-        if gaps != ():
-            raise AssertionError(f"walked the row of {upper.name()} pair "
-                                 "by pair")
-        calls.append(upper)
-        return row(self, upper, gaps)
+    def refuse(self, upper):
+        raise AssertionError(f"walked the row of {upper.name()} pair by pair")
 
-    monkeypatch.setattr(AttachmentView, "row", exceptions_only)
+    def counted(self, upper):
+        row = exceptions_from(self, upper)
+        calls.append(len(row))
+        return row
+
+    monkeypatch.setattr(AttachmentView, "row", refuse)
+    monkeypatch.setattr(AttachmentView, "exceptions_from", counted)
     for b1, notes in ((9, 4548), (10, 32624)):
         result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(b1)))
         pipeline.report_json(result)
         assert len(result.report.notes) == notes
-    assert calls
+    # the scan read its rows through exceptions_from, some of them nonempty
+    assert calls and any(calls)
 
 
 def test_reports_and_results_are_frozen():
@@ -264,12 +272,29 @@ def test_hand_built_labels_are_exceptions_without_defaults():
     upper, lower = complex_.top_cell, complex_.proper_cells[0]
     labels = {(upper, lower): AttachLabel(UNKNOWN, "synthetic")}
     hand = StableCellComplex(complex_.cells, complex_.bundle,
-                             complex_.basepoint_policy, labels)
+                             complex_.basepoint_policy,
+                             LabelRules({}, labels))
     assert hand.attachments.rules.defaults == {}
     assert dict(hand.attachments.items()) == labels
     assert len(hand.attachments) == 1
     with pytest.raises(KeyError):
         hand.attachments[(upper, complex_.proper_cells[1])]
+
+
+def test_attachments_are_label_rules_or_none():
+    complex_ = infer_attachments(thom_cells(_sum(3, 5)))
+    pair = (complex_.top_cell, complex_.proper_cells[0])
+    # a plain mapping, and the complex's own view passed back, by hand or
+    # by replace without attachments=
+    for labels in ({pair: AttachLabel(UNKNOWN, "synthetic")},
+                   complex_.attachments):
+        with pytest.raises(TypeError, match="LabelRules"):
+            StableCellComplex(complex_.cells, complex_.bundle,
+                              complex_.basepoint_policy, labels)
+    with pytest.raises(TypeError, match="LabelRules"):
+        replace(complex_, gap3_trivial=True)
+    assert StableCellComplex(complex_.cells, complex_.bundle,
+                             complex_.basepoint_policy).attachments is None
 
 
 def test_view_is_read_only_and_rejects_foreign_cells():
@@ -283,8 +308,8 @@ def test_view_is_read_only_and_rejects_foreign_cells():
     other = thom_cells(_sum(3, 5)).top_cell
     with pytest.raises(ValueError):
         StableCellComplex(complex_.cells, complex_.bundle, "thom",
-                          {(other, complex_.top_cell):
-                           AttachLabel(TRIVIAL, "synthetic")})
+                          LabelRules({}, {(other, complex_.top_cell):
+                                          AttachLabel(TRIVIAL, "synthetic")}))
     with pytest.raises(ValueError):
         StableCellComplex(complex_.cells, complex_.bundle, "thom",
                           LabelRules({2: AttachLabel(ETA_LABEL, "x")}, {}))

@@ -10,8 +10,8 @@ from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_THOM,
-                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, StableCell,
-                           StableCellComplex, infer_attachments,
+                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
+                           StableCell, StableCellComplex, infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
                            suspend, thom_cells)
 
@@ -175,7 +175,8 @@ class TestDetections:
         upper = StableCell((1 << gap) - 1, FIBER_THOM, 4)
         with pytest.raises(ValueError) as err:
             StableCellComplex((lower, upper), torus_bundle(), "thom",
-                              {(upper, lower): AttachLabel(value, "hand")})
+                              LabelRules({}, {(upper, lower):
+                                              AttachLabel(value, "hand")}))
         assert str(err.value) == message
 
 
