@@ -227,9 +227,11 @@ def _freeze_selector(selector, where: str):
         if not _is_list(base):
             raise SpecError(f"{where}.base", "must be a list of generator indices")
         for k, index in enumerate(base):
-            if not _is_int(index) or index < 1:
-                raise SpecError(f"{where}.base[{k}]",
-                                "generator indices are integers >= 1")
+            # no torus in the size limit has a generator past MAX_TOTAL_B1,
+            # and the cell lookup builds a mask of 2**index
+            if not _is_int(index) or not 1 <= index <= MAX_TOTAL_B1:
+                raise SpecError(f"{where}.base[{k}]", "generator indices are "
+                                f"integers from 1 to {MAX_TOTAL_B1}")
         if len(set(base)) != len(base):
             raise SpecError(f"{where}.base", "repeats a generator index")
         fiber = selector.get("fiber", FIBER_THOM)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -58,7 +60,7 @@ DETECTIONS = (Detection(2, ETA_LABEL, "eta", (1, 2)),
 DETECTION_OF = {rule.value: rule for rule in DETECTIONS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StableCell:
     """One stable cell: base subset, fiber contribution, suspension count.
 
@@ -70,23 +72,24 @@ class StableCell:
     fiber_offset: int
     suspension: int = 0
 
-    def __post_init__(self):
-        if self.base_mask < 0:
+    def __init__(self, base_mask: int, fiber_part: str, fiber_offset: int,
+                 suspension: int = 0):
+        if base_mask < 0:
             raise ValueError("base mask must be nonnegative")
-        if self.fiber_part not in _FIBER_ORDER:
-            raise ValueError(f"unknown fiber part {self.fiber_part!r}")
-        if self.suspension < 0:
+        if fiber_part not in _FIBER_ORDER:
+            raise ValueError(f"unknown fiber part {fiber_part!r}")
+        if suspension < 0:
             raise ValueError("suspension must be nonnegative")
-        # cache the derived dimension and canonical key (hot in sorting)
-        dim = self.base_mask.bit_count() + self.fiber_offset + self.suspension
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_key",
-                           (dim, _FIBER_ORDER[self.fiber_part], self.base_mask,
-                            self.suspension))
-        # the dataclass hash, computed once: set and dict order stay as is
-        object.__setattr__(self, "_hash", hash((
-            self.base_mask, self.fiber_part, self.fiber_offset,
-            self.suspension)))
+        # the fields, the derived dimension and canonical key (hot in
+        # sorting) and the dataclass hash, computed once so set and dict
+        # order stay as is: one write of the whole instance dict
+        dim = base_mask.bit_count() + fiber_offset + suspension
+        object.__setattr__(self, "__dict__", {
+            "base_mask": base_mask, "fiber_part": fiber_part,
+            "fiber_offset": fiber_offset, "suspension": suspension,
+            "_dim": dim,
+            "_key": (dim, _FIBER_ORDER[fiber_part], base_mask, suspension),
+            "_hash": hash((base_mask, fiber_part, fiber_offset, suspension))})
 
     def __hash__(self) -> int:
         return self._hash
@@ -100,17 +103,27 @@ class StableCell:
         return mask_text(self.base_mask)[0]
 
     def suspended(self, k: int) -> "StableCell":
-        return StableCell(self.base_mask, self.fiber_part, self.fiber_offset,
-                          self.suspension + k)
+        """This cell shifted up by k >= 0. A shift keeps a valid cell
+        valid and keeps its fiber order, so nothing is checked again."""
+        if k < 0:
+            raise ValueError("suspension must be nonnegative")
+        dim, order, mask, suspension = self._key
+        dim, suspension = dim + k, suspension + k
+        part, offset = self.fiber_part, self.fiber_offset
+        out = object.__new__(StableCell)
+        object.__setattr__(out, "__dict__", {
+            "base_mask": mask, "fiber_part": part, "fiber_offset": offset,
+            "suspension": suspension, "_dim": dim,
+            "_key": (dim, order, mask, suspension),
+            "_hash": hash((mask, part, offset, suspension))})
+        return out
 
     def sort_key(self):
         return self._key
 
     def name(self) -> str:
         # formatted once per cell and kept outside the dataclass fields,
-        # so ==, hash and repr do not see it; getattr with a default
-        # raises no AttributeError, and reading self.__dict__ would slow
-        # every later attribute load
+        # so ==, hash and repr do not see it
         out = getattr(self, "_name", None)
         if out is None:
             out = (f"{_FIBER_TAG[self.fiber_part]}"
@@ -121,6 +134,9 @@ class StableCell:
         return out
 
     __str__ = name
+
+
+_DIM, _KEY = attrgetter("_dim"), attrgetter("_key")
 
 
 class AttachLabel(NamedTuple):
@@ -165,9 +181,12 @@ class AttachmentView(Mapping):
         if any(label.value not in (TRIVIAL, UNKNOWN)
                for label in defaults.values()):
             raise ValueError("only trivial or unknown labels can be defaults")
-        members = set(cells)
+        # each cell is hashed once, here; only a cell outside the proper
+        # cells (the basepoint, or a foreign one) is looked for in `cells`
+        proper = self._proper = frozenset(proper_cells)
         for upper, lower in exceptions:
-            if upper not in members or lower not in members:
+            if (upper not in proper and upper not in cells
+                    or lower not in proper and lower not in cells):
                 raise ValueError(f"attachment {upper.name()} -> {lower.name()} "
                                  "names a cell outside the complex")
         self.rules = LabelRules(MappingProxyType(defaults),
@@ -186,11 +205,9 @@ class AttachmentView(Mapping):
                     f"{upper.name()} -> {lower.name()}: d{rule.gap} spans "
                     f"gap {rule.gap} only")
         self._cells = cells
-        self._proper = frozenset(proper_cells)
-        by_dim: Dict[int, list] = {}
-        for cell in proper_cells:     # canonical order, so each group is too
-            by_dim.setdefault(cell.dim, []).append(cell)
-        self._by_dim = {dim: tuple(group) for dim, group in by_dim.items()}
+        # canonical order sorts by dim first, so each group is one run
+        self._by_dim = {dim: tuple(group) for dim, group
+                        in groupby(proper_cells, _DIM)}
         # lower dims ascend in canonical order, so gaps descend
         self._gaps = tuple(sorted(defaults, reverse=True))
         self._by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
@@ -305,10 +322,15 @@ class StableCellComplex:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = tuple(sorted(self.cells, key=StableCell.sort_key))
+        cells = tuple(sorted(self.cells, key=_KEY))
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "proper_cells", tuple(
-            c for c in cells if not self.is_basepoint(c)))
+        # is_basepoint's test, inline for each policy; the two must agree
+        if self.basepoint_policy == POLICY_THOM:
+            proper = tuple(c for c in cells if c.fiber_part != FIBER_POINT)
+        else:
+            proper = tuple(c for c in cells
+                           if c.base_mask or c.fiber_part != FIBER_SPHERE_ZERO)
+        object.__setattr__(self, "proper_cells", proper)
         labels = self.attachments
         if labels is None:
             return
@@ -331,14 +353,12 @@ class StableCellComplex:
         return None
 
     def cells_by_dim(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for cell in self.cells:
-            out[cell.dim] = out.get(cell.dim, 0) + 1
-        return out
+        return {dim: len(tuple(group))
+                for dim, group in groupby(self.cells, _DIM)}
 
     @property
     def top_cell(self) -> StableCell:
-        return max(self.cells, key=StableCell.sort_key)
+        return max(self.cells, key=_KEY)
 
     def find_cell(self, base_indices: Iterable[int], fiber_part: str) -> StableCell:
         mask = Monomial.from_indices(base_indices).mask

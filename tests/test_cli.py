@@ -278,6 +278,13 @@ class TestInputContract:
         # a JSON object has no row index to point at
         ({"manifolds": [{"b1": 4, "quad_form": {"[1,2,3,4]": 5}}]},
          "spec.manifolds[0].quad_form"),
+        # a generator index past the size limit, rejected before the cell
+        # lookup builds a mask of 2**index
+        ({"class_assignment": [{"cell": {"base": [13]}, "element": "zero"}]},
+         "spec.class_assignment[0].cell.base[0]"),
+        ({"class_assignment": [{"cell": {"base": [1, 10 ** 12]},
+                                "element": "zero"}]},
+         "spec.class_assignment[0].cell.base[1]"),
     ])
     def test_exit_two_names_the_field(self, capsys, tmp_path, patch, pointer):
         spec = tmp_path / "malformed.json"

@@ -1,6 +1,8 @@
 """Cell models, Steenrod detection, attachment labels and complex surgery."""
 
-from dataclasses import FrozenInstanceError, fields
+import random
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations
 
 import pytest
@@ -9,7 +11,7 @@ from helpers import as_tuple_terms, bit_loop_indices, sq_thom
 from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
-from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_THOM,
+from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_PARTS, FIBER_THOM,
                            NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
                            StableCell, StableCellComplex, infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
@@ -235,6 +237,103 @@ class TestProperCells:
         assert len(thom.proper_cells) == len(thom.cells) - 1
 
 
+def naive_dim(cell):
+    return bin(cell.base_mask).count("1") + cell.fiber_offset + cell.suspension
+
+
+def naive_key(cell):
+    """The canonical order, from the public fields alone."""
+    return (naive_dim(cell), FIBER_PARTS.index(cell.fiber_part),
+            cell.base_mask, cell.suspension)
+
+
+def lifted_fresh(cells, k, cut=None):
+    """The cells of dimension > cut, each made again k dimensions up."""
+    return [StableCell(c.base_mask, c.fiber_part, c.fiber_offset,
+                       c.suspension + k)
+            for c in cells if cut is None or naive_dim(c) > cut]
+
+
+class TestDerivedIndexes:
+    """Every index a complex and its view derive, against a naive
+    recomputation from the cells given and the labelling rules."""
+
+    def check(self, complex_, given):
+        cells = sorted(given, key=naive_key)
+        assert list(complex_.cells) == cells
+        if complex_.basepoint_policy == "thom":
+            proper = [c for c in cells if c.fiber_part != "point"]
+        else:
+            proper = [c for c in cells if (c.fiber_part, c.base_mask)
+                      != ("sphere_zero", 0)]
+        assert list(complex_.proper_cells) == proper
+        # Counter keeps first-seen order: dims ascend
+        assert list(complex_.cells_by_dim().items()) == list(
+            Counter(map(naive_dim, cells)).items())
+        if cells:
+            assert complex_.top_cell == max(cells, key=naive_key)
+        view = complex_.attachments
+        if view is None:
+            return
+        for dim in range(-5, max(map(naive_dim, cells), default=0) + 6):
+            assert view.cells_at(dim) == tuple(
+                c for c in proper if naive_dim(c) == dim)
+        defaults, exceptions = view.rules
+        labels = {(upper, lower): defaults[naive_dim(upper) - naive_dim(lower)]
+                  for upper in proper for lower in proper
+                  if naive_dim(upper) - naive_dim(lower) in defaults}
+        labels.update(exceptions)
+        assert view.counts() == Counter(
+            (naive_dim(upper) - naive_dim(lower), label.value)
+            for (upper, lower), label in labels.items())
+        assert len(view) == len(labels)
+
+    def derived(self, built):
+        labelled = infer_attachments(built)
+        return [(built, built.cells), (labelled, built.cells),
+                (skeletal_quotient(built, 5), lifted_fresh(built.cells, 0, 5)),
+                (skeletal_quotient(labelled, 5),
+                 lifted_fresh(built.cells, 0, 5)),
+                (suspend(labelled, 2), lifted_fresh(built.cells, 2)),
+                (suspend(skeletal_quotient(labelled, 5), 1),
+                 lifted_fresh(built.cells, 1, 5))]
+
+    def test_thom_and_sphere_complexes_cut_and_suspended(self):
+        bundle = sum_bundle(3, 5)
+        for built in (thom_cells(bundle), sphere_bundle_quotient(bundle)):
+            for complex_, given in self.derived(built):
+                self.check(complex_, given)
+
+    def test_hand_built_reduced_complex_in_shuffled_order(self):
+        bundle = sphere_bundle_quotient(torus_bundle()).bundle
+        cells = [StableCell(mask, part, offset) for mask in range(16)
+                 for part, offset in (("sphere_zero", 0), ("sphere_two", 2))]
+        basepoint = cells[0]
+        by_name = {cell.name(): cell for cell in cells}
+        exceptions = {
+            # down to the basepoint, on and off the default gaps
+            (by_name["S0{1,2}"], basepoint): AttachLabel(ETA_LABEL, "hand"),
+            (by_name["S2{1}"], basepoint): AttachLabel(UNKNOWN, "hand"),
+            (by_name["S2{1,2,3,4}"], basepoint): AttachLabel(UNKNOWN, "hand"),
+            # a proper pair overriding its default
+            (by_name["S2{2,3}"], by_name["S0{1}"]):
+                AttachLabel(UNKNOWN, "hand"),
+        }
+        defaults = {1: AttachLabel(TRIVIAL, "hand"),
+                    2: AttachLabel(TRIVIAL, "hand"),
+                    3: AttachLabel(UNKNOWN, "hand")}
+        for seed in range(5):
+            shuffled = list(cells)
+            random.Random(seed).shuffle(shuffled)
+            complex_ = StableCellComplex(tuple(shuffled), bundle, "reduced",
+                                         LabelRules(defaults, exceptions))
+            assert complex_.attachments.counts()[(2, ETA_LABEL)] == 1
+            self.check(complex_, shuffled)
+            self.check(suspend(complex_, 3), lifted_fresh(cells, 3))
+            self.check(skeletal_quotient(complex_, 1),
+                       lifted_fresh(cells, 0, 1))
+
+
 class TestSphereBundleQuotient:
     def test_dim_table_rank_eight(self):
         complex_ = sphere_bundle_quotient(sum_bundle(3, 5))
@@ -332,6 +431,44 @@ class TestCellNames:
                                    (-(1 << 70), "sphere_two", 2)):
             with pytest.raises(ValueError, match="nonnegative"):
                 StableCell(mask, part, offset)
+
+    def test_unknown_fiber_and_negative_suspension_rejected_when_made(self):
+        for part in ("H", "", "Thom", None):
+            with pytest.raises(ValueError, match="unknown fiber part"):
+                StableCell(1, part, 4)
+        for suspension in (-1, -(1 << 70)):
+            with pytest.raises(ValueError, match="suspension"):
+                StableCell(1, FIBER_THOM, 4, suspension)
+        cell = StableCell(1, FIBER_THOM, 4, 2)
+        with pytest.raises(ValueError, match="suspension"):
+            cell.suspended(-1)
+        with pytest.raises(ValueError, match="suspension"):
+            replace(cell, suspension=-1)
+
+    def test_suspended_equals_the_cell_made_fresh(self):
+        masks = [0, 1, 0b1011, (1 << 12) - 1, 1 << 40, 1 << 79,
+                 (1 << 79) | (1 << 64) | 1]
+        for part, offset in (("point", 0), (FIBER_THOM, 4),
+                             ("sphere_zero", 0), ("sphere_two", 2)):
+            for mask in masks:
+                for suspension in (0, 1, 3):
+                    cell = StableCell(mask, part, offset, suspension)
+                    cell.name()     # a cached name must not carry over
+                    for k in (0, 1, 2, 7):
+                        lifted = cell.suspended(k)
+                        fresh = StableCell(mask, part, offset, suspension + k)
+                        assert type(lifted) is StableCell
+                        assert lifted == fresh
+                        assert hash(lifted) == hash(fresh)
+                        assert repr(lifted) == repr(fresh)
+                        assert lifted.sort_key() == fresh.sort_key() \
+                            == naive_key(fresh)
+                        assert lifted.dim == fresh.dim
+                        assert lifted.name() == fresh.name()
+                        assert replace(cell, suspension=suspension + k) \
+                            == lifted
+                        with pytest.raises(FrozenInstanceError):
+                            lifted.suspension = 0
 
     def test_hash_is_cached_and_equals_the_field_tuple_hash(self):
         cells = [StableCell(mask, part, offset, suspension)
