@@ -28,7 +28,7 @@ VERDICT_TRIVIAL, VERDICT_NONTRIVIAL, VERDICT_UNKNOWN = (
     "trivial", "nontrivial", "unknown")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ColumnEntry:
     """One cell's column: the stem it contributes and what happened to it."""
 
@@ -38,15 +38,6 @@ class ColumnEntry:
     status: str = SURVIVES
     killer: Optional[str] = None
     reduced_index: Optional[int] = None
-
-    def __init__(self, cell: StableCell, stem_q: int, group: AbelianGroup,
-                 status: str = SURVIVES, killer: Optional[str] = None,
-                 reduced_index: Optional[int] = None):
-        # one write of the whole instance dict; dataclasses.replace calls
-        # this with every field
-        object.__setattr__(self, "__dict__", {
-            "cell": cell, "stem_q": stem_q, "group": group, "status": status,
-            "killer": killer, "reduced_index": reduced_index})
 
 
 @dataclass(frozen=True)
@@ -331,7 +322,7 @@ def _mark_unknowns(complex_, columns, notes):
         if tails:
             columns[i] = replace(column, status=UNKNOWN, killer=None)
             head = f"column {upper.name()} marked unknown: reachable through a "
-            notes.extend(map(head.__add__, tails.values()))
+            notes.extend(head + text for text in tails.values())
 
 
 def evaluate_class(report: GroupReport, assignment: ClassAssignment) -> str:

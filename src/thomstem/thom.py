@@ -103,20 +103,10 @@ class StableCell:
         return mask_text(self.base_mask)[0]
 
     def suspended(self, k: int) -> "StableCell":
-        """This cell shifted up by k >= 0. A shift keeps a valid cell
-        valid and keeps its fiber order, so nothing is checked again."""
         if k < 0:
             raise ValueError("suspension must be nonnegative")
-        dim, order, mask, suspension = self._key
-        dim, suspension = dim + k, suspension + k
-        part, offset = self.fiber_part, self.fiber_offset
-        out = object.__new__(StableCell)
-        object.__setattr__(out, "__dict__", {
-            "base_mask": mask, "fiber_part": part, "fiber_offset": offset,
-            "suspension": suspension, "_dim": dim,
-            "_key": (dim, order, mask, suspension),
-            "_hash": hash((mask, part, offset, suspension))})
-        return out
+        return StableCell(self.base_mask, self.fiber_part, self.fiber_offset,
+                          self.suspension + k)
 
     def sort_key(self):
         return self._key
@@ -324,13 +314,8 @@ class StableCellComplex:
     def __post_init__(self):
         cells = tuple(sorted(self.cells, key=_KEY))
         object.__setattr__(self, "cells", cells)
-        # is_basepoint's test, inline for each policy; the two must agree
-        if self.basepoint_policy == POLICY_THOM:
-            proper = tuple(c for c in cells if c.fiber_part != FIBER_POINT)
-        else:
-            proper = tuple(c for c in cells
-                           if c.base_mask or c.fiber_part != FIBER_SPHERE_ZERO)
-        object.__setattr__(self, "proper_cells", proper)
+        object.__setattr__(self, "proper_cells", tuple(
+            c for c in cells if not self.is_basepoint(c)))
         labels = self.attachments
         if labels is None:
             return

@@ -1,15 +1,13 @@
 """Assembly, differentials, verdicts and certificates."""
 
 import random
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from helpers import direct_sum_oracle
 from thomstem import stems
 from thomstem.ahss import (KILLED, REDUCED, SURVIVES, VERDICT_NONTRIVIAL,
-                           VERDICT_TRIVIAL, VERDICT_UNKNOWN, ColumnEntry,
-                           assemble,
+                           VERDICT_TRIVIAL, VERDICT_UNKNOWN, assemble,
                            evaluate_class, vanishing_certificate)
 from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
@@ -35,30 +33,6 @@ def sec4_complex(r1=3, r2=5):
 def sec5_complex(r1=3, r2=5):
     m = connected_sum(make_homology_torus(r1), make_homology_torus(r2))
     return suspend(infer_attachments(sphere_bundle_quotient(index_bundle(m))), 2)
-
-
-class TestColumnEntry:
-    def test_fields_repr_equality_and_replace(self):
-        cell = StableCell(0b11, "thom", 4, 1)
-        entry = ColumnEntry(cell, 1, stems.stem_group(1))
-        assert [f.name for f in fields(entry)] == [
-            "cell", "stem_q", "group", "status", "killer", "reduced_index"]
-        assert (entry.status, entry.killer, entry.reduced_index) == \
-            (SURVIVES, None, None)
-        assert repr(entry) == (
-            f"ColumnEntry(cell={cell!r}, stem_q=1, "
-            f"group={stems.stem_group(1)!r}, status='survives', "
-            "killer=None, reduced_index=None)")
-        twin = ColumnEntry(cell=cell, stem_q=1, group=stems.stem_group(1))
-        assert twin == entry and hash(twin) == hash(entry)
-        killed = replace(entry, status=KILLED, killer="d2 from H{}")
-        assert killed == ColumnEntry(cell, 1, stems.stem_group(1), KILLED,
-                                     "d2 from H{}")
-        assert killed != entry and entry.status == SURVIVES
-        with pytest.raises(FrozenInstanceError):
-            entry.status = KILLED
-        with pytest.raises(TypeError):
-            ColumnEntry(cell, 1)
 
 
 def _point_bundle():
