@@ -1,20 +1,19 @@
-"""Exact arithmetic in the exterior algebra on b degree-1 generators.
+"""Exact classes in the exterior algebra on b degree-1 generators.
 
 A class is an integer combination of square-free monomials in generators
 a_1..a_b, i.e. an element of H^*(T^b; Z) or of its mod-2 reduction.
 Monomials are ascending generator subsets packed into bitmasks, so
-canonical forms, equality and the wedge sign (parity of the interleaving
-permutation) are exact. Values are immutable after construction.
+canonical forms and equality are exact. A class is scaled, reduced mod 2,
+read term by term and formatted, and nothing more: ch_2 comes in closed
+form from the quadruple form, and a Steenrod detection reads only the
+support of a Stiefel-Whitney class, so no pipeline stage needs a ring
+product. Values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
-
-
-class RankMismatchError(ValueError):
-    """Operands live in exterior algebras of different ambient rank."""
 
 
 # mask -> (ascending generator indices, their digit text "1,2,4"), filled
@@ -63,10 +62,6 @@ class Monomial:
     def indices(self) -> Tuple[int, ...]:
         return mask_text(self.mask)[0]
 
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
     def __str__(self) -> str:
         if not self.mask:
             return "1"
@@ -74,22 +69,6 @@ class Monomial:
 
 
 MonomialKey = Union[Monomial, int, Iterable[int]]
-
-
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of interleaving two disjoint ascending index sets.
-
-    The sign is the parity of the permutation sorting the concatenation
-    (ascending a) ++ (ascending b): for each generator in b, count the
-    generators of a strictly above it.
-    """
-    inversions = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        inversions += (a >> low.bit_length()).bit_count()
-        rest ^= low
-    return -1 if inversions & 1 else 1
 
 
 def _as_mask(key: MonomialKey) -> int:
@@ -122,7 +101,7 @@ class ExteriorClass:
         for key, coeff in terms.items():
             mask = _as_mask(key)
             if mask & ~full:
-                raise RankMismatchError(
+                raise ValueError(
                     f"monomial {Monomial(mask)} exceeds ambient rank {ambient_rank}")
             c = coeff % modulus if modulus else coeff
             if c:
@@ -141,21 +120,6 @@ class ExteriorClass:
     @classmethod
     def zero(cls, ambient_rank: int, modulus: int = 0) -> "ExteriorClass":
         return cls({}, ambient_rank, modulus)
-
-    @classmethod
-    def unit(cls, ambient_rank: int, modulus: int = 0) -> "ExteriorClass":
-        return cls({0: 1}, ambient_rank, modulus)
-
-    @classmethod
-    def generator(cls, k: int, ambient_rank: int, modulus: int = 0) -> "ExteriorClass":
-        if not 1 <= k <= ambient_rank:
-            raise RankMismatchError(f"generator {k} outside 1..{ambient_rank}")
-        return cls({1 << (k - 1): 1}, ambient_rank, modulus)
-
-    @classmethod
-    def monomial(cls, indices: Iterable[int], ambient_rank: int,
-                 coeff: int = 1, modulus: int = 0) -> "ExteriorClass":
-        return cls({Monomial.from_indices(indices): coeff}, ambient_rank, modulus)
 
     @classmethod
     def _raw(cls, terms: dict, ambient_rank: int, modulus: int) -> "ExteriorClass":
@@ -178,52 +142,7 @@ class ExteriorClass:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree_part(self, d: int) -> "ExteriorClass":
-        terms = {m: c for m, c in self._terms.items() if m.bit_count() == d}
-        return ExteriorClass._raw(terms, self.ambient_rank, self.modulus)
-
     # -- arithmetic ----------------------------------------------------
-
-    def _check(self, other: "ExteriorClass") -> None:
-        if not isinstance(other, ExteriorClass):
-            raise TypeError(f"expected ExteriorClass, got {type(other).__name__}")
-        if other.ambient_rank != self.ambient_rank:
-            raise RankMismatchError(
-                f"ambient ranks differ: {self.ambient_rank} vs {other.ambient_rank}")
-        if other.modulus != self.modulus:
-            raise ValueError("cannot mix integer and mod-2 classes")
-
-    def wedge(self, other: "ExteriorClass") -> "ExteriorClass":
-        self._check(other)
-        modulus = self.modulus
-        terms: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                c = terms.get(m, 0) + _merge_sign(ma, mb) * ca * cb
-                if modulus:
-                    c %= modulus
-                if c:
-                    terms[m] = c
-                elif m in terms:
-                    del terms[m]
-        return ExteriorClass._raw(terms, self.ambient_rank, modulus)
-
-    def add(self, other: "ExteriorClass") -> "ExteriorClass":
-        self._check(other)
-        modulus = self.modulus
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            v = terms.get(m, 0) + c
-            if modulus:
-                v %= modulus
-            if v:
-                terms[m] = v
-            elif m in terms:
-                del terms[m]
-        return ExteriorClass._raw(terms, self.ambient_rank, modulus)
 
     def scale(self, n: int) -> "ExteriorClass":
         modulus = self.modulus
@@ -240,10 +159,6 @@ class ExteriorClass:
         """Coefficientwise reduction; the result stores coefficients in {1}."""
         terms = {m: 1 for m, c in self._terms.items() if c % 2}
         return ExteriorClass._raw(terms, self.ambient_rank, 2)
-
-    def top_coefficient(self) -> int:
-        """Coefficient of the full monomial {1..b} (the orientation class)."""
-        return self._terms.get((1 << self.ambient_rank) - 1, 0)
 
     # -- equality ------------------------------------------------------
 
@@ -281,16 +196,3 @@ class ExteriorClass:
 
     __str__ = format
 
-
-def sq_torus(i: int, x: ExteriorClass) -> ExteriorClass:
-    """Steenrod square on torus classes: the identity for i = 0, zero above.
-
-    The exterior algebra on degree-1 generators carries no higher squares
-    (Cartan formula + Sq^1 = 0 on each generator), so the action reduces
-    to Sq^0 = id.
-    """
-    if i < 0:
-        raise ValueError("Sq^i needs i >= 0")
-    if i == 0:
-        return x
-    return ExteriorClass.zero(x.ambient_rank, x.modulus)

@@ -209,12 +209,16 @@ def _check_manifold(m, where: str) -> Mapping:
         if not match:
             raise SpecError(f"{where}.quad_form[{j}]",
                             'rows must look like "[i,j,k,l] = value"')
-        subset = tuple(int(g) for g in match.groups()[:4])
+        try:
+            subset = tuple(int(g) for g in match.groups()[:4])
+            value = int(match.group(5))
+        except ValueError as exc:  # more digits than int() will read
+            raise SpecError(f"{where}.quad_form[{j}]", str(exc)) from None
         if not 1 <= subset[0] < subset[1] < subset[2] < subset[3] <= out["b1"]:
             raise SpecError(f"{where}.quad_form[{j}]",
                             "indices must ascend strictly within "
                             f"1..b1 = {out['b1']}")
-        out["quad_form"][subset] = int(match.group(5))
+        out["quad_form"][subset] = value
     out["quad_form"] = MappingProxyType(out["quad_form"])
     return MappingProxyType(out)
 
@@ -257,7 +261,10 @@ def _parse_element(text, where: str):
     match = _ELEMENT_CALL.match(text.replace(" ", ""))
     if match:
         builder = {"one": stems.one, "nu_multiple": stems.nu_multiple}[match.group(1)]
-        value = int(match.group(2))
+        try:
+            value = int(match.group(2))
+        except ValueError as exc:  # more digits than int() will read
+            raise SpecError(where, str(exc)) from None
         return lambda q: builder(value)
     raise SpecError(where, f"unknown stem element {text!r}; use zero, eta, "
                     "eta_sq, one(d) or nu_multiple(k)")

@@ -33,13 +33,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup(self.free_rank + other.free_rank,
-                            self.torsion + other.torsion)
-
-    def __add__(self, other):
-        return self.direct_sum(other)
-
     def pretty(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -62,7 +55,7 @@ TRIVIAL_GROUP = AbelianGroup()
 
 
 def group_sum(groups) -> AbelianGroup:
-    """Direct sum of many groups; the torsion is sorted once, not per `+`."""
+    """Direct sum of groups; the torsion is sorted once, at the end."""
     free_rank, torsion = 0, []
     for group in groups:
         free_rank += group.free_rank

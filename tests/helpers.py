@@ -1,15 +1,17 @@
 """Shared test oracles, deliberately independent of the library's own paths.
 
-The wedge oracle multiplies index tuples by concatenation and bubble-sorts
-with an explicit swap count; the Chern oracle expands exp(Omega) in a flat
+The wedge oracle, the project's one exterior-algebra product (the package
+has none), multiplies index tuples by concatenation and bubble-sorts with
+an explicit swap count; the Chern oracle expands exp(Omega) in a flat
 symbol algebra with no bitmasks and no Koszul bookkeeping; the assembly
 oracle direct-sums stems straight off the cell list; the label oracle
 writes out every attachment pair the way the library once stored them,
-deciding each Sq detection by a wedge with a Stiefel-Whitney class
-(`sq_thom`) rather than by the library's bitmask walk over `DETECTIONS`;
-the unknown-column oracle formats one note per threatening pair, pair by
-pair, the way assembly once did; the monomial-text oracle reads a mask off
-bit by bit on every call, the way each monomial and cell once did.
+deciding each Sq detection by a bubble-oracle wedge with a Stiefel-Whitney
+class (`sq_thom`) rather than by the library's bitmask walk over
+`DETECTIONS`; the unknown-column oracle formats one note per threatening
+pair, pair by pair, the way assembly once did; the monomial-text oracle
+reads a mask off bit by bit on every call, the way each monomial and cell
+once did.
 """
 
 import random
@@ -170,10 +172,12 @@ def oracle_chern_character(manifold):
 
 def direct_sum_oracle(complex_, target_n):
     """Direct sum of stems over proper cells, no differentials at all."""
-    total = stems.TRIVIAL_GROUP
+    free_rank, torsion = 0, ()
     for cell in complex_.proper_cells:
-        total = total + stems.stem_group(cell.dim - target_n)
-    return total
+        group = stems.stem_group(cell.dim - target_n)
+        free_rank += group.free_rank
+        torsion += group.torsion
+    return stems.AbelianGroup(free_rank, torsion)
 
 
 def binomial(n, k):
@@ -195,14 +199,15 @@ def sq_thom(i: int, x: ExteriorClass, bundle) -> ExteriorClass:
     """Sq^i on a Thom-basis class u*x: the Cartan formula collapses to
     u * (w_i wedge x) because the squares vanish on torus classes.
 
-    `x` is the base part of the class, mod 2; the Thom class u is
-    implicit, and the result is the base part of Sq^i(u*x).
+    `x` is the base part of the class; the Thom class u is implicit, and
+    the result is the base part of Sq^i(u*x), a mod-2 class. The wedge is
+    the bubble oracle's, reduced mod 2 by the constructor.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("sq_thom supports Sq^1..Sq^4")
-    if x.modulus != 2:
-        x = x.mod2()
-    return bundle.w_class(i).wedge(x)
+    product = bubble_wedge(as_tuple_terms(bundle.w_class(i)),
+                           as_tuple_terms(x))
+    return ExteriorClass(product, bundle.base_rank, modulus=2)
 
 
 # -- dense label oracle ------------------------------------------------------

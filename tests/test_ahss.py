@@ -60,8 +60,8 @@ def eta_torus_complex():
     T^4 with c1 = x{1,2} and c2 = -3 x{1,2,3,4}: w2 = x{1,2} puts eta
     labels on (L | {1,2}, L) for every L off {1,2}, and w4 a nu_odd label
     on the top cell over H{}."""
-    c1 = ExteriorClass.monomial([1, 2], 4)
-    c2 = ExteriorClass.monomial([1, 2, 3, 4], 4).scale(-3)
+    c1 = ExteriorClass({(1, 2): 1}, 4)
+    c2 = ExteriorClass({(1, 2, 3, 4): -3}, 4)
     zero2 = ExteriorClass.zero(4, modulus=2)
     bundle = BundleData(4, QUATERNIONIC, 1, c1, c2,
                         (zero2, c1.mod2(), zero2, c2.mod2()), 1)

@@ -164,6 +164,6 @@ class TestIndexBundle:
         with pytest.raises(ValueError):
             BundleData(base_rank=4, field=QUATERNIONIC, rank=1,
                        c1=ExteriorClass.zero(4),
-                       c2=ExteriorClass.monomial([1, 2, 3, 4], 4),
+                       c2=ExteriorClass({(1, 2, 3, 4): 1}, 4),
                        w=(zero2, zero2, zero2, zero2),  # wrong w4
                        sphere_shift=1)

@@ -198,6 +198,16 @@ _MALFORMED_BASE = {
 }
 
 
+# integers with one digit more than int() reads from text by default
+_TOO_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+_OVER_LONG_INTEGERS = [
+    ({"manifolds": [{"b1": 4, "quad_form": [f"[1,2,3,4] = {_TOO_LONG}"]}]},
+     "spec.manifolds[0].quad_form[0]"),
+    ({"class_assignment": [{"cell": "top", "element": f"one({_TOO_LONG})"}]},
+     "spec.class_assignment[0].element"),
+]
+
+
 def _resolve_time(index, patch, pointer):
     """A row whose pointer is raised after parsing, at the `spec.` root.
     Its id names the field below that root, so the test id stays stable
@@ -285,6 +295,7 @@ class TestInputContract:
         ({"class_assignment": [{"cell": {"base": [1, 10 ** 12]},
                                 "element": "zero"}]},
          "spec.class_assignment[0].cell.base[1]"),
+        *_OVER_LONG_INTEGERS,
     ])
     def test_exit_two_names_the_field(self, capsys, tmp_path, patch, pointer):
         spec = tmp_path / "malformed.json"
@@ -355,6 +366,12 @@ class TestPresetSpecs:
         with pytest.raises(SpecError) as err:
             pipeline.preset("paper-sec3", det=0)
         assert err.value.pointer == "spec.manifolds[0].determinant"
+
+    @pytest.mark.parametrize("patch, pointer", _OVER_LONG_INTEGERS)
+    def test_over_long_integer_names_the_field(self, patch, pointer):
+        with pytest.raises(SpecError) as err:
+            parse_scenario({**_MALFORMED_BASE, **patch})
+        assert err.value.pointer == pointer
 
     def test_manifold_entries_are_read_only(self):
         spec = pipeline.preset("paper-sec4", det1=3, det2=5)

@@ -44,7 +44,7 @@ class TestAbelianGroup:
         assert AbelianGroup(2, (2, 2, 24)).pretty() == "Z^2 + (Z/2)^2 + Z/24"
 
     def test_direct_sum(self):
-        got = AbelianGroup(1, (2,)) + AbelianGroup(2, (24,))
+        got = group_sum((AbelianGroup(1, (24,)), AbelianGroup(2, (2,))))
         assert got == AbelianGroup(3, (2, 24))
 
     def test_torsion_order_is_canonical(self):
@@ -56,9 +56,9 @@ class TestAbelianGroup:
             groups = [AbelianGroup(rng.randint(0, 3), tuple(
                 rng.choice((2, 3, 24, 240)) for _ in range(rng.randint(0, 4))))
                 for _ in range(rng.randint(0, 12))]
-            total = TRIVIAL_GROUP
+            total = TRIVIAL_GROUP  # summed two at a time
             for group in groups:
-                total = total + group
+                total = group_sum((total, group))
             assert group_sum(groups) == total
             assert group_sum(iter(groups)) == total
 
