@@ -38,7 +38,8 @@ class TestConstructor:
 
 
 class TestWedge:
-    """The bubble oracle's product on index-tuple maps."""
+    """The bubble oracle's product on index-tuple maps; a class's rank,
+    which the product once checked, now shows only in equality."""
 
     def test_adjacent_merge(self):
         assert bubble_wedge({(1,): 1}, {(2,): 1}) == {(1, 2): 1}
@@ -50,7 +51,7 @@ class TestWedge:
         assert bubble_wedge({(2,): 1}, {(1,): 1}) == {(1, 2): -1}
 
     def test_rank_mismatch(self):
-        # the rank is part of a class's value: same terms, different class
+        # same terms, different rank: different classes
         x4, x5 = ExteriorClass({1: 1}, 4), ExteriorClass({1: 1}, 5)
         assert as_tuple_terms(x4) == as_tuple_terms(x5)
         assert x4 != x5
