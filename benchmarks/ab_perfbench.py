@@ -18,7 +18,11 @@ spread. Per-layer self times and counters come from 5 traced pairs per
 workload, seed 1, each run as long as an untraced one and alternating
 which side runs first as the untraced pairs do; the file holds each
 side's median of each metric, because one traced run of unchanged code
-can move a layer's self time by a third. `--workload` may be repeated.
+can move a layer's self time by a third. Under `per_layer` it also holds,
+for each per-layer metric of BENCHMARK.json, both sides' traced runs,
+medians and quartiles and how many traced pairs the change won, so a
+layer's move can be set against its own spread. `--workload` may be
+repeated.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ def summary(runs: List[float]) -> dict:
 
 
 def compare(parent: List[dict], change: List[dict], spec: dict) -> dict:
-    """Both sides of one end-to-end metric over the pairs."""
+    """Both sides of one metric over the pairs; a per-layer metric has no
+    bound."""
     name, lower = spec["name"], spec["better"] == "lower"
     a = [run["metrics"][name]["value"] for run in parent]
     b = [run["metrics"][name]["value"] for run in change]
@@ -92,7 +97,7 @@ def compare(parent: List[dict], change: List[dict], spec: dict) -> dict:
     pa, pb = summary(a), summary(b)
     gap = pa["median"] - pb["median"] if lower else pb["median"] - pa["median"]
     return {"unit": spec["unit"], "better": spec["better"],
-            "bound": spec["bound"], "parent": pa, "change": pb,
+            "bound": spec.get("bound"), "parent": pa, "change": pb,
             "change_wins": wins,
             "gain_meets_claim_rule": wins >= 0.9 * len(a)
             and gap > pa["q3"] - pa["q1"]}
@@ -137,7 +142,11 @@ def main(argv=None) -> int:
             **{side: {name: median(run["metrics"][name]["value"]
                                    for run in side_runs)
                       for name in side_runs[0]["metrics"]}
-               for side, side_runs in traced.items()}}
+               for side, side_runs in traced.items()},
+            "per_layer": {spec["name"]: compare(traced["parent"],
+                                                traced["change"], spec)
+                          for spec in benchmark["per_layer"]
+                          if spec["name"] in traced["parent"][0]["metrics"]}}
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")

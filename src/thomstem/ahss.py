@@ -12,12 +12,16 @@ direct-summed; extension problems are ignored and noted.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, groupby
+from operator import eq
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import stems
 from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
-from .thom import (DETECTION_OF, DETECTIONS, FIBER_SPHERE_ZERO,
+from .thom import (_DIM, DETECTION_OF, DETECTIONS, FIBER_SPHERE_ZERO,
                    POLICY_REDUCED, StableCell, StableCellComplex, TRIVIAL,
                    UNKNOWN)
 
@@ -40,19 +44,73 @@ class ColumnEntry:
     reduced_index: Optional[int] = None
 
 
+class Notes(Sequence):
+    """An immutable sequence of note strings kept as `items`: each item is
+    a plain note, or a run `(head, tails)` that stands for the notes
+    `head + tail`, one per tail of the tuple `tails` (a run with no tails
+    is dropped). Indexing finds its run by bisection and builds that one
+    note; a slice is a tuple. Equal and equally hashed to any `Notes` or
+    tuple that holds the same strings, whatever the run layout."""
+
+    __slots__ = ("items", "_ends")
+
+    def __init__(self, items):
+        items = tuple(item for item in items
+                      if isinstance(item, str) or item[1])
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_ends", tuple(accumulate(
+            1 if isinstance(item, str) else len(item[1]) for item in items)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Notes is immutable: cannot set {name}")
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]         # negative or out of range as a tuple
+        k = bisect_right(self._ends, i)
+        item = self.items[k]
+        if isinstance(item, str):
+            return item
+        return item[0] + item[1][i - (self._ends[k - 1] if k else 0)]
+
+    def __iter__(self):
+        for item in self.items:
+            if isinstance(item, str):
+                yield item
+            else:
+                yield from map(item[0].__add__, item[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, (Notes, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Notes({self.items!r})"
+
+
 @dataclass(frozen=True)
 class GroupReport:
     """Result of assembling {complex, S^N}.
 
     `assembled` is exact when no entry is unknown; otherwise `bounds`
-    holds the (all unknowns die, all unknowns survive) pair.
+    holds the (all unknowns die, all unknowns survive) pair. `notes` is
+    a `Notes`: each unknown column's pair notes are one run over the
+    tails its dimension shares.
     """
 
     target_n: int
     entries: Tuple[ColumnEntry, ...]
     assembled: Optional[AbelianGroup]
     bounds: Optional[Tuple[AbelianGroup, AbelianGroup]]
-    notes: Tuple[str, ...]
+    notes: Notes
     differentials: Tuple[str, ...]
     complex: StableCellComplex = field(repr=False)
     _by_cell: Dict[StableCell, ColumnEntry] = field(
@@ -88,10 +146,11 @@ def _surviving_sum(entries) -> AbelianGroup:
 def stem_groups(complex_: StableCellComplex, target_n: int
                 ) -> Dict[int, AbelianGroup]:
     """The stable stem group of each stem that holds a column: a proper
-    cell of dimension d sits in stem d - N. Raises OutOfTableError at the
-    lowest stem outside the table."""
-    return {q: stems.stem_group(q) for q in sorted(
-        {cell.dim - target_n for cell in complex_.proper_cells})}
+    cell of dimension d sits in stem d - N. The proper cells come in
+    ascending dimension, so each dimension is read once and this raises
+    OutOfTableError at the lowest stem outside the table."""
+    return {dim - target_n: stems.stem_group(dim - target_n)
+            for dim, _ in groupby(complex_.proper_cells, _DIM)}
 
 
 def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
@@ -147,7 +206,7 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
         differentials.append("direct sum, no differentials")
 
     return GroupReport(target_n, entries, assembled, bounds,
-                       tuple(notes), tuple(differentials), complex_)
+                       Notes(notes), tuple(differentials), complex_)
 
 
 _ETA, _NU = DETECTIONS
@@ -271,16 +330,19 @@ def _mark_unknowns(complex_, columns, notes):
 
     Each threatening pair gets one note, in canonical pair order. A note
     is a head naming the column plus a tail that depends only on the
-    upper cell's dimension and the lower cell. The default-labelled
-    tails of a dimension, {lower: tail} in canonical order, are built
-    once per dimension; after that a column costs O(its exceptions) on
-    top of writing its notes. An exception replaces its lower's tail,
-    drops it when the label is no threat, or adds a new tail; only an
-    added tail needs the row sorted again.
+    upper cell's dimension and the lower cell, and a column's notes are
+    appended as one `Notes` run, (head, tails tuple): no note string is
+    built here. The default-labelled tails of a dimension, {lower: tail}
+    in canonical order and its tuple of tails, are built once per
+    dimension, and every column of that dimension without exceptions
+    shares that tuple. A column with exceptions copies its dimension's
+    row: an exception replaces its lower's tail, drops it when the label
+    is no threat, or adds a new tail; only an added tail needs the row
+    sorted again.
     """
     labels = complex_.attachments
     defaults = labels.rules.defaults
-    by_dim: Dict[int, Dict[StableCell, str]] = {}
+    by_dim: Dict[int, Tuple[Dict[StableCell, str], Tuple[str, ...]]] = {}
 
     def tail(value, gap, lower, source_q):
         return (f"{value} gap-{gap} label from {lower.name()} "
@@ -288,7 +350,8 @@ def _mark_unknowns(complex_, columns, notes):
 
     def threats_at(dim, q):
         """{lower: tail} of the pairs at the threatening default gaps, in
-        canonical order (lower dims ascend, so gaps descend)."""
+        canonical order (lower dims ascend, so gaps descend), and its
+        tails as a tuple."""
         if dim not in by_dim:
             tails = {}
             for gap in sorted(defaults, reverse=True):
@@ -297,14 +360,14 @@ def _mark_unknowns(complex_, columns, notes):
                 if source_q is not None:
                     for lower in labels.cells_at(dim - gap):
                         tails[lower] = tail(value, gap, lower, source_q)
-            by_dim[dim] = tails
+            by_dim[dim] = tails, tuple(tails.values())
         return by_dim[dim]
 
     for i, column in enumerate(columns):
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
-        tails = threats_at(upper.dim, q)
+        tails, run = threats_at(upper.dim, q)
         own = labels.exceptions_from(upper)
         if own:
             tails, added = dict(tails), False
@@ -319,10 +382,11 @@ def _mark_unknowns(complex_, columns, notes):
             if added:
                 tails = {lower: tails[lower]
                          for lower in sorted(tails, key=StableCell.sort_key)}
-        if tails:
+            run = tuple(tails.values())
+        if run:
             columns[i] = replace(column, status=UNKNOWN, killer=None)
-            head = f"column {upper.name()} marked unknown: reachable through a "
-            notes.extend(head + text for text in tails.values())
+            notes.append((f"column {upper.name()} marked unknown: reachable "
+                          "through a ", run))
 
 
 def evaluate_class(report: GroupReport, assignment: ClassAssignment) -> str:

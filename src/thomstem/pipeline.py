@@ -16,8 +16,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import stems
-from .ahss import (GroupReport, assemble, evaluate_class, stem_groups,
-                   vanishing_certificate)
+from .ahss import (GroupReport, Notes, assemble, evaluate_class,
+                   stem_groups, vanishing_certificate)
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
 from .thom import (BASEPOINT_NOTE, FIBER_PARTS, FIBER_THOM, StableCell,
@@ -386,14 +386,15 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 
 class Rows:
     """A report table kept by column: one {key: column list} dict per run
-    of rows that share one key set. Written as the list `as_dicts` gives."""
+    of rows that share one key set. Iterates over its row dicts, and is
+    written as the list of them."""
 
     def __init__(self, *runs: Dict[str, list]):
         self.runs = runs
 
-    def as_dicts(self) -> List[dict]:
-        return [dict(zip(run, row)) for run in self.runs
-                for row in zip(*run.values())]
+    def __iter__(self):
+        for run in self.runs:
+            yield from (dict(zip(run, row)) for row in zip(*run.values()))
 
 
 def complex_to_dict(complex_: StableCellComplex) -> dict:
@@ -517,9 +518,9 @@ def report_dict(result: RunResult) -> dict:
 
 
 def report_json(result: RunResult) -> str:
-    """The report as json.dumps(indent=2, sort_keys=True,
-    default=Rows.as_dicts) writes it, plus a newline, byte for byte;
-    strings go through the C escaper."""
+    """The report as json.dumps(indent=2, sort_keys=True, default=list)
+    writes it (a `Rows` or `Notes` value as the list of its items), plus a
+    newline, byte for byte; strings go through the C escaper."""
     parts: List[str] = []
     _write(report_dict(result), "\n", parts)
     parts.append("\n")
@@ -539,16 +540,19 @@ _PROBE_ITEMS = 4096     # strings per probe, so its copy stays small
 
 
 def _write(value, newline: str, parts: List[str]) -> None:
-    """Append the list, tuple, dict or `Rows` value as JSON; `newline` is
-    the line break plus the indent of the line `value` starts on. Items
-    are str, int, bool, None or containers again, and dict keys are str;
-    anything else (a float too, or a subclass of a scalar) raises
+    """Append the list, tuple, dict, `Rows` or `Notes` value as JSON;
+    `newline` is the line break plus the indent of the line `value` starts
+    on. Items are str, int, bool, None or containers again, and dict keys
+    are str; anything else (a float too, or a subclass of a scalar) raises
     TypeError, so the report stays exact. A list of plain strings is
-    written by `_write_list` in one join, and `Rows` by `_write_rows` a
-    column at a time; any other list goes one part per item."""
+    written by `_write_list` in one join, `Rows` by `_write_rows` a column
+    at a time and `Notes` by `_write_notes` a run at a time; any other
+    list goes one part per item."""
     inner = newline + "  "
     if type(value) is Rows:
         _write_rows(value, newline, parts)
+    elif type(value) is Notes:
+        _write_notes(value, newline, parts)
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -596,6 +600,30 @@ def _write_list(items, newline: str, parts: List[str]) -> bool:
     parts += ("[" + inner + '"', ('",' + inner + '"').join(items),
               '"' + newline + "]")
     return True
+
+
+def _write_notes(notes: Notes, newline: str, parts: List[str]) -> None:
+    """Append `notes` as the JSON list of its notes. When every plain note
+    and head, and each distinct tails tuple, passes `_plain`, the body is
+    one join, each run written as its head before each of its tails;
+    otherwise the notes go as a list. A note, head or tail that is not an
+    exact str raises TypeError."""
+    items = notes.items
+    heads = [item if isinstance(item, str) else item[0] for item in items]
+    tails = list({id(item[1]): item[1] for item in items
+                  if not isinstance(item, str)}.values())
+    if not items:
+        parts.append("[]")
+    elif set(map(type, chain(heads, *tails))) != {str}:
+        raise TypeError("a report note is not a str")
+    elif not (_plain(heads) and all(map(_plain, tails))):
+        _write(list(notes), newline, parts)
+    else:
+        sep = '",' + newline + '  "'
+        parts += ("[" + newline + '  "', sep.join(
+            item if isinstance(item, str) else
+            item[0] + (sep + item[0]).join(item[1]) for item in items),
+            '"' + newline + "]")
 
 
 def _plain(strings) -> bool:

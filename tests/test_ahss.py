@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from helpers import direct_sum_oracle
-from thomstem import stems
+from helpers import direct_sum_oracle, thom_rung
+from thomstem import pipeline, stems
 from thomstem.ahss import (KILLED, REDUCED, SURVIVES, VERDICT_NONTRIVIAL,
-                           VERDICT_TRIVIAL, VERDICT_UNKNOWN, assemble,
-                           evaluate_class, vanishing_certificate)
+                           VERDICT_TRIVIAL, VERDICT_UNKNOWN, Notes, assemble,
+                           evaluate_class, stem_groups, vanishing_certificate)
 from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass
@@ -405,6 +405,112 @@ class TestGuards:
         report = assemble(complex_, 7)
         with pytest.raises(ValueError, match="carries no assembly column"):
             evaluate_class(report, {complex_.basepoint_cell: stems.eta()})
+
+
+class TestStemGroups:
+    """`stem_groups` reads each dimension once, from the proper cells in
+    canonical order, and gives the groups the set of all cell stems
+    gives."""
+
+    @pytest.mark.parametrize("build", [sec3_complex, sec4_complex,
+                                       sec5_complex])
+    def test_presets_match_every_cell_stem(self, build, monkeypatch):
+        complex_ = build()
+        top = complex_.top_cell.dim
+        for target in range(top - stems.MAX_STEM, top + 3):
+            expected = {q: stems.stem_group(q) for q in sorted(
+                {cell.dim - target for cell in complex_.proper_cells})}
+            with monkeypatch.context() as patch:
+                patch.setattr(StableCell, "dim", property(refuse_dim))
+                groups = stem_groups(complex_, target)
+            assert list(groups.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("build", [sec3_complex, sec4_complex,
+                                       sec5_complex])
+    def test_out_of_table_names_the_lowest_stem(self, build):
+        complex_ = build()
+        dims = {cell.dim for cell in complex_.proper_cells}
+        for target in (max(dims) - stems.MAX_STEM - k for k in (1, 2, 5)):
+            lowest = min(dim - target for dim in dims
+                         if dim - target > stems.MAX_STEM)
+            with pytest.raises(OutOfTableError,
+                               match=f"stable stem {lowest} is outside"):
+                stem_groups(complex_, target)
+
+    @pytest.mark.parametrize("shift", [-8, -9, -12])
+    def test_out_of_table_spec_fails_alike_in_run_and_explain(self, shift):
+        spec = pipeline.parse_scenario({
+            "schema": "thomstem-scenario/1", "manifolds": [
+                {"determinant": 3}, {"determinant": 5}],
+            "suspensions": 1, "target_shift": shift})
+        _, _, _, final, target = pipeline._stages(spec)
+        lowest = min(cell.dim - target for cell in final.proper_cells
+                     if cell.dim - target > stems.MAX_STEM)
+        for call in (pipeline.run_scenario, pipeline.explain_text):
+            with pytest.raises(OutOfTableError,
+                               match=f"stable stem {lowest} is outside"):
+                call(spec)
+
+
+def refuse_dim(cell):
+    raise AssertionError(f"read the dim of {cell.name()} cell by cell")
+
+
+class TestNotes:
+    """`GroupReport.notes` is a sequence of str kept as plain notes and
+    (head, tails) runs."""
+
+    ITEMS = ["a", ("h:", ("x", "y", "z")), "b", ("k:", ()), ("g:", ("w",))]
+    FLAT = ("a", "h:x", "h:y", "h:z", "b", "g:w")
+
+    def test_sequence_behaviour(self):
+        notes = Notes(self.ITEMS)
+        assert len(notes) == 6 and len(Notes([])) == 0
+        assert list(notes) == list(self.FLAT)
+        assert [notes[i] for i in range(-6, 6)] == list(self.FLAT * 2)
+        for bad in (6, -7):
+            with pytest.raises(IndexError):
+                notes[bad]
+        for cut in (slice(2, None), slice(None, -1), slice(1, 4),
+                    slice(None, None, -2), slice(9, 10)):
+            assert notes[cut] == self.FLAT[cut]
+            assert type(notes[cut]) is tuple
+        assert "h:y" in notes and "h:" not in notes
+        assert notes.index("b") == 4 and notes.count("h:z") == 1
+        # the empty run is dropped: it stands for no note
+        assert ("k:", ()) not in notes.items
+
+    def test_equal_and_hashed_as_its_notes(self):
+        notes = Notes(self.ITEMS)
+        layouts = [self.FLAT, Notes(self.FLAT),
+                   Notes(["a", ("h:", ("x",)), ("h:", ("y", "z")), "b",
+                          ("g:w", ("",))])]
+        for other in layouts:
+            assert notes == other and other == notes
+            assert hash(notes) == hash(other)
+        for other in (self.FLAT[:-1], self.FLAT + ("c",), list(self.FLAT),
+                      Notes(["a", ("h:", ("x", "y", "Z")), "b", "g:w"])):
+            assert notes != other and other != notes
+
+    def test_immutable(self):
+        notes = Notes(self.ITEMS)
+        for name in ("items", "_ends", "other"):
+            with pytest.raises(AttributeError):
+                setattr(notes, name, ())
+        assert notes == self.FLAT
+
+    def test_index_builds_one_note(self):
+        # a run's notes are built on demand: indexing reads only its run
+        report = pipeline.run_scenario(pipeline.parse_scenario(
+            thom_rung(10))).report
+        notes = report.notes
+        assert len(notes) == 32624 and len(notes.items) == 168
+        tails = [item[1] for item in notes.items if not isinstance(item, str)]
+        assert len(set(map(id, tails))) < 50 and len(set(tails)) == 2
+        flat = tuple(notes)
+        for i in (0, 2, 3, 200, 16000, -2, -1):
+            assert notes[i] == flat[i]
+        assert notes[1000:1003] == flat[1000:1003]
 
 
 class TestCertificates:

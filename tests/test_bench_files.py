@@ -5,7 +5,8 @@ the Python version, each end-to-end metric's median and quartiles on both
 sides of the A/B pairs, and each side's per-layer self times and counters.
 Files written since traced runs came in pairs hold each side's median over
 those pairs; older files hold one traced run per side. Both sit under the
-same keys.
+same keys. Newer files also hold, under `per_layer`, each side's traced
+runs with their quartiles and the traced pairs the change won.
 """
 
 import json
@@ -46,3 +47,13 @@ def test_bench_file_has_the_required_keys(path):
         for side in SIDES:
             assert all(isinstance(traced[side][name], (int, float))
                        for name in PER_LAYER), (workload, side)
+        if "per_layer" not in traced:
+            continue
+        assert set(PER_LAYER) <= set(traced["per_layer"])
+        for name, metric in traced["per_layer"].items():
+            assert 0 <= metric["change_wins"] <= traced["pairs"]
+            for side in SIDES:
+                stats = metric[side]
+                assert stats["q1"] <= stats["median"] <= stats["q3"]
+                assert stats["median"] == traced[side][name]
+                assert len(stats["runs"]) == traced["pairs"]

@@ -1,8 +1,9 @@
 """The report writer against the stdlib encoder it stands in for.
 
 `report_json` must give `json.dumps(report_dict(r), indent=2,
-sort_keys=True, default=Rows.as_dicts) + "\n"` byte for byte, and refuse
-what a report must never hold.
+sort_keys=True, default=list) + "\n"` byte for byte, and refuse what a
+report must never hold. `default=list` writes a `Rows` table as its row
+dicts and a `Notes` sequence as its notes.
 """
 
 import enum
@@ -11,14 +12,15 @@ from itertools import groupby
 
 import pytest
 
+from helpers import thom_rung
 from test_golden import CASES
 from thomstem import pipeline
+from thomstem.ahss import Notes
 from thomstem.pipeline import Rows
 
 
 def stdlib(value):
-    return json.dumps(value, indent=2, sort_keys=True,
-                      default=Rows.as_dicts) + "\n"
+    return json.dumps(value, indent=2, sort_keys=True, default=list) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -84,6 +86,11 @@ def test_value_zoo_matches_stdlib_encoder(monkeypatch, value):
     # and its keys are str
     Rows({1: ["int key"]}), Rows({"a": [1], 1: [2]}),
     Rows({"a": [1]}, {2: [3]}),
+    # a Notes item, run head or tail is an exact str
+    Notes(["a", Name("b")]), Notes([Name("b")]), Notes([("h", (1,))]),
+    Notes([(Name("h"), ("t",))]), Notes([("h", ("t", Name("u")))]),
+    Notes([(1, ("t",))]), Notes([("h", (None,))]),
+    Notes([("h", ('"t',)), (Name("h"), ("t",))]),
 ])
 def test_values_a_report_cannot_hold_raise(monkeypatch, value):
     monkeypatch.setattr(pipeline, "report_dict", lambda result: value)
@@ -175,9 +182,9 @@ ITEMWISE_ROWS = [
 def test_row_lists_match_stdlib(rows):
     values, table = [rows], as_rows(rows)
     if rows in COLUMNAR_ROWS:
-        assert table.as_dicts() == rows
+        assert list(table) == rows
         values.append(table)
-    elif table.as_dicts() == rows:      # a row without keys is no Rows row
+    elif list(table) == rows:      # a row without keys is no Rows row
         with pytest.raises(TypeError):
             written(table)
     for value in values:
@@ -195,7 +202,7 @@ def test_row_lists_match_stdlib(rows):
 ])
 def test_rows_edge_cases_match_stdlib(table):
     assert written(table) == stdlib(table)
-    assert written({"t": table}) == stdlib({"t": table.as_dicts()})
+    assert written({"t": table}) == stdlib({"t": list(table)})
 
 
 @pytest.mark.parametrize("value", [
@@ -236,8 +243,73 @@ def test_large_lists_are_not_written_one_part_per_item():
               report["assembly"]["entries"])
     assert all(type(table) is Rows for table in tables)
     assert len(report["assembly"]["notes"]) == 4548
-    assert len(report["complex"]["cells"].as_dicts()) == 513
+    assert len(list(report["complex"]["cells"])) == 513
     parts = []
     pipeline._write(report, "\n", parts)
     assert len(parts) < 200
     assert "".join(parts) + "\n" == stdlib(report)
+
+
+# -- notes written a run at a time ---------------------------------------
+
+# written in one join
+JOINED_NOTES = [
+    ["only"], [("h: ", ("a",))], ["", ("", ("", ""))],
+    ["plain", ("column X: ", ("one", "two", "three")), "after"],
+    # a tails tuple shared by runs, and runs of one head
+    [("a: ", ("x", "y")), ("b: ", ("x", "y")), ("a: ", ("z",))],
+]
+
+# text that needs escapes, in a plain note, a head or a tail: written
+# item by item
+ESCAPED_NOTES = [
+    ['a "quoted" note', ("h: ", ("t",))],
+    [("back\\slash ", ("t", "u")), "plain"],
+    [("h: ", ("t", "new\nline")), ("g: ", ("ok",))],
+    [("non-ascii é ", ("t",))], [("h: ", ("astral \U0001f600",))],
+    [("h: ", ("ok",)), ("h: ", ("\x7f",))],
+]
+
+
+@pytest.mark.parametrize("items", [[]] + JOINED_NOTES + ESCAPED_NOTES)
+def test_notes_match_stdlib(items):
+    notes = Notes(items)
+    parts = []
+    pipeline._write(notes, "\n", parts)
+    assert len(parts) == (3 if items in JOINED_NOTES else 1 if not items
+                          else len(notes) + 1)
+    assert written(notes) == stdlib(notes) == stdlib(list(notes))
+    assert written({"notes": notes, "z": 1}) == \
+        stdlib({"notes": list(notes), "z": 1})
+    assert written([notes, notes]) == stdlib([list(notes)] * 2)
+
+
+def test_ladder_notes_are_one_part_built_from_runs(monkeypatch):
+    """The thom b1 = 10 rung's 32,624 notes are written as one part, and
+    no note is built on the way from `run_scenario` to `report_json`."""
+    result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(10)))
+    notes = result.report.notes
+    expected = stdlib(pipeline.report_dict(result))
+    parts = []
+    pipeline._write(notes, "\n    ", parts)
+    assert len(parts) == 3
+    assert parts[1].count('",\n      "') == len(notes) - 1
+
+    def refuse(*args):
+        raise AssertionError("built a note one at a time")
+
+    for name in ("__iter__", "__getitem__"):
+        monkeypatch.setattr(Notes, name, refuse)
+    result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(10)))
+    assert pipeline.report_json(result) == expected
+    # the columns of one dimension without exceptions share one tails tuple
+    labels = result.final_complex.attachments
+    cells = {entry.cell.name(): entry.cell for entry in result.report.entries}
+    shared = {}
+    for item in result.report.notes.items:
+        if isinstance(item, str):
+            continue
+        cell = cells[item[0].split()[1]]
+        if not labels.exceptions_from(cell):
+            assert shared.setdefault(cell.dim, item[1]) is item[1]
+    assert len(shared) >= 2
