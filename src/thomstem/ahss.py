@@ -95,6 +95,9 @@ class Notes(Sequence):
     def __repr__(self):
         return f"Notes({self.items!r})"
 
+    def __reduce__(self):       # copy and pickle without __setattr__
+        return Notes, (self.items,)
+
 
 @dataclass(frozen=True)
 class GroupReport:

@@ -1,5 +1,7 @@
 """Assembly, differentials, verdicts and certificates."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -498,8 +500,12 @@ class TestNotes:
             with pytest.raises(AttributeError):
                 setattr(notes, name, ())
         assert notes == self.FLAT
+        # copies are made through the constructor, not by setting slots
+        for copied in (copy.copy(notes), copy.deepcopy(notes),
+                       pickle.loads(pickle.dumps(notes))):
+            assert type(copied) is Notes and copied.items == notes.items
 
-    def test_index_builds_one_note(self):
+    def test_index_builds_one_note(self, monkeypatch):
         # a run's notes are built on demand: indexing reads only its run
         report = pipeline.run_scenario(pipeline.parse_scenario(
             thom_rung(10))).report
@@ -508,9 +514,14 @@ class TestNotes:
         tails = [item[1] for item in notes.items if not isinstance(item, str)]
         assert len(set(map(id, tails))) < 50 and len(set(tails)) == 2
         flat = tuple(notes)
+        monkeypatch.setattr(Notes, "__iter__", refuse_iter)
         for i in (0, 2, 3, 200, 16000, -2, -1):
             assert notes[i] == flat[i]
         assert notes[1000:1003] == flat[1000:1003]
+
+
+def refuse_iter(notes):
+    raise AssertionError("built every note to index one")
 
 
 class TestCertificates:
