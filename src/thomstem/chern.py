@@ -115,32 +115,32 @@ def chern_character_index(manifold: ManifoldData) -> List[ExteriorClass]:
 @dataclass(frozen=True)
 class BundleData:
     """A vector bundle over T^{base_rank} by rank, coefficient field and
-    characteristic classes; w is the Stiefel-Whitney list (w1, w2, ...)."""
+    Chern classes. Its Stiefel-Whitney classes are read from c1 and c2
+    (`w_class`); a real bundle has c1 = c2 = 0."""
 
     base_rank: int
     field: str
     rank: int
     c1: ExteriorClass
     c2: ExteriorClass
-    w: Tuple[ExteriorClass, ...]
     sphere_shift: int
 
     def __post_init__(self):
         if self.field not in (QUATERNIONIC, REAL):
             raise ValueError(f"unknown coefficient field {self.field!r}")
-        if self.field == QUATERNIONIC:
-            if len(self.w) != 4:
-                raise ValueError("a quaternionic bundle carries w1..w4")
-            zero2 = ExteriorClass.zero(self.base_rank, modulus=2)
-            if self.w[0] != zero2 or self.w[2] != zero2:
-                raise ValueError("w1 and w3 vanish for quaternionic bundles")
-            if self.w[1] != self.c1.mod2() or self.w[3] != self.c2.mod2():
-                raise ValueError("w2, w4 must be the mod-2 Chern classes")
+        if self.field == REAL:
+            for name, c in (("c1", self.c1), ("c2", self.c2)):
+                if not c.is_zero:
+                    raise ValueError(f"a real bundle needs {name} = 0, "
+                                     f"got {name} = {c.format()}")
 
     def w_class(self, i: int) -> ExteriorClass:
-        """w_i as a mod-2 class, zero beyond the stored list."""
-        if 1 <= i <= len(self.w):
-            return self.w[i - 1]
+        """w_i as a mod-2 class: w2 = c1 mod 2, w4 = c2 mod 2 and every
+        other w_i zero (Milnor-Stasheff, Characteristic Classes, 19)."""
+        if i == 2:
+            return self.c1.mod2()
+        if i == 4:
+            return self.c2.mod2()
         return ExteriorClass.zero(self.base_rank, modulus=2)
 
 
@@ -149,16 +149,11 @@ def index_bundle(manifold: ManifoldData) -> BundleData:
     c1 = 0, c2 = -ch_2 (degree-4 character part), and a sphere shift n
     solving m - n = -signature/4 with m = 1."""
     ch = chern_character_index(manifold)
-    b = manifold.b1
-    zero2 = ExteriorClass.zero(b, modulus=2)
-    c1 = ExteriorClass.zero(b)
-    c2 = ch[2].scale(-1)
     return BundleData(
-        base_rank=b,
+        base_rank=manifold.b1,
         field=QUATERNIONIC,
         rank=1,
-        c1=c1,
-        c2=c2,
-        w=(zero2, c1.mod2(), zero2, c2.mod2()),
+        c1=ExteriorClass.zero(manifold.b1),
+        c2=ch[2].scale(-1),
         sphere_shift=1 + manifold.signature // 4,
     )

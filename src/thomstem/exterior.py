@@ -115,6 +115,9 @@ class ExteriorClass:
     def __setattr__(self, name, value):
         raise AttributeError("ExteriorClass is immutable")
 
+    def __reduce__(self):       # copy and pickle without __setattr__
+        return ExteriorClass, (self._terms, self.ambient_rank, self.modulus)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -481,7 +481,7 @@ def _bundle_dict(b: BundleData) -> dict:
         "sphere_shift": b.sphere_shift,
         "c1": b.c1.format(),
         "c2": b.c2.format(),
-        "w": [w.format() for w in b.w],
+        "w": [b.w_class(i).format() for i in range(1, 5)],
     }
 
 
@@ -544,10 +544,9 @@ def _write(value, newline: str, parts: List[str]) -> None:
     `newline` is the line break plus the indent of the line `value` starts
     on. Items are str, int, bool, None or containers again, and dict keys
     are str; anything else (a float too, or a subclass of a scalar) raises
-    TypeError, so the report stays exact. A list of plain strings is
-    written by `_write_list` in one join, `Rows` by `_write_rows` a column
-    at a time and `Notes` by `_write_notes` a run at a time; any other
-    list goes one part per item."""
+    TypeError, so the report stays exact. `Rows` is written by
+    `_write_rows` a column at a time and `Notes` by `_write_notes` a run
+    at a time; a list or tuple goes one part per item."""
     inner = newline + "  "
     if type(value) is Rows:
         _write_rows(value, newline, parts)
@@ -572,8 +571,6 @@ def _write(value, newline: str, parts: List[str]) -> None:
         if not value:
             parts.append("[]")
             return
-        if _write_list(value, newline, parts):
-            return
         sep = "[" + inner
         for item in value:
             text = _SCALARS.get(type(item))
@@ -586,20 +583,6 @@ def _write(value, newline: str, parts: List[str]) -> None:
         parts.append(newline + "]")
     else:
         raise TypeError(f"{type(value).__name__} is not written to a report")
-
-
-def _write_list(items, newline: str, parts: List[str]) -> bool:
-    """Append the nonempty list `items` as JSON in one join if every item
-    is a plain str (see `_plain`). Returns False, appending nothing, for
-    any other list. The joined body is a part of its own: it can be
-    megabytes long."""
-    if set(map(type, items)) != {str} or not _plain(items):
-        return False
-    # each string is its own JSON text between quotes
-    inner = newline + "  "
-    parts += ("[" + inner + '"', ('",' + inner + '"').join(items),
-              '"' + newline + "]")
-    return True
 
 
 def _write_notes(notes: Notes, newline: str, parts: List[str]) -> None:

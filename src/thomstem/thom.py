@@ -380,14 +380,12 @@ def sphere_bundle_quotient(bundle: BundleData) -> StableCellComplex:
     if bundle.field != QUATERNIONIC or bundle.rank != 1:
         raise ValueError("the circle quotient needs a rank-1 quaternionic bundle")
     b = bundle.base_rank
-    zero2 = ExteriorClass.zero(b, modulus=2)
     quotient = BundleData(
         base_rank=b,
         field=REAL,
         rank=3,
         c1=ExteriorClass.zero(b),
         c2=ExteriorClass.zero(b),
-        w=(zero2, zero2, zero2),
         sphere_shift=bundle.sphere_shift,
     )
     cells = []

@@ -64,9 +64,7 @@ def eta_torus_complex():
     on the top cell over H{}."""
     c1 = ExteriorClass({(1, 2): 1}, 4)
     c2 = ExteriorClass({(1, 2, 3, 4): -3}, 4)
-    zero2 = ExteriorClass.zero(4, modulus=2)
-    bundle = BundleData(4, QUATERNIONIC, 1, c1, c2,
-                        (zero2, c1.mod2(), zero2, c2.mod2()), 1)
+    bundle = BundleData(4, QUATERNIONIC, 1, c1, c2, 1)
     return infer_attachments(thom_cells(bundle))
 
 

@@ -1,15 +1,19 @@
 """Manifold constructors, the index Chern character against the brute-force
 oracle, and the packaged index bundle."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from helpers import as_tuple_terms, oracle_chern_character
-from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
+from thomstem.ahss import assemble
+from thomstem.chern import (QUATERNIONIC, REAL, BundleData, ManifoldData,
                             chern_character_index, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass
+from thomstem.thom import infer_attachments, thom_cells
 
 DET_GRID = [-5, -3, -2, -1, 1, 2, 3, 4, 5, 7]
 
@@ -140,8 +144,8 @@ class TestIndexBundle:
         assert b.c1.is_zero
         assert as_tuple_terms(b.c2) == {(1, 2, 3, 4): -5}
         assert b.sphere_shift == 1  # m - n = -signature/4 with m = 1
-        assert b.w[1].is_zero
-        assert as_tuple_terms(b.w[3]) == {(1, 2, 3, 4): 1}
+        assert b.w_class(2).is_zero
+        assert as_tuple_terms(b.w_class(4)) == {(1, 2, 3, 4): 1}
 
     def test_w4_parity(self):
         # mod-2 c2 keeps exactly the odd-determinant volume classes
@@ -152,18 +156,64 @@ class TestIndexBundle:
             (2, 4, {}),
         ]:
             m = connected_sum(make_homology_torus(r1), make_homology_torus(r2))
-            assert as_tuple_terms(index_bundle(m).w[3]) == want
+            assert as_tuple_terms(index_bundle(m).w_class(4)) == want
 
     def test_trivial_bundle(self):
         m = ManifoldData(b1=4, quad_form={}, signature=0, b_plus=3)
         b = index_bundle(m)
-        assert b.c2.is_zero and b.w[3].is_zero
+        assert b.c2.is_zero and b.w_class(4).is_zero
 
-    def test_w_list_invariants_enforced(self):
+
+def _bundle(c1_terms, c2_terms, field=QUATERNIONIC, rank=1):
+    return BundleData(6, field, rank, ExteriorClass(c1_terms, 6),
+                      ExteriorClass(c2_terms, 6), 1)
+
+
+class TestBundleReadMod2:
+    """The Stiefel-Whitney classes are w2 = c1 mod 2 and w4 = c2 mod 2,
+    so labels and assembly see a bundle only through those reductions."""
+
+    def test_equal_reductions_give_equal_labels_and_assembly(self):
+        # c1 and c2 agree mod 2 but differ as integers, in support too
+        one = _bundle({(1, 2): 1, (3, 5): -1},
+                      {(1, 2, 3, 4): -3, (3, 4, 5, 6): 1})
+        other = _bundle({(1, 2): 3, (3, 5): 5, (2, 6): 2},
+                        {(1, 2, 3, 4): 5, (3, 4, 5, 6): -7, (1, 2, 5, 6): 4})
+        assert one.c1 != other.c1 and one.c2 != other.c2
+        for i in range(1, 5):
+            assert one.w_class(i) == other.w_class(i)
+        built = [infer_attachments(thom_cells(b)) for b in (one, other)]
+        assert built[0].attachments.rules == built[1].attachments.rules
+        assert built[0].attachments.detected       # both rules fire
+        for target in range(3, 10):
+            a, b = (assemble(complex_, target) for complex_ in built)
+            assert a.entries == b.entries
+            assert a.notes == b.notes
+            assert a.differentials == b.differentials
+
+    def test_w_is_not_an_input(self):
         zero2 = ExteriorClass.zero(4, modulus=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             BundleData(base_rank=4, field=QUATERNIONIC, rank=1,
                        c1=ExteriorClass.zero(4),
                        c2=ExteriorClass({(1, 2, 3, 4): 1}, 4),
-                       w=(zero2, zero2, zero2, zero2),  # wrong w4
-                       sphere_shift=1)
+                       w=(zero2, zero2, zero2, zero2), sphere_shift=1)
+
+    @pytest.mark.parametrize("c1, c2, name", [
+        ({(1, 2): 1}, {}, "c1"),
+        ({}, {(1, 2, 3, 4): 2}, "c2"),
+    ])
+    def test_real_bundle_has_no_chern_class(self, c1, c2, name):
+        with pytest.raises(ValueError, match=f"real bundle needs {name} = 0"):
+            _bundle(c1, c2, field=REAL, rank=3)
+
+    @pytest.mark.parametrize("bundle", [
+        index_bundle(connected_sum(make_homology_torus(3),
+                                   make_homology_torus(5))),
+        _bundle({(1, 2): 3, (2, 6): 1}, {(1, 2, 3, 4): -5}),
+    ], ids=["index", "c1"])
+    def test_copy_and_pickle(self, bundle):
+        for copied in (copy.deepcopy(bundle),
+                       pickle.loads(pickle.dumps(bundle))):
+            assert copied == bundle
+            assert copied.w_class(2) == bundle.w_class(2)

@@ -81,11 +81,8 @@ def _random_bundle(rng, b1):
         c1 = ExteriorClass({(1 << i) | (1 << j): rng.randint(1, 3)
                             for i, j in combinations(range(b1), 2)
                             if rng.random() < 0.3}, b1)
-        w = list(bundle.w)
-        w[1] = c1.mod2()
         bundle = BundleData(base_rank=b1, field=QUATERNIONIC, rank=1, c1=c1,
-                            c2=bundle.c2, w=tuple(w),
-                            sphere_shift=bundle.sphere_shift)
+                            c2=bundle.c2, sphere_shift=bundle.sphere_shift)
     return bundle
 
 

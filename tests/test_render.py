@@ -68,7 +68,7 @@ def test_value_zoo_matches_stdlib_encoder(monkeypatch, value):
     {"a": 1, 2: "mixed keys"}, {"set": {1, 2}}, [b"bytes"], [object()],
     # subclasses of the scalars are not written either
     [Level.HIGH], {"name": Name("x")},
-    # nor inside lists written in one join, or inside their columns
+    # nor inside lists, or inside the columns of a table
     ["a", Name("b")], [Name("b")], [1, Level.HIGH], [1.0],
     [{"name": "a"}, {"name": Name("b")}], [{"dim": 1}, {"dim": 2.0}],
     [{"dim": Level.HIGH}], [{"base": [1, 2.0]}], [{"base": [Level.HIGH]}],
@@ -98,7 +98,7 @@ def test_values_a_report_cannot_hold_raise(monkeypatch, value):
         pipeline.report_json(None)
 
 
-# -- lists written in one join -------------------------------------------
+# -- lists of strings -----------------------------------------------------
 
 def written(value):
     """`value` through the writer, with no report around it."""

@@ -153,9 +153,7 @@ class TestDetections:
         # bundle, so both rules fire
         c1 = ExteriorClass({(1, 2): 1}, 4)
         c2 = ExteriorClass({(1, 2, 3, 4): 1}, 4)
-        zero2 = ExteriorClass.zero(4, modulus=2)
-        bundle = BundleData(4, QUATERNIONIC, 1, c1, c2,
-                            (zero2, c1.mod2(), zero2, c2.mod2()), 1)
+        bundle = BundleData(4, QUATERNIONIC, 1, c1, c2, 1)
         detected = infer_attachments(thom_cells(bundle)).attachments.detected
         assert {label.value for _, label in detected} == {ETA_LABEL, NU_ODD}
         for (upper, lower), label in detected:
@@ -363,12 +361,12 @@ class TestSphereBundleQuotient:
     def test_quotient_bundle_has_no_sw_classes(self):
         g = sphere_bundle_quotient(sum_bundle(3, 5)).bundle
         assert g.field == "real" and g.rank == 3
-        assert all(w.is_zero for w in g.w)
+        assert all(g.w_class(i).is_zero for i in range(1, 4))
 
     def test_rejects_higher_rank(self):
         bundle = torus_bundle()
         fake = type(bundle)(base_rank=4, field=bundle.field, rank=2,
-                            c1=bundle.c1, c2=bundle.c2, w=bundle.w,
+                            c1=bundle.c1, c2=bundle.c2,
                             sphere_shift=2)
         with pytest.raises(ValueError):
             sphere_bundle_quotient(fake)
