@@ -341,11 +341,13 @@ def _mark_unknowns(complex_, columns, notes):
     shares that tuple. A column with exceptions copies its dimension's
     row: an exception replaces its lower's tail, drops it when the label
     is no threat, or adds a new tail; only an added tail needs the row
-    sorted again.
+    sorted again. Equal tuples of tails, a dimension's or a column's, are
+    kept as one object.
     """
     labels = complex_.attachments
     defaults = labels.rules.defaults
     by_dim: Dict[int, Tuple[Dict[StableCell, str], Tuple[str, ...]]] = {}
+    shared: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     def tail(value, gap, lower, source_q):
         return (f"{value} gap-{gap} label from {lower.name()} "
@@ -363,7 +365,8 @@ def _mark_unknowns(complex_, columns, notes):
                 if source_q is not None:
                     for lower in labels.cells_at(dim - gap):
                         tails[lower] = tail(value, gap, lower, source_q)
-            by_dim[dim] = tails, tuple(tails.values())
+            run = tuple(tails.values())
+            by_dim[dim] = tails, shared.setdefault(run, run)
         return by_dim[dim]
 
     for i, column in enumerate(columns):
@@ -386,6 +389,7 @@ def _mark_unknowns(complex_, columns, notes):
                 tails = {lower: tails[lower]
                          for lower in sorted(tails, key=StableCell.sort_key)}
             run = tuple(tails.values())
+            run = shared.setdefault(run, run)
         if run:
             columns[i] = replace(column, status=UNKNOWN, killer=None)
             notes.append((f"column {upper.name()} marked unknown: reachable "

@@ -311,32 +311,43 @@ def resolve_target(spec: ScenarioSpec, manifold: ManifoldData,
     return 4 * bundle.sphere_shift + manifold.b_plus + spec.target_shift
 
 
-def resolve_assignment(spec: ScenarioSpec, final: StableCellComplex,
+def resolve_assignment(spec: ScenarioSpec, cut: StableCellComplex,
                        target_n: int) -> Dict[StableCell, stems.StemElement]:
+    """The class on each picked cell of the final complex, `cut` suspended
+    `spec.suspensions` times. Each cell is found in `cut` and lifted, so
+    its dim, its stem and every error name the suspended cell. A cell
+    picked by two rows raises: the verdict must not hang on row order."""
     out: Dict[StableCell, stems.StemElement] = {}
+    picked_by: Dict[StableCell, int] = {}
     set_by = ("the manifolds, suspensions and target_shift"
               if spec.target_override is None else
               "--target")
     for i, (selector, element_text) in enumerate(spec.class_assignment):
         where = f"spec.class_assignment[{i}]"
         if selector == "top":
-            if not final.cells:
+            if not cut.cells:
                 raise SpecError("spec.skeletal_cut", "collapses every cell, so "
                                 f"{where} has no top cell")
-            cell = final.top_cell
+            cell = cut.top_cell
         else:
             base, fiber = selector
             try:
-                cell = final.find_cell(base, fiber)
+                cell = cut.find_cell(base, fiber)
             except KeyError:
                 raise SpecError(
                     f"{where}.cell",
                     f"no {fiber} cell with base {list(base)} in the final "
                     "complex (collapsed by skeletal_cut, or not built from "
                     "these manifolds by this pipeline)") from None
-        if final.is_basepoint(cell):
+        cell = cell.suspended(spec.suspensions)
+        if cut.is_basepoint(cell):      # whatever its suspension
             raise SpecError(f"{where}.cell", f"{cell.name()} is the "
                             "basepoint and carries no class")
+        if cell in picked_by:
+            raise SpecError(f"{where}.cell", f"{cell.name()} is already "
+                            "picked by spec.class_assignment"
+                            f"[{picked_by[cell]}]")
+        picked_by[cell] = i
         stem = cell.dim - target_n
         element = _parse_element(element_text, f"{where}.element")(stem)
         if element.q != stem:
@@ -352,30 +363,31 @@ def _stages(spec: ScenarioSpec) -> Tuple[ManifoldData, BundleData,
                                          StableCellComplex, StableCellComplex,
                                          int]:
     """The chain `run_scenario` and `explain_text` share: manifold ->
-    index bundle -> cells -> labels -> cut, then suspend -> target.
-    Returns (manifold, bundle, built, final, target_n); `built` is the
-    labelled complex before the cut and the suspensions. Each stage is
-    looked up in this module's namespace when it is called, so that a
-    wrapper set there sees every call."""
+    index bundle -> cells -> labels -> cut -> target. Returns (manifold,
+    bundle, built, cut, target_n); `built` is the labelled complex before
+    the cut, and `cut` is not yet suspended: `run_scenario` suspends it,
+    while `explain_text` reads its stems and dims shifted by
+    `spec.suspensions`. Each stage is looked up in this module's
+    namespace when it is called, so that a wrapper set there sees every
+    call."""
     manifold = resolve_manifold(spec)
     bundle = index_bundle(manifold)
     if spec.pipeline == PIPELINE_SPHERE:
         built = infer_attachments(sphere_bundle_quotient(bundle))
     else:
         built = infer_attachments(thom_cells(bundle))
-    final = built
+    cut = built
     if spec.skeletal_cut is not None:
-        final = skeletal_quotient(final, spec.skeletal_cut)
-    if spec.suspensions:
-        final = suspend(final, spec.suspensions)
+        cut = skeletal_quotient(cut, spec.skeletal_cut)
     target_n = resolve_target(spec, manifold, bundle)
-    return manifold, bundle, built, final, target_n
+    return manifold, bundle, built, cut, target_n
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
-    manifold, bundle, _, final, target_n = _stages(spec)
+    manifold, bundle, _, cut, target_n = _stages(spec)
+    final = suspend(cut, spec.suspensions) if spec.suspensions else cut
     report = assemble(final, target_n)
-    assignment = resolve_assignment(spec, final, target_n)
+    assignment = resolve_assignment(spec, cut, target_n)
     verdict = evaluate_class(report, assignment)
     certificate = vanishing_certificate(report, assignment)
     return RunResult(spec, manifold, bundle, final, target_n, report,
@@ -675,13 +687,15 @@ def _int_list_text(value) -> str:
 
 def explain_text(spec: ScenarioSpec) -> str:
     """Pipeline stages, cell tables, Sq detections and labels, without
-    assembling anything. Deterministic for golden-file diffs. The stem
-    table is checked and the class assignment resolved on the final
-    complex in the order `run_scenario` does, so a spec that `run`
-    rejects is rejected here too, with the same error."""
-    manifold, bundle, built, final, target_n = _stages(spec)
-    stem_groups(final, target_n)        # raises as `assemble` would
-    resolve_assignment(spec, final, target_n)
+    assembling or suspending anything. Deterministic for golden-file
+    diffs. Suspending k times shifts every dim and the target by k, so
+    the final complex's stems are the cut complex's against S^(N-k) and
+    its dims are the cut's plus k. The stem table is checked and the
+    class assignment resolved in the order `run_scenario` does, so a
+    spec that `run` rejects is rejected here too, with the same error."""
+    manifold, bundle, built, cut, target_n = _stages(spec)
+    stem_groups(cut, target_n - spec.suspensions)   # raises as `assemble`
+    resolve_assignment(spec, cut, target_n)
 
     lines: List[str] = []
     lines.append(f"scenario: {spec.name}")
@@ -716,7 +730,8 @@ def explain_text(spec: ScenarioSpec) -> str:
         lines.append(f"suspensions: {spec.suspensions}")
     if spec.skeletal_cut is not None or spec.suspensions:
         lines.append("cells by dimension (final): " + ", ".join(
-            f"{d}:{n}" for d, n in sorted(final.cells_by_dim().items())))
+            f"{d + spec.suspensions}:{n}"
+            for d, n in sorted(cut.cells_by_dim().items())))
     labels = built.attachments
     lines.append("labels by gap: " + (", ".join(
         f"{k}={v}" for k, v in label_counts(labels).items()) or "none"))

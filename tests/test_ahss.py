@@ -443,7 +443,8 @@ class TestStemGroups:
             "schema": "thomstem-scenario/1", "manifolds": [
                 {"determinant": 3}, {"determinant": 5}],
             "suspensions": 1, "target_shift": shift})
-        _, _, _, final, target = pipeline._stages(spec)
+        _, _, _, cut, target = pipeline._stages(spec)
+        final = suspend(cut, spec.suspensions)
         lowest = min(cell.dim - target for cell in final.proper_cells
                      if cell.dim - target > stems.MAX_STEM)
         for call in (pipeline.run_scenario, pipeline.explain_text):
@@ -502,6 +503,15 @@ class TestNotes:
         for copied in (copy.copy(notes), copy.deepcopy(notes),
                        pickle.loads(pickle.dumps(notes))):
             assert type(copied) is Notes and copied.items == notes.items
+
+    def test_equal_tails_are_one_tuple(self):
+        # columns whose exceptions give equal tails share one tuple, so the
+        # writer probes each distinct tails list once
+        notes = pipeline.run_scenario(pipeline.parse_scenario(
+            thom_rung(10))).report.notes
+        tails = [item[1] for item in notes.items if not isinstance(item, str)]
+        assert len(tails) > len(set(tails)) == 2
+        assert len(set(map(id, tails))) == len(set(tails))
 
     def test_index_builds_one_note(self, monkeypatch):
         # a run's notes are built on demand: indexing reads only its run

@@ -88,6 +88,36 @@ class TestExitCodes:
             assert outcome(pipeline.explain_text, spec) == \
                 outcome(pipeline.run_scenario, spec), target
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"suspensions": 1, "class_assignment": [
+            {"cell": {"base": [], "fiber": "point"}, "element": "zero"}]},
+         "spec.class_assignment[0].cell: *{}+1 is the basepoint"),
+        ({"pipeline": "sphere_quotient", "suspensions": 3,
+          "class_assignment": [{"cell": {"base": [], "fiber": "sphere_zero"},
+                                "element": "zero"}]},
+         "spec.class_assignment[0].cell: S0{}+3 is the basepoint"),
+        ({"suspensions": 2, "class_assignment": [
+            {"cell": {"base": [1, 2]}, "element": "eta_sq"}]},
+         "spec.class_assignment[0].element: eta_sq lives in stem 2, but "
+         "H{1,2}+2 sits in stem 1 of S^7"),
+        ({"suspensions": 1, "skeletal_cut": 100},
+         "spec.skeletal_cut: collapses every cell"),
+        ({"suspensions": 1, "target_shift": 1, "class_assignment": [
+            {"cell": "top", "element": "eta"},
+            {"cell": {"base": [1, 2, 3, 4]}, "element": "zero"}]},
+         "spec.class_assignment[1].cell: H{1,2,3,4}+1 is already picked by "
+         "spec.class_assignment[0]"),
+    ], ids=["basepoint-thom", "basepoint-sphere", "stem-mismatch",
+            "cut-everything", "picked-twice"])
+    def test_explain_fails_as_run_on_suspended_specs(self, patch, message):
+        # explain finds the cell in the cut complex and lifts it, so the
+        # error names the suspended cell as run's does
+        spec = parse_scenario({**_MALFORMED_BASE, **patch})
+        for call in (pipeline.run_scenario, pipeline.explain_text):
+            with pytest.raises(SpecError) as caught:
+                call(spec)
+            assert str(caught.value).startswith(message), call.__name__
+
     @pytest.mark.parametrize("command", [(), ("explain",)])
     def test_stem_mismatch_from_target_names_target(self, capsys, command):
         # S^2 puts the top cell of paper-sec3 in stem 6, inside the table
@@ -316,6 +346,24 @@ class TestInputContract:
             code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
             assert (code, out) == (EXIT_BAD_SPEC, "")
             assert err.startswith(pointer)
+
+    @pytest.mark.parametrize("rows", [
+        [{"cell": "top", "element": "eta"},
+         {"cell": {"base": [1, 2, 3, 4]}, "element": "zero"}],
+        [{"cell": {"base": [1, 2, 3, 4]}, "element": "zero"},
+         {"cell": "top", "element": "eta"}],
+    ], ids=["top-first", "base-first"])
+    def test_a_cell_picked_twice_is_exit_two(self, capsys, tmp_path, rows):
+        # either row order would otherwise keep only the last row's class
+        spec = tmp_path / "twice.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE,
+                                    "class_assignment": rows}))
+        pointer = "thomstem: malformed scenario: " \
+            "spec.class_assignment[1].cell: H{1,2,3,4} is already picked " \
+            "by spec.class_assignment[0]\n"
+        for argv in (("run",), ("explain", "run")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
+            assert (code, out, err) == (EXIT_BAD_SPEC, "", pointer)
 
     def test_opposite_signatures_stay_valid(self, capsys, tmp_path):
         spec = tmp_path / "pair.json"

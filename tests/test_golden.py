@@ -101,6 +101,31 @@ def test_golden(name):
         f"{name}: explain bytes differ"
 
 
+SUSPENDED = ("sec4_3_5", "sec5_3_5", "selector_cut_shift_thom",
+             "selector_cut_shift_sphere")
+
+
+@pytest.mark.parametrize("name", SUSPENDED)
+def test_explain_never_suspends(name, monkeypatch):
+    def refuse(complex_, k):
+        raise AssertionError(f"explain built a complex suspended {k} times")
+
+    spec = CASES[name]
+    assert spec.suspensions
+    monkeypatch.setattr(pipeline, "suspend", refuse)
+    assert pipeline.explain_text(spec).encode() == \
+        _read(f"{name}.explain.txt")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_assigned_cells_are_cells_of_the_final_complex(name):
+    result = pipeline.run_scenario(CASES[name])
+    assert result.assignment
+    assert set(result.assignment) <= set(result.final_complex.cells)
+    for cell in result.assignment:
+        assert cell.suspension == CASES[name].suspensions
+
+
 def test_thom_b1_9_digest():
     with open(DIGESTS_PATH, "r", encoding="utf-8") as handle:
         want = json.load(handle)["thom_b1_9"]

@@ -205,7 +205,9 @@ def test_ladder_rung_notes_match_per_pair_oracle():
 def test_derived_complexes_keep_only_the_detected_exceptions(raw):
     # a complex derived from a labelled one gets its rules, so it holds
     # only the detected exceptions
-    _, _, built, final, _ = pipeline._stages(pipeline.parse_scenario(raw))
+    spec = pipeline.parse_scenario(raw)
+    _, _, built, cut, _ = pipeline._stages(spec)
+    final = suspend(cut, spec.suspensions)
     assert final is not built
     for complex_ in (built, final, suspend(skeletal_quotient(built, 6), 1)):
         view = complex_.attachments
