@@ -15,7 +15,7 @@ from .stems import (AbelianGroup, OutOfTableError, StemElement, compose,
                     eta, eta_sq, nu_multiple, one, stem_group, zero)
 from .thom import (AttachLabel, AttachmentView, LabelRules, StableCell,
                    StableCellComplex, infer_attachments, skeletal_quotient,
-                   sphere_bundle_quotient, suspend, thom_cells)
+                   sphere_bundle_quotient, thom_cells)
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",
     "evaluate_class", "index_bundle", "infer_attachments",
     "make_homology_torus", "nu_multiple", "one", "skeletal_quotient",
-    "sphere_bundle_quotient", "stem_group", "suspend",
-    "thom_cells", "vanishing_certificate", "zero",
+    "sphere_bundle_quotient", "stem_group", "thom_cells", "vanishing_certificate", "zero",
 ]

@@ -22,8 +22,7 @@ from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
                     connected_sum, index_bundle, make_homology_torus)
 from .thom import (BASEPOINT_NOTE, FIBER_PARTS, FIBER_THOM, StableCell,
                    StableCellComplex, infer_attachments, label_counts,
-                   skeletal_quotient, sphere_bundle_quotient, suspend,
-                   thom_cells)
+                   skeletal_quotient, sphere_bundle_quotient, thom_cells)
 
 SCHEMA_SCENARIO = "thomstem-scenario/1"
 SCHEMA_REPORT = "thomstem-report/1"
@@ -313,10 +312,13 @@ def resolve_target(spec: ScenarioSpec, manifold: ManifoldData,
 
 def resolve_assignment(spec: ScenarioSpec, cut: StableCellComplex,
                        target_n: int) -> Dict[StableCell, stems.StemElement]:
-    """The class on each picked cell of the final complex, `cut` suspended
-    `spec.suspensions` times. Each cell is found in `cut` and lifted, so
-    its dim, its stem and every error name the suspended cell. A cell
-    picked by two rows raises: the verdict must not hang on row order."""
+    """The class on each picked cell of the final complex, the cells of
+    `cut` suspended `spec.suspensions` times in all. Each cell is found in
+    `cut` and lifted by the suspensions it lacks: none when `cut` was
+    built at its final dimension (`run_scenario`), `spec.suspensions`
+    when it was built unsuspended (`explain_text`). So its dim, its stem
+    and every error name the suspended cell. A cell picked by two rows
+    raises: the verdict must not hang on row order."""
     out: Dict[StableCell, stems.StemElement] = {}
     picked_by: Dict[StableCell, int] = {}
     set_by = ("the manifolds, suspensions and target_shift"
@@ -339,7 +341,9 @@ def resolve_assignment(spec: ScenarioSpec, cut: StableCellComplex,
                     f"no {fiber} cell with base {list(base)} in the final "
                     "complex (collapsed by skeletal_cut, or not built from "
                     "these manifolds by this pipeline)") from None
-        cell = cell.suspended(spec.suspensions)
+        lift = spec.suspensions - cell.suspension
+        if lift:
+            cell = cell.suspended(lift)
         if cut.is_basepoint(cell):      # whatever its suspension
             raise SpecError(f"{where}.cell", f"{cell.name()} is the "
                             "basepoint and carries no class")
@@ -359,35 +363,39 @@ def resolve_assignment(spec: ScenarioSpec, cut: StableCellComplex,
     return out
 
 
-def _stages(spec: ScenarioSpec) -> Tuple[ManifoldData, BundleData,
-                                         StableCellComplex, StableCellComplex,
-                                         int]:
+def _stages(spec: ScenarioSpec, k: int) -> Tuple[
+        ManifoldData, BundleData, StableCellComplex, StableCellComplex, int]:
     """The chain `run_scenario` and `explain_text` share: manifold ->
-    index bundle -> cells -> labels -> cut -> target. Returns (manifold,
-    bundle, built, cut, target_n); `built` is the labelled complex before
-    the cut, and `cut` is not yet suspended: `run_scenario` suspends it,
-    while `explain_text` reads its stems and dims shifted by
+    index bundle -> cells -> labels -> cut -> target. Every cell is made
+    suspended `k` times, and the cut collapses dims <= skeletal_cut + k,
+    the same cells at any k. Returns (manifold, bundle, built, cut,
+    target_n); `built` is the labelled complex before the cut.
+    `run_scenario` passes k = spec.suspensions, so `cut` is the final
+    complex; `explain_text` passes 0 and reads stems and dims shifted by
     `spec.suspensions`. Each stage is looked up in this module's
     namespace when it is called, so that a wrapper set there sees every
     call."""
     manifold = resolve_manifold(spec)
     bundle = index_bundle(manifold)
     if spec.pipeline == PIPELINE_SPHERE:
-        built = infer_attachments(sphere_bundle_quotient(bundle))
+        built = infer_attachments(sphere_bundle_quotient(bundle, k))
     else:
-        built = infer_attachments(thom_cells(bundle))
+        built = infer_attachments(thom_cells(bundle, k))
     cut = built
     if spec.skeletal_cut is not None:
-        cut = skeletal_quotient(cut, spec.skeletal_cut)
+        cut = skeletal_quotient(cut, spec.skeletal_cut + k)
     target_n = resolve_target(spec, manifold, bundle)
     return manifold, bundle, built, cut, target_n
 
 
 def run_scenario(spec: ScenarioSpec) -> RunResult:
-    manifold, bundle, _, cut, target_n = _stages(spec)
-    final = suspend(cut, spec.suspensions) if spec.suspensions else cut
+    """Build every cell at its final dimension, suspended
+    `spec.suspensions` times, so the cut complex is the final one; then
+    assemble it, resolve the class assignment on it (no cell is lifted)
+    and give the verdict and certificate."""
+    manifold, bundle, _, final, target_n = _stages(spec, spec.suspensions)
     report = assemble(final, target_n)
-    assignment = resolve_assignment(spec, cut, target_n)
+    assignment = resolve_assignment(spec, final, target_n)
     verdict = evaluate_class(report, assignment)
     certificate = vanishing_certificate(report, assignment)
     return RunResult(spec, manifold, bundle, final, target_n, report,
@@ -693,7 +701,7 @@ def explain_text(spec: ScenarioSpec) -> str:
     its dims are the cut's plus k. The stem table is checked and the
     class assignment resolved in the order `run_scenario` does, so a
     spec that `run` rejects is rejected here too, with the same error."""
-    manifold, bundle, built, cut, target_n = _stages(spec)
+    manifold, bundle, built, cut, target_n = _stages(spec, 0)
     stem_groups(cut, target_n - spec.suspensions)   # raises as `assemble`
     resolve_assignment(spec, cut, target_n)
 

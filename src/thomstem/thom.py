@@ -343,9 +343,11 @@ class StableCellComplex:
 
     @property
     def top_cell(self) -> StableCell:
-        return max(self.cells, key=_KEY)
+        return self.cells[-1]       # the cells are in canonical order
 
     def find_cell(self, base_indices: Iterable[int], fiber_part: str) -> StableCell:
+        # a scan, not a dict: a spec picks one or two cells, and building
+        # a dict over every cell costs more than the scans it would save
         mask = Monomial.from_indices(base_indices).mask
         for cell in self.cells:
             if cell.base_mask == mask and cell.fiber_part == fiber_part:
@@ -354,28 +356,30 @@ class StableCellComplex:
                        f"{fiber_part}")
 
 
-def thom_cells(bundle: BundleData) -> StableCellComplex:
+def thom_cells(bundle: BundleData, suspension: int = 0) -> StableCellComplex:
     """Stable cell model of the Thom space of a quaternionic bundle over
     T^b: one cell per generator subset S, of dimension |S| + 4m, plus the
     0-cell at infinity. The cohomology basis is {u * x_S} by the Thom
-    isomorphism."""
+    isomorphism. Each cell is made suspended `suspension` times."""
     if bundle.field != QUATERNIONIC:
         raise ValueError("Thom cell model requires a quaternionic bundle")
     offset = 4 * bundle.rank
-    cells = [StableCell(0, FIBER_POINT, 0)]
+    cells = [StableCell(0, FIBER_POINT, 0, suspension)]
     for mask in range(1 << bundle.base_rank):
-        cells.append(StableCell(mask, FIBER_THOM, offset))
+        cells.append(StableCell(mask, FIBER_THOM, offset, suspension))
     return StableCellComplex(tuple(cells), bundle, POLICY_THOM)
 
 
-def sphere_bundle_quotient(bundle: BundleData) -> StableCellComplex:
+def sphere_bundle_quotient(bundle: BundleData,
+                           suspension: int = 0) -> StableCellComplex:
     """Circle quotient of the sphere bundle of a rank-1 quaternionic
     bundle: an S^2-bundle, modeled by the sphere bundle of a rank-3 real
     bundle with vanishing Stiefel-Whitney classes.
 
     Each base subset S contributes a 0-cell (dim |S|) and a 2-cell
     (dim |S|+2) of the fiber; the empty-subset 0-cell is the basepoint.
-    The pi_2(SO(3)) flag makes gap-3 attachments trivial.
+    The pi_2(SO(3)) flag makes gap-3 attachments trivial. Each cell is
+    made suspended `suspension` times.
     """
     if bundle.field != QUATERNIONIC or bundle.rank != 1:
         raise ValueError("the circle quotient needs a rank-1 quaternionic bundle")
@@ -390,8 +394,8 @@ def sphere_bundle_quotient(bundle: BundleData) -> StableCellComplex:
     )
     cells = []
     for mask in range(1 << b):
-        cells.append(StableCell(mask, FIBER_SPHERE_ZERO, 0))
-        cells.append(StableCell(mask, FIBER_SPHERE_TWO, 2))
+        cells.append(StableCell(mask, FIBER_SPHERE_ZERO, 0, suspension))
+        cells.append(StableCell(mask, FIBER_SPHERE_TWO, 2, suspension))
     return StableCellComplex(tuple(cells), quotient, POLICY_REDUCED,
                              gap3_trivial=True)
 
@@ -462,22 +466,6 @@ def infer_attachments(complex_: StableCellComplex) -> StableCellComplex:
                   for pair, label in _detected_labels(complex_, rule).items()}
     return replace(complex_, attachments=LabelRules(_default_labels(complex_),
                                                     exceptions))
-
-
-def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
-    """Shift every cell up by k; labels ride along unchanged."""
-    if k < 0:
-        raise ValueError("suspension must be nonnegative")
-    if k == 0:
-        return complex_
-    lifted = {c: c.suspended(k) for c in complex_.cells}
-    rules = None
-    if complex_.attachments is not None:
-        defaults, exceptions = complex_.attachments.rules
-        rules = LabelRules(defaults, {
-            (lifted[u], lifted[l]): label
-            for (u, l), label in exceptions.items()})
-    return replace(complex_, cells=tuple(lifted.values()), attachments=rules)
 
 
 def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:

@@ -11,7 +11,9 @@ class (`sq_thom`) rather than by the library's bitmask walk over
 `DETECTIONS`; the unknown-column oracle formats one note per threatening
 pair, pair by pair, the way assembly once did; the monomial-text oracle
 reads a mask off bit by bit on every call, the way each monomial and cell
-once did.
+once did; the suspension oracle `suspend` remakes every cell of a built
+complex one dimension up per suspension, the way the pipeline once did
+before it learned to make each cell at its final dimension.
 """
 
 import random
@@ -23,7 +25,7 @@ from thomstem import stems
 from thomstem.ahss import KILLED, _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (ETA_LABEL, FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN,
-                           AttachLabel)
+                           AttachLabel, LabelRules, StableCellComplex)
 
 
 # -- wedge oracle: list concatenation + bubble parity --------------------
@@ -282,6 +284,24 @@ def canonical_pairs(labels):
     """The pairs of a label dict in canonical (upper, lower) key order."""
     return sorted(labels, key=lambda pair: (pair[0].sort_key(),
                                             pair[1].sort_key()))
+
+
+# -- suspension oracle: remake every cell ------------------------------------
+
+def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
+    """Shift every cell up by k; labels ride along unchanged."""
+    if k < 0:
+        raise ValueError("suspension must be nonnegative")
+    if k == 0:
+        return complex_
+    lifted = {c: c.suspended(k) for c in complex_.cells}
+    rules = None
+    if complex_.attachments is not None:
+        defaults, exceptions = complex_.attachments.rules
+        rules = LabelRules(defaults, {
+            (lifted[u], lifted[l]): label
+            for (u, l), label in exceptions.items()})
+    return replace(complex_, cells=tuple(lifted.values()), attachments=rules)
 
 
 # -- scaling probe -----------------------------------------------------------

@@ -17,7 +17,7 @@ import time
 from itertools import combinations
 
 from helpers import (as_tuple_terms, direct_sum_oracle,
-                     oracle_chern_character)
+                     oracle_chern_character, suspend)
 from thomstem import pipeline, stems
 from thomstem.ahss import (KILLED, UNKNOWN, VERDICT_NONTRIVIAL,
                            VERDICT_TRIVIAL, VERDICT_UNKNOWN, assemble,
@@ -26,7 +26,7 @@ from thomstem.chern import (ManifoldData, chern_character_index,
                             connected_sum, index_bundle, make_homology_torus)
 from thomstem.stems import AbelianGroup
 from thomstem.thom import (NU_ODD, TRIVIAL, infer_attachments,
-                           sphere_bundle_quotient, suspend, thom_cells)
+                           sphere_bundle_quotient, thom_cells)
 
 GRID = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
 

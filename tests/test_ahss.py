@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import direct_sum_oracle, thom_rung
+from helpers import direct_sum_oracle, suspend, thom_rung
 from thomstem import pipeline, stems
 from thomstem.ahss import (KILLED, REDUCED, SURVIVES, VERDICT_NONTRIVIAL,
                            VERDICT_TRIVIAL, VERDICT_UNKNOWN, Notes, assemble,
@@ -18,7 +18,7 @@ from thomstem.stems import AbelianGroup, OutOfTableError
 from thomstem.thom import (ETA_LABEL, FIBER_SPHERE_TWO, FIBER_SPHERE_ZERO,
                            NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
                            StableCell, StableCellComplex, infer_attachments,
-                           skeletal_quotient, sphere_bundle_quotient, suspend,
+                           skeletal_quotient, sphere_bundle_quotient,
                            thom_cells)
 
 
@@ -443,7 +443,7 @@ class TestStemGroups:
             "schema": "thomstem-scenario/1", "manifolds": [
                 {"determinant": 3}, {"determinant": 5}],
             "suspensions": 1, "target_shift": shift})
-        _, _, _, cut, target = pipeline._stages(spec)
+        _, _, _, cut, target = pipeline._stages(spec, 0)
         final = suspend(cut, spec.suspensions)
         lowest = min(cell.dim - target for cell in final.proper_cells
                      if cell.dim - target > stems.MAX_STEM)

@@ -13,7 +13,7 @@ def test_public_names():
         "chern_character_index", "compose", "connected_sum", "eta",
         "eta_sq", "evaluate_class", "index_bundle", "infer_attachments",
         "make_homology_torus", "nu_multiple", "one", "skeletal_quotient",
-        "sphere_bundle_quotient", "stem_group", "suspend", "thom_cells",
+        "sphere_bundle_quotient", "stem_group", "thom_cells",
         "vanishing_certificate", "zero",
     ]
     assert all(hasattr(thomstem, name) for name in thomstem.__all__)

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from thomstem import pipeline
+from thomstem import pipeline, thom
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DIGESTS_PATH = os.path.join(GOLDEN_DIR, "digests.json")
@@ -105,16 +105,59 @@ SUSPENDED = ("sec4_3_5", "sec5_3_5", "selector_cut_shift_thom",
              "selector_cut_shift_sphere")
 
 
+def _count_made(monkeypatch):
+    """Count every StableCell and StableCellComplex made from here on:
+    returns the {"cells": n, "complexes": n} dict the counts go to."""
+    made = {"cells": 0, "complexes": 0}
+    cell_init = thom.StableCell.__init__
+    complex_post_init = thom.StableCellComplex.__post_init__
+
+    def count_cell(self, *args, **kwargs):
+        made["cells"] += 1
+        cell_init(self, *args, **kwargs)
+
+    def count_complex(self):
+        made["complexes"] += 1
+        complex_post_init(self)
+
+    monkeypatch.setattr(thom.StableCell, "__init__", count_cell)
+    monkeypatch.setattr(thom.StableCellComplex, "__post_init__",
+                        count_complex)
+    return made
+
+
+def _stage_complexes(spec):
+    """cells -> labels, and -> cut when the spec cuts: the complexes one
+    pass of the stage chain makes."""
+    return 2 + (spec.skeletal_cut is not None)
+
+
 @pytest.mark.parametrize("name", SUSPENDED)
 def test_explain_never_suspends(name, monkeypatch):
-    def refuse(complex_, k):
-        raise AssertionError(f"explain built a complex suspended {k} times")
-
+    # explain builds the stage chain's complexes and no suspended one:
+    # its cells are those of the unsuspended build, plus one lifted cell
+    # per class assignment row
     spec = CASES[name]
     assert spec.suspensions
-    monkeypatch.setattr(pipeline, "suspend", refuse)
+    built = pipeline._stages(spec, 0)[2]
+    made = _count_made(monkeypatch)
     assert pipeline.explain_text(spec).encode() == \
         _read(f"{name}.explain.txt")
+    assert made == {"cells": len(built.cells) + len(spec.class_assignment),
+                    "complexes": _stage_complexes(spec)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_makes_each_cell_once(name, monkeypatch):
+    # a run makes each cell once, at its final dimension, and no complex
+    # beyond the stage chain's
+    spec = CASES[name]
+    cells = len(pipeline._stages(spec, 0)[2].cells)
+    made = _count_made(monkeypatch)
+    result = pipeline.run_scenario(spec)
+    assert made == {"cells": cells, "complexes": _stage_complexes(spec)}
+    assert {cell.suspension for cell in result.final_complex.cells} == \
+        {spec.suspensions}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (canonical_pairs, dense_attachments,
-                     per_pair_mark_unknowns, thom_rung)
+                     per_pair_mark_unknowns, suspend, thom_rung)
 from thomstem import ahss, pipeline
 from thomstem.ahss import assemble
 from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
@@ -15,7 +15,7 @@ from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
 from thomstem.exterior import ExteriorClass
 from thomstem.thom import (ETA_LABEL, NU_ODD, TRIVIAL, UNKNOWN, AttachLabel,
                            LabelRules, StableCellComplex, infer_attachments,
-                           skeletal_quotient, sphere_bundle_quotient, suspend,
+                           skeletal_quotient, sphere_bundle_quotient,
                            thom_cells)
 
 
@@ -206,10 +206,11 @@ def test_derived_complexes_keep_only_the_detected_exceptions(raw):
     # a complex derived from a labelled one gets its rules, so it holds
     # only the detected exceptions
     spec = pipeline.parse_scenario(raw)
-    _, _, built, cut, _ = pipeline._stages(spec)
-    final = suspend(cut, spec.suspensions)
+    _, _, built, cut, _ = pipeline._stages(spec, 0)
+    _, _, born, final, _ = pipeline._stages(spec, spec.suspensions)
     assert final is not built
-    for complex_ in (built, final, suspend(skeletal_quotient(built, 6), 1)):
+    for complex_ in (built, born, final, suspend(cut, spec.suspensions),
+                     suspend(skeletal_quotient(built, 6), 1)):
         view = complex_.attachments
         assert len(view.rules.exceptions) == len(view.detected)
 

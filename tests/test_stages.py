@@ -7,6 +7,11 @@ stage that is renamed, or called through a reference held elsewhere,
 would lose its span silently; these tests make that loud. The benchmark
 modules are imported read-only from `perfbench/`, as
 `tests/test_catalogue.py` does.
+
+`RETIRED` names the `SPAN_OF` entries that `pipeline` no longer has on
+purpose: `suspend` went when each run began to make its cells at their
+final dimension. It must be exactly the set of span names the module
+lacks, so any other missing name still fails.
 """
 
 import pathlib
@@ -21,6 +26,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 from tracing import SPAN_OF, Tracer  # noqa: E402
 from workloads import sec3, sec4, sec5  # noqa: E402
 
+RETIRED = {"suspend"}
+LIVE = sorted(set(SPAN_OF) - RETIRED)
+
 
 def _run_and_explain():
     """Run and render a cut, a suspended and a sphere-quotient scenario,
@@ -33,14 +41,25 @@ def _run_and_explain():
 
 @pytest.mark.parametrize("attr", sorted(SPAN_OF))
 def test_every_span_name_is_a_pipeline_callable(attr):
-    assert callable(getattr(pipeline, attr, None))
+    if attr in RETIRED:
+        assert not hasattr(pipeline, attr)
+    else:
+        assert callable(getattr(pipeline, attr, None))
+
+
+def test_the_retired_names_are_exactly_the_missing_ones():
+    assert {attr for attr in SPAN_OF
+            if not hasattr(pipeline, attr)} == RETIRED
 
 
 def test_every_span_is_recorded():
     tracer = Tracer()
     with tracer.installed(pipeline):
         _run_and_explain()
-    assert {span[0] for span in tracer.spans} == set(SPAN_OF.values())
+    # a retired name's span is still recorded through the live names
+    # that share it: `thom.cut_suspend` through `skeletal_quotient`
+    assert {span[0] for span in tracer.spans} == set(SPAN_OF.values()) \
+        == {SPAN_OF[attr] for attr in LIVE}
 
 
 def test_every_traced_function_is_called(monkeypatch):
@@ -52,7 +71,7 @@ def test_every_traced_function_is_called(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for attr in SPAN_OF:
+    for attr in LIVE:
         monkeypatch.setattr(pipeline, attr, spy(attr, getattr(pipeline, attr)))
     _run_and_explain()
-    assert called == set(SPAN_OF)
+    assert called == set(LIVE)

@@ -7,15 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from helpers import as_tuple_terms, bit_loop_indices, sq_thom
+from helpers import as_tuple_terms, bit_loop_indices, sq_thom, suspend
 from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_PARTS, FIBER_THOM,
                            NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
                            StableCell, StableCellComplex, infer_attachments,
-                           skeletal_quotient, sphere_bundle_quotient,
-                           suspend, thom_cells)
+                           label_counts, skeletal_quotient,
+                           sphere_bundle_quotient, thom_cells)
 
 
 def torus_bundle(det=1):
@@ -270,6 +270,13 @@ class TestDerivedIndexes:
             Counter(map(naive_dim, cells)).items())
         if cells:
             assert complex_.top_cell == max(cells, key=naive_key)
+        # a selector names the first cell in canonical order over its base
+        # mask and fiber part
+        for cell in cells[::max(1, len(cells) // 40)]:
+            first = [c for c in cells if c.base_mask == cell.base_mask
+                     and c.fiber_part == cell.fiber_part][0]
+            assert complex_.find_cell(bit_loop_indices(cell.base_mask),
+                                      cell.fiber_part) == first
         view = complex_.attachments
         if view is None:
             return
@@ -330,6 +337,67 @@ class TestDerivedIndexes:
             self.check(suspend(complex_, 3), lifted_fresh(cells, 3))
             self.check(skeletal_quotient(complex_, 1),
                        lifted_fresh(cells, 0, 1))
+
+
+class TestFindCell:
+    def test_a_missing_cell_names_its_base_and_fiber(self):
+        complex_ = skeletal_quotient(thom_cells(torus_bundle(5)), 5)
+        for base, part in (((1,), FIBER_THOM), ((), "point"),
+                           ((1, 2, 3), "sphere_two"), ((9,), FIBER_THOM)):
+            with pytest.raises(KeyError) as err:
+                complex_.find_cell(base, part)
+            assert err.value.args == (
+                f"no cell with base {base} and fiber {part}",)
+
+
+class TestBornSuspended:
+    """A complex whose cells are made at their final dimension equals
+    the oracle suspension of the unsuspended complex, field by field."""
+
+    @staticmethod
+    def assert_same(born, oracle):
+        assert born.cells == oracle.cells           # in canonical order
+        assert [c.name() for c in born.cells] == \
+            [c.name() for c in oracle.cells]
+        assert [c.dim for c in born.cells] == [c.dim for c in oracle.cells]
+        assert born.proper_cells == oracle.proper_cells
+        assert born.cells_by_dim() == oracle.cells_by_dim()
+        assert (born.bundle, born.basepoint_policy, born.gap3_trivial) == \
+            (oracle.bundle, oracle.basepoint_policy, oracle.gap3_trivial)
+        if born.cells:
+            assert born.top_cell == oracle.top_cell
+        if oracle.attachments is None:
+            assert born.attachments is None
+            return
+        mine, theirs = born.attachments, oracle.attachments
+        assert label_counts(mine) == label_counts(theirs)
+        assert dict(mine.rules.defaults) == dict(theirs.rules.defaults)
+        assert list(mine.rules.exceptions.items()) == \
+            list(theirs.rules.exceptions.items())
+        assert mine.detected == theirs.detected
+
+    @pytest.mark.parametrize("dets", [(3, 5), (2, 3)], ids=["odd", "even"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_thom_and_sphere_built_at_k(self, dets, k):
+        bundle = sum_bundle(*dets)
+        detected = 0
+        for build, cut in ((thom_cells, 5), (sphere_bundle_quotient, 3)):
+            plain = build(bundle)
+            born = build(bundle, k)
+            self.assert_same(born, suspend(plain, k))
+            labelled = infer_attachments(born)
+            oracle = suspend(infer_attachments(plain), k)
+            self.assert_same(labelled, oracle)
+            self.assert_same(skeletal_quotient(labelled, cut + k),
+                             suspend(skeletal_quotient(
+                                 infer_attachments(plain), cut), k))
+            detected += len(labelled.attachments.detected)
+        assert detected
+
+    def test_a_negative_suspension_is_rejected(self):
+        for build in (thom_cells, sphere_bundle_quotient):
+            with pytest.raises(ValueError, match="suspension"):
+                build(torus_bundle(), -1)
 
 
 class TestSphereBundleQuotient:
