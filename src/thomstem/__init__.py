@@ -27,5 +27,6 @@ __all__ = [
     "chern_character_index", "compose", "connected_sum", "eta", "eta_sq",
     "evaluate_class", "index_bundle", "infer_attachments",
     "make_homology_torus", "nu_multiple", "one", "skeletal_quotient",
-    "sphere_bundle_quotient", "stem_group", "thom_cells", "vanishing_certificate", "zero",
+    "sphere_bundle_quotient", "stem_group", "thom_cells",
+    "vanishing_certificate", "zero",
 ]

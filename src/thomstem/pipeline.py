@@ -42,7 +42,7 @@ PRESET_NAMES = tuple(_PRESETS)
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: thom
-# b1 = 12 takes 0.09 s to run and 0.35 s to render, and gives a 114 MB
+# b1 = 12 takes 0.05 s to run and 0.32 s to render, and gives a 114 MB
 # report (860k notes) at 241 MB peak RSS (best of 3 fresh processes,
 # Python 3.11, 2-vCPU VM).
 MAX_TOTAL_B1 = 12
