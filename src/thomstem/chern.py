@@ -12,9 +12,9 @@ the Picard torus.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .exterior import ExteriorClass
 
@@ -30,13 +30,42 @@ SIGN_CONVENTION_NOTE = (
     "affects verdicts")
 
 
+class FrozenMap(Mapping):
+    """A read-only dict that copies and pickles through its constructor
+    (a `types` mappingproxy does not pickle at all). Item assignment
+    raises `TypeError`; like a dict, it is unhashable."""
+
+    __slots__ = ("_dict",)
+
+    def __init__(self, items=()):
+        object.__setattr__(self, "_dict", dict(items))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FrozenMap is immutable: cannot set {name}")
+
+    def __reduce__(self):       # copy and pickle without __setattr__
+        return FrozenMap, (self._dict,)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._dict)
+
+    def __repr__(self):
+        return f"FrozenMap({self._dict!r})"
+
+
 @dataclass(frozen=True)
 class ManifoldData:
     """Algebraic stand-in for a spin 4-manifold (or a connected sum).
 
     quad_form maps ascending 4-subsets of {1..b1} to the integer value of
     the quadruple cup product on the corresponding H^1 basis elements; it
-    is stored read-only and left out of the hash.
+    is stored as a `FrozenMap` and left out of the hash.
     """
 
     b1: int
@@ -59,7 +88,7 @@ class ManifoldData:
                 clean[subset] = value
         if self.b1 < 4 and clean:
             raise ValueError("b1 < 4 forces an empty quadruple form")
-        object.__setattr__(self, "quad_form", MappingProxyType(clean))
+        object.__setattr__(self, "quad_form", FrozenMap(clean))
 
     def quad(self, subset: Tuple[int, ...]) -> int:
         return self.quad_form.get(tuple(subset), 0)

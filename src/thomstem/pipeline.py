@@ -12,14 +12,14 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import stems
 from .ahss import (GroupReport, Notes, assemble, evaluate_class,
                    stem_groups, vanishing_certificate)
-from .chern import (SIGN_CONVENTION_NOTE, BundleData, ManifoldData,
-                    connected_sum, index_bundle, make_homology_torus)
+from .chern import (SIGN_CONVENTION_NOTE, BundleData, FrozenMap,
+                    ManifoldData, connected_sum, index_bundle,
+                    make_homology_torus)
 from .thom import (BASEPOINT_NOTE, FIBER_PARTS, FIBER_THOM, StableCell,
                    StableCellComplex, infer_attachments, label_counts,
                    skeletal_quotient, sphere_bundle_quotient, thom_cells)
@@ -186,7 +186,7 @@ def _check_manifold(m, where: str) -> Mapping:
     if "determinant" in m:
         if not _is_int(m["determinant"]) or m["determinant"] == 0:
             raise SpecError(f"{where}.determinant", "must be a nonzero integer")
-        return MappingProxyType({"determinant": m["determinant"]})
+        return FrozenMap({"determinant": m["determinant"]})
     if "b1" not in m:
         raise SpecError(where, "needs 'determinant' or an explicit 'b1' block")
     out = {"b1": m["b1"], "signature": m.get("signature", 0),
@@ -218,8 +218,8 @@ def _check_manifold(m, where: str) -> Mapping:
                             "indices must ascend strictly within "
                             f"1..b1 = {out['b1']}")
         out["quad_form"][subset] = value
-    out["quad_form"] = MappingProxyType(out["quad_form"])
-    return MappingProxyType(out)
+    out["quad_form"] = FrozenMap(out["quad_form"])
+    return FrozenMap(out)
 
 
 def _freeze_selector(selector, where: str):
@@ -284,8 +284,7 @@ class RunResult:
     certificate: str
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment",
-                           MappingProxyType(dict(self.assignment)))
+        object.__setattr__(self, "assignment", FrozenMap(self.assignment))
 
 
 def resolve_manifold(spec: ScenarioSpec) -> ManifoldData:

@@ -8,19 +8,23 @@ oracle direct-sums stems straight off the cell list; the label oracle
 writes out every attachment pair the way the library once stored them,
 deciding each Sq detection by a bubble-oracle wedge with a Stiefel-Whitney
 class (`sq_thom`) rather than by the library's bitmask walk over
-`DETECTIONS`; the unknown-column oracle formats one note per threatening
-pair, pair by pair, the way assembly once did; the monomial-text oracle
+`DETECTIONS`; the rule-expansion oracle `label_rows` writes a complex's
+label rules out pair by pair, the way its attachment view once iterated;
+the unknown-column oracle formats one note per threatening pair, pair by
+pair, the way assembly once did; the monomial-text oracle
 reads a mask off bit by bit on every call, the way each monomial and cell
 once did; the suspension oracle `suspend` remakes every cell of a built
 complex one dimension up per suspension, the way the pipeline once did
 before it learned to make each cell at its final dimension.
 """
 
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import thomstem
 from thomstem import stems
 from thomstem.ahss import KILLED, _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
@@ -280,6 +284,36 @@ def dense_attachments(complex_):
     return labels
 
 
+def label_rows(complex_):
+    """{upper: [(lower, label), ...]} for every cell: each label the
+    complex's rules stand for, written out pair by pair from `rules`,
+    `cells_at` and `exceptions_from`, lowers in canonical order."""
+    view = complex_.attachments
+    defaults = view.rules.defaults
+    proper = set(complex_.proper_cells)
+    rows = {}
+    for upper in complex_.cells:
+        row = {lower: label for gap, label in defaults.items()
+               if upper in proper
+               for lower in view.cells_at(upper.dim - gap)}
+        row.update(view.exceptions_from(upper))
+        rows[upper] = sorted(row.items(), key=lambda kv: kv[0].sort_key())
+    return rows
+
+
+def expand_labels(complex_):
+    """{(upper, lower): label} for every labelled pair of a complex, in
+    canonical order, from `label_rows`."""
+    return {(upper, lower): label
+            for upper, row in label_rows(complex_).items()
+            for lower, label in row}
+
+
+def basepoint_cell(complex_):
+    """The complex's basepoint cell, or None."""
+    return next(filter(complex_.is_basepoint, complex_.cells), None)
+
+
 def canonical_pairs(labels):
     """The pairs of a label dict in canonical (upper, lower) key order."""
     return sorted(labels, key=lambda pair: (pair[0].sort_key(),
@@ -304,6 +338,16 @@ def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
     return replace(complex_, cells=tuple(lifted.values()), attachments=rules)
 
 
+# -- subprocesses -------------------------------------------------------------
+
+def package_env(**extra):
+    """os.environ plus `extra`, with PYTHONPATH naming the directory this
+    process imported thomstem from, so a child process imports the same
+    package whether or not PYTHONPATH was set."""
+    where = os.path.dirname(os.path.dirname(os.path.abspath(thomstem.__file__)))
+    return dict(os.environ, PYTHONPATH=where, **extra)
+
+
 # -- scaling probe -----------------------------------------------------------
 
 def thom_rung(b1):
@@ -324,13 +368,13 @@ def per_pair_mark_unknowns(complex_, columns, notes):
     """Drop-in for `ahss._mark_unknowns`: walks every threatening pair of
     every column and formats each note from scratch. Like it, stores an
     unknown column's new entry at that column's position in `columns`."""
-    labels = complex_.attachments
+    rows = label_rows(complex_)
     for i, column in enumerate(columns):
         if column.status == KILLED or column.group.is_trivial:
             continue
         upper, q = column.cell, column.stem_q
         head = None
-        for lower, label in labels.row(upper):
+        for lower, label in rows[upper]:
             gap = upper.dim - lower.dim
             source_q = _threat_source(label.value, gap, q)
             if source_q is None:

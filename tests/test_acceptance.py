@@ -16,7 +16,7 @@ import random
 import time
 from itertools import combinations
 
-from helpers import (as_tuple_terms, direct_sum_oracle,
+from helpers import (as_tuple_terms, direct_sum_oracle, expand_labels,
                      oracle_chern_character, suspend)
 from thomstem import pipeline, stems
 from thomstem.ahss import (KILLED, UNKNOWN, VERDICT_NONTRIVIAL,
@@ -70,7 +70,7 @@ def _sec4_top_labels(r1, r2):
     m = connected_sum(make_homology_torus(r1), make_homology_torus(r2))
     complex_ = infer_attachments(thom_cells(index_bundle(m)))
     labels = {}
-    for (upper, lower), label in complex_.attachments.items():
+    for (upper, lower), label in expand_labels(complex_).items():
         if upper.dim == 12 and lower.dim == 8 and \
                 lower.base_indices in ((1, 2, 3, 4), (5, 6, 7, 8)):
             labels[lower.base_indices] = label.value
@@ -83,7 +83,7 @@ def test_criterion_3_sec4_vanishing():
     for r1, r2 in [(3, 5), (1, 1), (7, 3), (-3, 5)]:
         complex_, labels = _sec4_top_labels(r1, r2)
         assert labels == {(1, 2, 3, 4): NU_ODD, (5, 6, 7, 8): NU_ODD}
-        all_top_nu = [1 for (u, l), lab in complex_.attachments.items()
+        all_top_nu = [1 for (u, l), lab in expand_labels(complex_).items()
                       if lab.value == NU_ODD and u.dim == 12 and l.dim == 8]
         assert len(all_top_nu) == 2
         suspended = suspend(complex_, 1)

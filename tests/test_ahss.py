@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import direct_sum_oracle, suspend, thom_rung
+from helpers import basepoint_cell, direct_sum_oracle, suspend, thom_rung
 from thomstem import pipeline, stems
 from thomstem.ahss import (KILLED, REDUCED, SURVIVES, VERDICT_NONTRIVIAL,
                            VERDICT_TRIVIAL, VERDICT_UNKNOWN, Notes, assemble,
@@ -397,14 +397,14 @@ class TestGuards:
             make_homology_torus(3))))
         report = assemble(complex_, 7)
         names = {e.cell.name() for e in report.entries}
-        assert complex_.basepoint_cell.name() not in names
+        assert basepoint_cell(complex_).name() not in names
 
     def test_class_on_basepoint_rejected(self):
         complex_ = infer_attachments(thom_cells(index_bundle(
             make_homology_torus(3))))
         report = assemble(complex_, 7)
         with pytest.raises(ValueError, match="carries no assembly column"):
-            evaluate_class(report, {complex_.basepoint_cell: stems.eta()})
+            evaluate_class(report, {basepoint_cell(complex_): stems.eta()})
 
 
 class TestStemGroups:

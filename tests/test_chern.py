@@ -39,6 +39,15 @@ class TestHomologyTorus:
         given[(1, 2, 3, 4)] = 5
         assert m.quad_form == {(1, 2, 3, 4): 3}
 
+    def test_quad_form_copies_and_pickles_read_only(self):
+        m = make_homology_torus(3)
+        for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert copied == m and copied.quad_form == m.quad_form
+            with pytest.raises(TypeError):
+                copied.quad_form[(1, 2, 3, 4)] = 5
+            with pytest.raises(AttributeError):
+                copied.quad_form._dict = {}
+
     def test_equal_manifolds_hash_equal(self):
         a, b = make_homology_torus(3), make_homology_torus(3)
         assert a == b and hash(a) == hash(b)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from helpers import package_env
 from thomstem import pipeline
 from thomstem.cli import (EXIT_BAD_SPEC, EXIT_ERROR, EXIT_OK,
                           EXIT_OUT_OF_TABLE, EXIT_UNKNOWN, main)
@@ -647,6 +648,6 @@ class TestCustomScenario:
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "thomstem.cli", "paper-sec3", "--det", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "nontrivial"

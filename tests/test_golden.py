@@ -9,13 +9,18 @@ file. Regenerate (after a deliberate change) with
     PYTHONPATH=src python tests/test_golden.py --regen
 """
 
+import copy
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
+import subprocess
 import sys
 
 import pytest
 
+from helpers import package_env
 from thomstem import pipeline, thom
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -167,6 +172,60 @@ def test_assigned_cells_are_cells_of_the_final_complex(name):
     assert set(result.assignment) <= set(result.final_complex.cells)
     for cell in result.assignment:
         assert cell.suspension == CASES[name].suspensions
+
+
+COPIERS = {"deepcopy": copy.deepcopy,
+           "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_values_copy_and_pickle(name, copier):
+    # the spec, manifold, final complex, group report and run result each
+    # copy to an equal value that renders the same report bytes
+    result = pipeline.run_scenario(CASES[name])
+    golden = _read(f"{name}.json")
+    for field in ("spec", "manifold", "final_complex", "report", None):
+        value = result if field is None else getattr(result, field)
+        copied = COPIERS[copier](value)
+        assert copied is not value
+        assert copied == value
+        rerun = copied if field is None else \
+            dataclasses.replace(result, **{field: copied})
+        assert pipeline.report_json(rerun).encode() == golden
+
+
+_DUMP = """
+import pickle, sys
+from thomstem import pipeline
+spec = pipeline.preset("paper-sec4", det1=3, det2=5)
+sys.stdout.buffer.write(pickle.dumps(pipeline.run_scenario(spec)))
+"""
+
+_LOAD = """
+import pickle, sys
+from thomstem import pipeline
+from thomstem.thom import FIBER_THOM, StableCell
+result = pickle.loads(sys.stdin.buffer.read())
+top = StableCell(0xff, FIBER_THOM, 4, 1)       # made fresh in this process
+assert result.final_complex.find_cell(range(1, 9), FIBER_THOM) == top
+assert top in set(result.final_complex.cells)
+assert result.report.entry_for(top).cell == top
+assert top in result.assignment
+sys.stdout.write(pipeline.report_json(result))
+"""
+
+
+def test_run_result_loads_under_another_hash_seed():
+    # str hashes differ between the two processes, so a cell that kept its
+    # old hash would miss every dict and set lookup made with a fresh one
+    dumped = subprocess.run([sys.executable, "-c", _DUMP], check=True,
+                            capture_output=True,
+                            env=package_env(PYTHONHASHSEED="1")).stdout
+    loaded = subprocess.run([sys.executable, "-c", _LOAD], input=dumped,
+                            check=True, capture_output=True,
+                            env=package_env(PYTHONHASHSEED="2")).stdout
+    assert loaded == _read("sec4_3_5.json")
 
 
 def test_thom_b1_9_digest():
