@@ -12,9 +12,8 @@ the Picard torus.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .exterior import ExteriorClass
 
@@ -30,33 +29,24 @@ SIGN_CONVENTION_NOTE = (
     "affects verdicts")
 
 
-class FrozenMap(Mapping):
+class FrozenMap(dict):
     """A read-only dict that copies and pickles through its constructor
-    (a `types` mappingproxy does not pickle at all). Item assignment
-    raises `TypeError`; like a dict, it is unhashable."""
+    (a `types` mappingproxy does not pickle at all). Every method that
+    would change it raises `TypeError`; like a dict, it is unhashable."""
 
-    __slots__ = ("_dict",)
+    __slots__ = ()
 
-    def __init__(self, items=()):
-        object.__setattr__(self, "_dict", dict(items))
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("FrozenMap is read-only")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FrozenMap is immutable: cannot set {name}")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _read_only
 
-    def __reduce__(self):       # copy and pickle without __setattr__
-        return FrozenMap, (self._dict,)
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self):
-        return len(self._dict)
+    def __reduce__(self):       # copy and pickle without __setitem__
+        return FrozenMap, (dict(self),)
 
     def __repr__(self):
-        return f"FrozenMap({self._dict!r})"
+        return f"FrozenMap({dict.__repr__(self)})"
 
 
 @dataclass(frozen=True)

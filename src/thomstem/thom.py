@@ -170,7 +170,8 @@ class AttachmentView:
 
     def __init__(self, cells: Tuple[StableCell, ...],
                  proper_cells: Tuple[StableCell, ...], rules: LabelRules):
-        defaults, exceptions = dict(rules.defaults), dict(rules.exceptions)
+        defaults = FrozenMap(rules.defaults)
+        exceptions = FrozenMap(rules.exceptions)
         if any(label.value not in (TRIVIAL, UNKNOWN)
                for label in defaults.values()):
             raise ValueError("only trivial or unknown labels can be defaults")
@@ -182,7 +183,7 @@ class AttachmentView:
                     or lower not in proper and lower not in cells):
                 raise ValueError(f"attachment {upper.name()} -> {lower.name()} "
                                  "names a cell outside the complex")
-        self.rules = LabelRules(FrozenMap(defaults), FrozenMap(exceptions))
+        self.rules = LabelRules(defaults, exceptions)
         ordered = sorted(exceptions.items(),
                          key=lambda kv: (kv[0][0]._key, kv[0][1]._key))
         # only trivial and unknown can be defaults, so every detected

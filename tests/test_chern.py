@@ -43,10 +43,17 @@ class TestHomologyTorus:
         m = make_homology_torus(3)
         for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert copied == m and copied.quad_form == m.quad_form
-            with pytest.raises(TypeError):
-                copied.quad_form[(1, 2, 3, 4)] = 5
+            quad = copied.quad_form
+            for change in (lambda: quad.update({(1, 2, 3, 5): 1}),
+                           lambda: quad.pop((1, 2, 3, 4)), quad.popitem,
+                           quad.clear, lambda: quad.setdefault((1,), 1),
+                           lambda: quad.__delitem__((1, 2, 3, 4)),
+                           lambda: quad.__ior__({})):
+                with pytest.raises(TypeError):
+                    change()
             with pytest.raises(AttributeError):
-                copied.quad_form._dict = {}
+                quad.note = "mutable"
+            assert quad == {(1, 2, 3, 4): 3}
 
     def test_equal_manifolds_hash_equal(self):
         a, b = make_homology_torus(3), make_homology_torus(3)
