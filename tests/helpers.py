@@ -344,8 +344,8 @@ def package_env(**extra):
     """os.environ plus `extra`, with PYTHONPATH naming the directory this
     process imported thomstem from, so a child process imports the same
     package whether or not PYTHONPATH was set."""
-    where = os.path.dirname(os.path.dirname(os.path.abspath(thomstem.__file__)))
-    return dict(os.environ, PYTHONPATH=where, **extra)
+    package = os.path.dirname(os.path.abspath(thomstem.__file__))
+    return dict(os.environ, PYTHONPATH=os.path.dirname(package), **extra)
 
 
 # -- scaling probe -----------------------------------------------------------

@@ -327,13 +327,15 @@ def test_view_is_read_only_and_rejects_foreign_cells():
 
 def test_view_keeps_only_what_its_callers_read():
     from collections.abc import Mapping
+    from thomstem import thom
     from thomstem.thom import AttachmentView
 
     assert not issubclass(AttachmentView, Mapping)
     for gone in ("__getitem__", "__iter__", "__contains__", "items", "keys",
-                 "row", "_items", "_cells"):
+                 "row", "_items", "_cells", "_gaps"):
         assert not hasattr(AttachmentView, gone), gone
     assert not hasattr(StableCellComplex, "basepoint_cell")
+    assert not hasattr(thom, "_Items") and not hasattr(thom, "_Values")
     complex_ = infer_attachments(thom_cells(_sum(3, 5)))
     view = complex_.attachments
     with pytest.raises(TypeError):

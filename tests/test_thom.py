@@ -111,15 +111,17 @@ class TestInferAttachments:
 
     def test_sec4_odd_dets_two_nu_odd_from_top(self):
         complex_ = infer_attachments(thom_cells(sum_bundle(3, 5)))
+        labels = expand_labels(complex_)
         hits = sorted(lower.base_indices
-                      for (upper, lower), label in expand_labels(complex_).items()
+                      for (upper, lower), label in labels.items()
                       if label.value == NU_ODD and upper.dim == 12)
         assert hits == [(1, 2, 3, 4), (5, 6, 7, 8)]
 
     def test_sec4_even_det_degrades_to_unknown(self):
         complex_ = infer_attachments(thom_cells(sum_bundle(3, 2)))
+        labels = expand_labels(complex_)
         top_labels = {lower.base_indices: label.value
-                      for (upper, lower), label in expand_labels(complex_).items()
+                      for (upper, lower), label in labels.items()
                       if upper.dim == 12 and lower.dim == 8}
         # r2 even kills the detection onto the block-1 volume cell
         assert top_labels[(1, 2, 3, 4)] == UNKNOWN
