@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from operator import eq
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import stems
 from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
@@ -32,8 +32,7 @@ VERDICT_TRIVIAL, VERDICT_NONTRIVIAL, VERDICT_UNKNOWN = (
     "trivial", "nontrivial", "unknown")
 
 
-@dataclass(frozen=True)
-class ColumnEntry:
+class ColumnEntry(NamedTuple):
     """One cell's column: the stem it contributes and what happened to it."""
 
     cell: StableCell
@@ -237,20 +236,20 @@ def _run_eta_rules(complex_, columns, index, differentials):
             drained.add(lower)
         if up.stem_q in _ETA.decides and KILLED not in (up.status, low.status):
             # onto: 1 o eta = eta and eta o eta = eta^2 generate stems 1, 2
-            columns[i] = replace(up, status=KILLED,
-                                 killer=f"d2 from {lower.name()}")
+            columns[i] = up._replace(status=KILLED,
+                                     killer=f"d2 from {lower.name()}")
             differentials.append(
                 f"d2: column {upper.name()} ({up.group.pretty()}) killed "
                 f"by composition with eta from {lower.name()}")
         if low.stem_q == 0 and low.status == SURVIVES:
-            columns[j] = replace(low, status=REDUCED, reduced_index=2,
-                                 killer=f"d2 into {upper.name()}")
+            columns[j] = low._replace(status=REDUCED, reduced_index=2,
+                                      killer=f"d2 into {upper.name()}")
             differentials.append(
                 f"d2: column {lower.name()} reduced to index 2 (kernel of "
                 f"composition with eta into {upper.name()}); still Z abstractly")
         elif low.stem_q == 1 and low.status == SURVIVES:
-            columns[j] = replace(
-                low, status=KILLED,
+            columns[j] = low._replace(
+                status=KILLED,
                 killer=f"d2 into {upper.name()} (source consumed)")
             differentials.append(
                 f"d2: column {lower.name()} consumed as a d2 source onto "
@@ -279,7 +278,7 @@ def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
         up, low = columns[i], columns[j]
         if up.stem_q in _NU.decides and KILLED not in (up.status, low.status):
             if lower in drained:
-                columns[i] = replace(up, status=UNKNOWN, killer=None)
+                columns[i] = up._replace(status=UNKNOWN, killer=None)
                 notes.append(
                     f"column {upper.name()} marked unknown: the d4 source "
                     f"{lower.name()} was reduced by an earlier d2, so the "
@@ -287,8 +286,8 @@ def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
                 continue
             # any odd multiple of nu generates pi_3, so the composition
             # from the intact source Z column is onto
-            columns[i] = replace(up, status=KILLED,
-                                 killer=f"d4 from {lower.name()}")
+            columns[i] = up._replace(status=KILLED,
+                                     killer=f"d4 from {lower.name()}")
             differentials.append(
                 f"d4: column {upper.name()} (Z/24) killed by composition "
                 f"with nu from {lower.name()}; the source Z column one "
@@ -298,8 +297,8 @@ def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
                 "nu-attached cell in canonical order; any of the "
                 "nu-attached cells kills the column")
         if low.stem_q == 0 and low.status == SURVIVES:
-            columns[j] = replace(low, status=REDUCED, reduced_index=24,
-                                 killer=f"d4 into {upper.name()}")
+            columns[j] = low._replace(status=REDUCED, reduced_index=24,
+                                      killer=f"d4 into {upper.name()}")
             differentials.append(
                 f"d4: column {lower.name()} reduced to index 24 (kernel of "
                 f"composition with nu into {upper.name()}); still Z abstractly")
@@ -387,11 +386,11 @@ def _mark_unknowns(complex_, columns, notes):
                 tails[lower] = tail(label.value, gap, lower, source_q)
             if added:
                 tails = {lower: tails[lower]
-                         for lower in sorted(tails, key=StableCell.sort_key)}
+                         for lower in sorted(tails)}
             run = tuple(tails.values())
             run = shared.setdefault(run, run)
         if run:
-            columns[i] = replace(column, status=UNKNOWN, killer=None)
+            columns[i] = column._replace(status=UNKNOWN, killer=None)
             notes.append((f"column {upper.name()} marked unknown: reachable "
                           "through a ", run))
 
@@ -438,12 +437,12 @@ def vanishing_certificate(report: GroupReport,
     if not nonzero:
         lines.append("class assignment: zero class")
     else:
-        for cell in sorted(nonzero, key=StableCell.sort_key):
+        for cell in sorted(nonzero):
             lines.append(f"class assignment: {nonzero[cell]} on cell "
                          f"{cell.name()} (dim {cell.dim})")
     for diff in report.differentials:
         lines.append(f"assembly: {diff}")
-    for cell in sorted(nonzero, key=StableCell.sort_key):
+    for cell in sorted(nonzero):
         entry = report.entry_for(cell)
         line = (f"column {cell.name()} (stem {entry.stem_q}, "
                 f"{entry.group.pretty()}): {entry.status}")

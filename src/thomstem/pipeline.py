@@ -194,15 +194,17 @@ def _check_manifold(m, where: str) -> Mapping:
            "quad_form": {}}
     if not _is_int(out["b1"]) or out["b1"] < 0:
         raise SpecError(f"{where}.b1", "must be a nonnegative integer")
-    for key in ("signature", "b_plus"):
-        if not _is_int(out[key]):
-            raise SpecError(f"{where}.{key}", "must be an integer")
+    if not _is_int(out["signature"]):
+        raise SpecError(f"{where}.signature", "must be an integer")
+    if not _is_int(out["b_plus"]) or out["b_plus"] < 0:
+        raise SpecError(f"{where}.b_plus", "must be a nonnegative integer")
     if not isinstance(out["label"], str):
         raise SpecError(f"{where}.label", "must be a string")
     rows = m.get("quad_form", [])
     if not _is_list(rows):
         raise SpecError(f"{where}.quad_form",
                         'must be a list of "[i,j,k,l] = value" rows')
+    row_of = {}
     for j, row in enumerate(rows):
         match = _QUAD_ROW.match(row) if isinstance(row, str) else None
         if not match:
@@ -217,6 +219,10 @@ def _check_manifold(m, where: str) -> Mapping:
             raise SpecError(f"{where}.quad_form[{j}]",
                             "indices must ascend strictly within "
                             f"1..b1 = {out['b1']}")
+        if subset in row_of:
+            raise SpecError(f"{where}.quad_form[{j}]", "repeats the subset of "
+                            f"{where}.quad_form[{row_of[subset]}]")
+        row_of[subset] = j
         out["quad_form"][subset] = value
     out["quad_form"] = FrozenMap(out["quad_form"])
     return FrozenMap(out)
@@ -529,8 +535,7 @@ def report_dict(result: RunResult) -> dict:
         "assembly": _assembly_dict(result.report),
         "class_assignment": [
             {"cell": cell.name(), "element": str(element)}
-            for cell, element in sorted(result.assignment.items(),
-                                        key=lambda kv: kv[0].sort_key())],
+            for cell, element in sorted(result.assignment.items())],
         "verdict": result.verdict,
         "certificate": result.certificate.split("\n"),
     }

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby, repeat
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .chern import QUATERNIONIC, REAL, BundleData, FrozenMap
@@ -60,77 +60,62 @@ DETECTIONS = (Detection(2, ETA_LABEL, "eta", (1, 2)),
 DETECTION_OF = {rule.value: rule for rule in DETECTIONS}
 
 
-@dataclass(frozen=True, init=False)
-class StableCell:
+class StableCell(tuple):
     """One stable cell: base subset, fiber contribution, suspension count.
 
-    The dimension is always derived: |base| + fiber offset + suspension.
+    The cell is the tuple (dim, fiber order, base_mask, suspension,
+    fiber_part, fiber_offset), where the dimension is always derived:
+    |base| + fiber offset + suspension. Tuple order is the canonical
+    order, so `sorted(cells)` needs no key, and hash and == are the
+    tuple's. A cell therefore equals a plain tuple that holds the same
+    items; no code path mixes the two.
     """
 
-    base_mask: int
-    fiber_part: str
-    fiber_offset: int
-    suspension: int = 0
+    __slots__ = ()
 
-    def __init__(self, base_mask: int, fiber_part: str, fiber_offset: int,
-                 suspension: int = 0):
+    def __new__(cls, base_mask: int, fiber_part: str, fiber_offset: int,
+                suspension: int = 0):
         if base_mask < 0:
             raise ValueError("base mask must be nonnegative")
         if fiber_part not in _FIBER_ORDER:
             raise ValueError(f"unknown fiber part {fiber_part!r}")
         if suspension < 0:
             raise ValueError("suspension must be nonnegative")
-        # the fields, the derived dimension and canonical key (hot in
-        # sorting) and the dataclass hash, computed once so set and dict
-        # order stay as is: one write of the whole instance dict
-        dim = base_mask.bit_count() + fiber_offset + suspension
-        object.__setattr__(self, "__dict__", {
-            "base_mask": base_mask, "fiber_part": fiber_part,
-            "fiber_offset": fiber_offset, "suspension": suspension,
-            "_dim": dim,
-            "_key": (dim, _FIBER_ORDER[fiber_part], base_mask, suspension),
-            "_hash": hash((base_mask, fiber_part, fiber_offset, suspension))})
+        return tuple.__new__(cls, (
+            base_mask.bit_count() + fiber_offset + suspension,
+            _FIBER_ORDER[fiber_part], base_mask, suspension, fiber_part,
+            fiber_offset))
 
-    def __hash__(self) -> int:
-        return self._hash
+    dim = property(itemgetter(0))
+    base_mask = property(itemgetter(2))
+    suspension = property(itemgetter(3))
+    fiber_part = property(itemgetter(4))
+    fiber_offset = property(itemgetter(5))
 
-    def __reduce__(self):   # rehash the fiber part in the loading process
-        return StableCell, (self.base_mask, self.fiber_part,
-                            self.fiber_offset, self.suspension)
+    def __reduce__(self):   # copy and pickle through the constructor
+        return StableCell, (self[2], self[4], self[5], self[3])
 
-    @property
-    def dim(self) -> int:
-        return self._dim
+    def __repr__(self) -> str:
+        return (f"StableCell(base_mask={self[2]}, fiber_part={self[4]!r}, "
+                f"fiber_offset={self[5]}, suspension={self[3]})")
 
     @property
     def base_indices(self) -> Tuple[int, ...]:
-        return mask_text(self.base_mask)[0]
+        return mask_text(self[2])[0]
 
     def suspended(self, k: int) -> "StableCell":
         if k < 0:
             raise ValueError("suspension must be nonnegative")
-        return StableCell(self.base_mask, self.fiber_part, self.fiber_offset,
-                          self.suspension + k)
-
-    def sort_key(self):
-        return self._key
+        return StableCell(self[2], self[4], self[5], self[3] + k)
 
     def name(self) -> str:
-        # formatted once per cell and kept outside the dataclass fields,
-        # so ==, hash and repr do not see it
-        out = getattr(self, "_name", None)
-        if out is None:
-            out = (f"{_FIBER_TAG[self.fiber_part]}"
-                   f"{{{mask_text(self.base_mask)[1]}}}")
-            if self.suspension:
-                out += f"+{self.suspension}"
-            object.__setattr__(self, "_name", out)
-        return out
+        out = f"{_FIBER_TAG[self[4]]}{{{mask_text(self[2])[1]}}}"
+        return f"{out}+{self[3]}" if self[3] else out
 
     __str__ = name
 
 
-_DIM, _KEY = attrgetter("_dim"), attrgetter("_key")
+_DIM = itemgetter(0)
 
 
 class AttachLabel(NamedTuple):
@@ -160,7 +145,7 @@ class AttachmentView:
     """The (upper, lower) -> AttachLabel labels of one complex, read from
     its `LabelRules`; no pair map is written out.
 
-    `detected` lists, in canonical (upper._key, lower._key) order, the
+    `detected` lists, in canonical (upper, lower) order, the
     exceptions whose label is a `DETECTIONS` value; a detected label off
     its rule's gap is rejected. `len` and `counts` are arithmetic. Two
     views are equal when they have the same proper cells and rules.
@@ -184,8 +169,7 @@ class AttachmentView:
                 raise ValueError(f"attachment {upper.name()} -> {lower.name()} "
                                  "names a cell outside the complex")
         self.rules = LabelRules(defaults, exceptions)
-        ordered = sorted(exceptions.items(),
-                         key=lambda kv: (kv[0][0]._key, kv[0][1]._key))
+        ordered = sorted(exceptions.items())  # distinct pairs: no label compared
         # only trivial and unknown can be defaults, so every detected
         # label is an exception
         self.detected = tuple(item for item in ordered
@@ -278,7 +262,7 @@ class StableCellComplex:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cells = tuple(sorted(self.cells, key=_KEY))
+        cells = tuple(sorted(self.cells))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "proper_cells", tuple(
             c for c in cells if not self.is_basepoint(c)))

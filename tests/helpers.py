@@ -15,7 +15,9 @@ pair, the way assembly once did; the monomial-text oracle
 reads a mask off bit by bit on every call, the way each monomial and cell
 once did; the suspension oracle `suspend` remakes every cell of a built
 complex one dimension up per suspension, the way the pipeline once did
-before it learned to make each cell at its final dimension.
+before it learned to make each cell at its final dimension; the
+canonical-order oracle `naive_key` reads a cell's place in the order off
+its public fields, not off the cell's tuple.
 """
 
 import os
@@ -28,8 +30,9 @@ import thomstem
 from thomstem import stems
 from thomstem.ahss import KILLED, _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
-from thomstem.thom import (ETA_LABEL, FIBER_THOM, NU_ODD, TRIVIAL, UNKNOWN,
-                           AttachLabel, LabelRules, StableCellComplex)
+from thomstem.thom import (ETA_LABEL, FIBER_PARTS, FIBER_THOM, NU_ODD,
+                           TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
+                           StableCellComplex)
 
 
 # -- wedge oracle: list concatenation + bubble parity --------------------
@@ -284,6 +287,18 @@ def dense_attachments(complex_):
     return labels
 
 
+# -- canonical order oracle: the public fields, not the cell's tuple ------
+
+def naive_dim(cell):
+    return bin(cell.base_mask).count("1") + cell.fiber_offset + cell.suspension
+
+
+def naive_key(cell):
+    """The canonical order, from the public fields alone."""
+    return (naive_dim(cell), FIBER_PARTS.index(cell.fiber_part),
+            cell.base_mask, cell.suspension)
+
+
 def label_rows(complex_):
     """{upper: [(lower, label), ...]} for every cell: each label the
     complex's rules stand for, written out pair by pair from `rules`,
@@ -297,7 +312,7 @@ def label_rows(complex_):
                if upper in proper
                for lower in view.cells_at(upper.dim - gap)}
         row.update(view.exceptions_from(upper))
-        rows[upper] = sorted(row.items(), key=lambda kv: kv[0].sort_key())
+        rows[upper] = sorted(row.items(), key=lambda kv: naive_key(kv[0]))
     return rows
 
 
@@ -316,8 +331,8 @@ def basepoint_cell(complex_):
 
 def canonical_pairs(labels):
     """The pairs of a label dict in canonical (upper, lower) key order."""
-    return sorted(labels, key=lambda pair: (pair[0].sort_key(),
-                                            pair[1].sort_key()))
+    return sorted(labels, key=lambda pair: (naive_key(pair[0]),
+                                            naive_key(pair[1])))
 
 
 # -- suspension oracle: remake every cell ------------------------------------
@@ -380,7 +395,7 @@ def per_pair_mark_unknowns(complex_, columns, notes):
             if source_q is None:
                 continue
             if head is None:
-                columns[i] = replace(column, status=UNKNOWN, killer=None)
+                columns[i] = column._replace(status=UNKNOWN, killer=None)
                 head = f"column {upper.name()} marked unknown: reachable " \
                        "through a "
             notes.append(f"{head}{label.value} gap-{gap} label from "

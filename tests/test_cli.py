@@ -366,6 +366,39 @@ class TestInputContract:
             code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
             assert (code, out, err) == (EXIT_BAD_SPEC, "", pointer)
 
+    @pytest.mark.parametrize("manifolds, message", [
+        # b+ adds under a connected sum, so -1 once passed as a b+ of 2
+        ([{"determinant": 3}, {"b1": 2, "b_plus": -1}],
+         "spec.manifolds[1].b_plus: must be a nonnegative integer"),
+        # the last row once won
+        ([{"b1": 4, "quad_form": ["[1,2,3,4] = 1", "[1,2,3,4] = 2"]}],
+         "spec.manifolds[0].quad_form[1]: repeats the subset of "
+         "spec.manifolds[0].quad_form[0]"),
+        ([{"determinant": 3}, {"b1": 5, "quad_form": [
+            "[1,2,3,4] = 1", "[2,3,4,5] = 1", "[1,2,3,4] = 1"]}],
+         "spec.manifolds[1].quad_form[2]: repeats the subset of "
+         "spec.manifolds[1].quad_form[0]"),
+    ], ids=["negative-b-plus", "repeated-subset", "repeated-equal-row"])
+    def test_run_and_explain_reject_the_manifold(self, capsys, tmp_path,
+                                                 manifolds, message):
+        spec = tmp_path / "manifold.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE,
+                                    "manifolds": manifolds}))
+        for argv in (("run",), ("explain", "run")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
+            assert (code, out, err) == (
+                EXIT_BAD_SPEC, "", f"thomstem: malformed scenario: {message}\n")
+
+    def test_zero_b_plus_and_distinct_subsets_stay_valid(self, capsys,
+                                                         tmp_path):
+        spec = tmp_path / "valid.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE, "manifolds": [
+            {"determinant": 3}, {"b1": 5, "b_plus": 0, "quad_form": [
+                "[1,2,3,4] = 1", "[2,3,4,5] = 2"]}]}))
+        code, out, _ = run_cli(capsys, "run", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert json.loads(out)["manifold"]["b_plus"] == 3
+
     def test_opposite_signatures_stay_valid(self, capsys, tmp_path):
         spec = tmp_path / "pair.json"
         spec.write_text(json.dumps({**_MALFORMED_BASE, "manifolds": [

@@ -114,18 +114,18 @@ def _count_made(monkeypatch):
     """Count every StableCell and StableCellComplex made from here on:
     returns the {"cells": n, "complexes": n} dict the counts go to."""
     made = {"cells": 0, "complexes": 0}
-    cell_init = thom.StableCell.__init__
+    cell_new = thom.StableCell.__new__
     complex_post_init = thom.StableCellComplex.__post_init__
 
-    def count_cell(self, *args, **kwargs):
+    def count_cell(cls, *args, **kwargs):
         made["cells"] += 1
-        cell_init(self, *args, **kwargs)
+        return cell_new(cls, *args, **kwargs)
 
     def count_complex(self):
         made["complexes"] += 1
         complex_post_init(self)
 
-    monkeypatch.setattr(thom.StableCell, "__init__", count_cell)
+    monkeypatch.setattr(thom.StableCell, "__new__", staticmethod(count_cell))
     monkeypatch.setattr(thom.StableCellComplex, "__post_init__",
                         count_complex)
     return made
