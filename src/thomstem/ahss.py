@@ -13,10 +13,10 @@ direct-summed; extension problems are ignored and noted.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from operator import eq
+from operator import eq, itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import stems
@@ -24,6 +24,7 @@ from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
 from .thom import (_DIM, DETECTION_OF, DETECTIONS, FIBER_SPHERE_ZERO,
                    POLICY_REDUCED, StableCell, StableCellComplex, TRIVIAL,
                    UNKNOWN)
+from .values import CheckedTuple
 
 SURVIVES, KILLED, REDUCED = "survives", "killed", "reduced"
 # column status "unknown" reuses thom.UNKNOWN
@@ -98,29 +99,36 @@ class Notes(Sequence):
         return Notes, (self.items,)
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(CheckedTuple, namedtuple(
+        "GroupReport", "target_n entries assembled bounds notes differentials "
+        "complex")):
     """Result of assembling {complex, S^N}.
 
     `assembled` is exact when no entry is unknown; otherwise `bounds`
     holds the (all unknowns die, all unknowns survive) pair. `notes` is
     a `Notes`: each unknown column's pair notes are one run over the
-    tails its dimension shares.
+    tails its dimension shares. The {cell: entry} dict of `entry_for` is
+    an eighth item after the fields; it and `complex` are left out of
+    `repr`.
     """
 
-    target_n: int
-    entries: Tuple[ColumnEntry, ...]
-    assembled: Optional[AbelianGroup]
-    bounds: Optional[Tuple[AbelianGroup, AbelianGroup]]
-    notes: Notes
-    differentials: Tuple[str, ...]
-    complex: StableCellComplex = field(repr=False)
-    _by_cell: Dict[StableCell, ColumnEntry] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_cell",
-                           {entry.cell: entry for entry in self.entries})
+    def __new__(cls, target_n: int, entries: Tuple[ColumnEntry, ...],
+                assembled: Optional[AbelianGroup],
+                bounds: Optional[Tuple[AbelianGroup, AbelianGroup]],
+                notes: Notes, differentials: Tuple[str, ...],
+                complex: StableCellComplex):
+        return tuple.__new__(cls, (
+            target_n, entries, assembled, bounds, notes, differentials,
+            complex, {entry.cell: entry for entry in entries}))
+
+    _by_cell = property(itemgetter(7))
+
+    def __repr__(self) -> str:
+        return (f"GroupReport(target_n={self[0]!r}, entries={self[1]!r}, "
+                f"assembled={self[2]!r}, bounds={self[3]!r}, "
+                f"notes={self[4]!r}, differentials={self[5]!r})")
 
     def entry_for(self, cell: StableCell) -> ColumnEntry:
         try:

@@ -12,10 +12,11 @@ the Picard torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Dict, List, Mapping, Tuple
 
 from .exterior import ExteriorClass
+from .values import CheckedTuple
 
 QUATERNIONIC = "quaternionic"
 REAL = "real"
@@ -49,8 +50,8 @@ class FrozenMap(dict):
         return f"FrozenMap({dict.__repr__(self)})"
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(CheckedTuple, namedtuple(
+        "ManifoldData", "b1 quad_form signature b_plus label")):
     """Algebraic stand-in for a spin 4-manifold (or a connected sum).
 
     quad_form maps ascending 4-subsets of {1..b1} to the integer value of
@@ -58,27 +59,29 @@ class ManifoldData:
     is stored as a `FrozenMap` and left out of the hash.
     """
 
-    b1: int
-    quad_form: Mapping[Tuple[int, int, int, int], int] = field(hash=False)
-    signature: int = 0
-    b_plus: int = 3
-    label: str = "M"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.b1 < 0:
+    def __new__(cls, b1: int,
+                quad_form: Mapping[Tuple[int, int, int, int], int],
+                signature: int = 0, b_plus: int = 3, label: str = "M"):
+        if b1 < 0:
             raise ValueError("b1 must be nonnegative")
         clean: Dict[Tuple[int, ...], int] = {}
-        for key, value in self.quad_form.items():
+        for key, value in quad_form.items():
             subset = tuple(key)
             if len(subset) != 4 or list(subset) != sorted(set(subset)):
                 raise ValueError(f"quad_form key {key} is not an ascending 4-subset")
-            if not all(1 <= k <= self.b1 for k in subset):
-                raise ValueError(f"quad_form key {key} exceeds b1 = {self.b1}")
+            if not all(1 <= k <= b1 for k in subset):
+                raise ValueError(f"quad_form key {key} exceeds b1 = {b1}")
             if value:
                 clean[subset] = value
-        if self.b1 < 4 and clean:
+        if b1 < 4 and clean:
             raise ValueError("b1 < 4 forces an empty quadruple form")
-        object.__setattr__(self, "quad_form", FrozenMap(clean))
+        return tuple.__new__(cls, (b1, FrozenMap(clean), signature, b_plus,
+                                   label))
+
+    def __hash__(self):
+        return hash(self[:1] + self[2:])
 
     def quad(self, subset: Tuple[int, ...]) -> int:
         return self.quad_form.get(tuple(subset), 0)
@@ -131,27 +134,25 @@ def chern_character_index(manifold: ManifoldData) -> List[ExteriorClass]:
     return [zero, zero, ExteriorClass(manifold.quad_form, manifold.b1)]
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(CheckedTuple, namedtuple(
+        "BundleData", "base_rank field rank c1 c2 sphere_shift")):
     """A vector bundle over T^{base_rank} by rank, coefficient field and
     Chern classes. Its Stiefel-Whitney classes are read from c1 and c2
     (`w_class`); a real bundle has c1 = c2 = 0."""
 
-    base_rank: int
-    field: str
-    rank: int
-    c1: ExteriorClass
-    c2: ExteriorClass
-    sphere_shift: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.field not in (QUATERNIONIC, REAL):
-            raise ValueError(f"unknown coefficient field {self.field!r}")
-        if self.field == REAL:
-            for name, c in (("c1", self.c1), ("c2", self.c2)):
+    def __new__(cls, base_rank: int, field: str, rank: int, c1: ExteriorClass,
+                c2: ExteriorClass, sphere_shift: int):
+        if field not in (QUATERNIONIC, REAL):
+            raise ValueError(f"unknown coefficient field {field!r}")
+        if field == REAL:
+            for name, c in (("c1", c1), ("c2", c2)):
                 if not c.is_zero:
                     raise ValueError(f"a real bundle needs {name} = 0, "
                                      f"got {name} = {c.format()}")
+        return tuple.__new__(cls, (base_rank, field, rank, c1, c2,
+                                   sphere_shift))
 
     def w_class(self, i: int) -> ExteriorClass:
         """w_i as a mod-2 class: w2 = c1 mod 2, w4 = c2 mod 2 and every

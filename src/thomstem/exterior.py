@@ -12,8 +12,10 @@ product. Values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+
+from .values import CheckedTuple
 
 
 # mask -> (ascending generator indices, their digit text "1,2,4"), filled
@@ -36,15 +38,15 @@ def mask_text(mask: int) -> Tuple[Tuple[int, ...], str]:
     return entry
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(CheckedTuple, namedtuple("Monomial", "mask")):
     """Ascending subset of {1..rank} packed as a bitmask (bit k-1 = generator k)."""
 
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mask < 0:
+    def __new__(cls, mask: int):
+        if mask < 0:
             raise ValueError("monomial mask must be nonnegative")
+        return tuple.__new__(cls, (mask,))
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "Monomial":

@@ -7,27 +7,29 @@ OutOfTableError: a silent zero here would fabricate a vanishing result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Tuple
+
+from .values import CheckedTuple
 
 
 class OutOfTableError(LookupError):
     """A stem or composition outside the supported table was requested."""
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group: free rank plus torsion coefficients."""
+class AbelianGroup(CheckedTuple,
+                   namedtuple("AbelianGroup", "free_rank torsion")):
+    """Finitely generated abelian group: free rank plus torsion coefficients,
+    stored sorted."""
 
-    free_rank: int = 0
-    torsion: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int = 0, torsion: Tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        if any(t < 2 for t in self.torsion):
+        if any(t < 2 for t in torsion):
             raise ValueError("torsion coefficients must be >= 2")
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion)))
+        return tuple.__new__(cls, (free_rank, tuple(sorted(torsion))))
 
     @property
     def is_trivial(self) -> bool:
@@ -93,8 +95,7 @@ def stem_group(q: int) -> AbelianGroup:
 ZERO, ONE, ETA, ETA_SQ, NU = "zero", "one", "eta", "eta_sq", "nu_multiple"
 
 
-@dataclass(frozen=True)
-class StemElement:
+class StemElement(CheckedTuple, namedtuple("StemElement", "q kind payload")):
     """A named element of a stable stem.
 
     kind/payload pairs: zero (any stem), one(d) = the degree-d class in
@@ -102,17 +103,15 @@ class StemElement:
     stem 3 with k taken mod 24.
     """
 
-    q: int
-    kind: str
-    payload: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, q: int, kind: str, payload: int = 0):
         expected = {ONE: 0, ETA: 1, ETA_SQ: 2, NU: 3}
-        if self.kind in expected and self.q != expected[self.kind]:
-            raise ValueError(f"{self.kind} lives in stem {expected[self.kind]},"
-                             f" not {self.q}")
-        if self.kind not in (ZERO, ONE, ETA, ETA_SQ, NU):
-            raise ValueError(f"unknown stem element kind {self.kind!r}")
+        if kind in expected and q != expected[kind]:
+            raise ValueError(f"{kind} lives in stem {expected[kind]}, not {q}")
+        if kind not in (ZERO, ONE, ETA, ETA_SQ, NU):
+            raise ValueError(f"unknown stem element kind {kind!r}")
+        return tuple.__new__(cls, (q, kind, payload))
 
     @property
     def is_zero(self) -> bool:

@@ -11,15 +11,15 @@ lower cell L carries the Hopf class that Sq^g detects.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field, replace
-from itertools import chain, groupby, repeat
+from itertools import chain, filterfalse, groupby, repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .chern import QUATERNIONIC, REAL, BundleData, FrozenMap
 from .exterior import ExteriorClass, Monomial, mask_text
+from .values import CheckedTuple
 
 # Fiber kinds and the dimension they add on top of the base subset.
 FIBER_POINT = "point"            # basepoint at infinity (Thom construction)
@@ -239,41 +239,64 @@ class AttachmentView:
         return {key: n for key, n in out.items() if n}
 
 
-@dataclass(frozen=True)
-class StableCellComplex:
+class StableCellComplex(CheckedTuple, namedtuple(
+        "StableCellComplex",
+        "cells bundle basepoint_policy attachments gap3_trivial")):
     """A finite stable cell complex together with its bundle of origin.
 
     `attachments` labels the (upper, lower) cell pairs with dimension gap
     1..4; it is None until infer_attachments has run. It is given
     as `LabelRules` and stored as an `AttachmentView` over this complex's
-    cells; any other value raises TypeError, a view passed back too.
+    cells; any other value raises TypeError, a view passed back too, so a
+    `_replace` without `attachments=` fails at once.
     `gap3_trivial` is the geometric flag (pi_2(SO(3)) = 1) that
     sphere-bundle complexes carry, upgrading gap-3 labels from unknown to
     trivial. `proper_cells`, the cells other than the basepoint in
-    canonical order, is computed once when the complex is made.
+    canonical order, is computed once when the complex is made, as a
+    sixth item after the fields, and is left out of `repr`.
     """
 
-    cells: Tuple[StableCell, ...]
-    bundle: BundleData
-    basepoint_policy: str
-    attachments: Optional[AttachmentView] = None
-    gap3_trivial: bool = False
-    proper_cells: Tuple[StableCell, ...] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        cells = tuple(sorted(self.cells))
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "proper_cells", tuple(
-            c for c in cells if not self.is_basepoint(c)))
-        labels = self.attachments
-        if labels is None:
-            return
-        if not isinstance(labels, LabelRules):
-            raise TypeError("attachments must be LabelRules or None, not "
-                            f"{type(labels).__name__}")
-        object.__setattr__(self, "attachments", AttachmentView(
-            self.cells, self.proper_cells, labels))
+    def __new__(cls, cells: Tuple[StableCell, ...], bundle: BundleData,
+                basepoint_policy: str,
+                attachments: Optional[LabelRules] = None,
+                gap3_trivial: bool = False):
+        cells = tuple(sorted(cells))
+        # unlabelled and with no proper cells yet: enough to tell the
+        # basepoint, and to finish in `_derive`
+        bare = tuple.__new__(cls, (cells, bundle, basepoint_policy, None,
+                                   gap3_trivial, ()))
+        return bare._derive(cells, tuple(filterfalse(bare.is_basepoint,
+                                                     cells)), attachments)
+
+    proper_cells = property(itemgetter(5))
+
+    def _derive(self, cells: Tuple[StableCell, ...],
+                proper_cells: Tuple[StableCell, ...],
+                rules: Optional[LabelRules]) -> "StableCellComplex":
+        """This complex's bundle, policy and flag over `cells`, labelled by
+        `rules`: the cells are in canonical order, and `proper_cells` are
+        those that are not the basepoint. The constructor ends here, and
+        `infer_attachments` and `skeletal_quotient` come here from a
+        complex already made, so they neither sort nor test cells again."""
+        if rules is not None:
+            if not isinstance(rules, LabelRules):
+                raise TypeError("attachments must be LabelRules or None, "
+                                f"not {type(rules).__name__}")
+            rules = AttachmentView(cells, proper_cells, rules)
+        return tuple.__new__(type(self), (cells, self[1], self[2], rules,
+                                          self[4], proper_cells))
+
+    def __reduce__(self):   # copy and pickle the rules through the constructor
+        labels = self[3]
+        return StableCellComplex, self[:3] + (
+            None if labels is None else labels.rules, self[4])
+
+    def __repr__(self) -> str:
+        return (f"StableCellComplex(cells={self[0]!r}, bundle={self[1]!r}, "
+                f"basepoint_policy={self[2]!r}, attachments={self[3]!r}, "
+                f"gap3_trivial={self[4]!r})")
 
     def is_basepoint(self, cell: StableCell) -> bool:
         if self.basepoint_policy == POLICY_THOM:
@@ -407,21 +430,22 @@ def infer_attachments(complex_: StableCellComplex) -> StableCellComplex:
     """
     exceptions = {pair: label for rule in DETECTIONS
                   for pair, label in _detected_labels(complex_, rule).items()}
-    return replace(complex_, attachments=LabelRules(_default_labels(complex_),
-                                                    exceptions))
+    return complex_._derive(complex_.cells, complex_.proper_cells, LabelRules(
+        _default_labels(complex_), exceptions))
 
 
 def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:
     """Collapse the k-skeleton: cells of dimension <= k disappear, and all
     attachments touching them are dropped."""
-    cells = tuple(c for c in complex_.cells if c.dim > k)
     rules = None
     if complex_.attachments is not None:
         defaults, exceptions = complex_.attachments.rules
         rules = LabelRules(defaults, {
             (u, l): label for (u, l), label in exceptions.items()
             if u.dim > k and l.dim > k})
-    return replace(complex_, cells=cells, attachments=rules)
+    return complex_._derive(tuple(c for c in complex_.cells if c.dim > k),
+                            tuple(c for c in complex_.proper_cells
+                                  if c.dim > k), rules)
 
 
 def label_counts(labels: AttachmentView) -> Dict[str, int]:

@@ -22,7 +22,6 @@ its public fields, not off the cell's tuple.
 
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -350,7 +349,7 @@ def suspend(complex_: StableCellComplex, k: int) -> StableCellComplex:
         rules = LabelRules(defaults, {
             (lifted[u], lifted[l]): label
             for (u, l), label in exceptions.items()})
-    return replace(complex_, cells=tuple(lifted.values()), attachments=rules)
+    return complex_._replace(cells=tuple(lifted.values()), attachments=rules)
 
 
 # -- subprocesses -------------------------------------------------------------

@@ -389,6 +389,42 @@ class TestInputContract:
             assert (code, out, err) == (
                 EXIT_BAD_SPEC, "", f"thomstem: malformed scenario: {message}\n")
 
+    _SCENARIO_KEYS = ("schema, name, pipeline, manifolds, suspensions, "
+                      "skeletal_cut, target_shift, class_assignment")
+    _BLOCK_KEYS = "b1, quad_form, signature, b_plus, label"
+
+    @pytest.mark.parametrize("patch, message", [
+        # the misspelled block key once left the block with an empty form,
+        # and the run exited 0 with verdict trivial
+        ({"manifolds": [{"determinant": 3, "b1": 6},
+                        {"b1": 2, "quadform": ["[1,2,3,4] = 1"]}]},
+         "spec.manifolds[0].b1: unknown key; the allowed keys are "
+         "determinant"),
+        ({"manifolds": [{"determinant": 3},
+                        {"b1": 2, "quadform": ["[1,2,3,4] = 1"]}]},
+         f"spec.manifolds[1].quadform: unknown key; the allowed keys are "
+         f"{_BLOCK_KEYS}"),
+        ({"suspension": 1},
+         f"spec.suspension: unknown key; the allowed keys are "
+         f"{_SCENARIO_KEYS}"),
+        ({"class_assignment": [{"cell": "top", "element": "zero",
+                                "elements": "eta"}]},
+         "spec.class_assignment[0].elements: unknown key; the allowed keys "
+         "are cell, element"),
+        ({"class_assignment": [{"cell": {"base": [1], "fibre": "point"},
+                                "element": "zero"}]},
+         "spec.class_assignment[0].cell.fibre: unknown key; the allowed "
+         "keys are base, fiber"),
+    ], ids=["torus-b1", "block-quadform", "suspension", "row", "selector"])
+    def test_run_and_explain_reject_an_unknown_key(self, capsys, tmp_path,
+                                                   patch, message):
+        spec = tmp_path / "typo.json"
+        spec.write_text(json.dumps({**_MALFORMED_BASE, **patch}))
+        for argv in (("run",), ("explain", "run")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
+            assert (code, out, err) == (
+                EXIT_BAD_SPEC, "", f"thomstem: malformed scenario: {message}\n")
+
     def test_zero_b_plus_and_distinct_subsets_stay_valid(self, capsys,
                                                          tmp_path):
         spec = tmp_path / "valid.json"

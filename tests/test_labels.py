@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 
 import pytest
@@ -252,9 +251,9 @@ def test_reports_and_results_are_frozen():
     result = pipeline.run_scenario(pipeline.preset("paper-sec4", det1=3,
                                                    det2=5))
     report, top = result.report, result.final_complex.top_cell
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.notes = ()
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         result.verdict = "trivial"
     with pytest.raises(TypeError):
         result.assignment[top] = None
@@ -294,14 +293,14 @@ def test_attachments_are_label_rules_or_none():
     complex_ = infer_attachments(thom_cells(_sum(3, 5)))
     pair = (complex_.top_cell, complex_.proper_cells[0])
     # a plain mapping, and the complex's own view passed back, by hand or
-    # by replace without attachments=
+    # by _replace without attachments=
     for labels in ({pair: AttachLabel(UNKNOWN, "synthetic")},
                    complex_.attachments):
         with pytest.raises(TypeError, match="LabelRules"):
             StableCellComplex(complex_.cells, complex_.bundle,
                               complex_.basepoint_policy, labels)
     with pytest.raises(TypeError, match="LabelRules"):
-        replace(complex_, gap3_trivial=True)
+        complex_._replace(gap3_trivial=True)
     assert StableCellComplex(complex_.cells, complex_.bundle,
                              complex_.basepoint_policy).attachments is None
 
@@ -347,7 +346,7 @@ def test_view_equality_reads_the_rules():
     again = infer_attachments(thom_cells(_sum(3, 5)))
     assert first.attachments == again.attachments and first == again
     defaults, exceptions = first.attachments.rules
-    fewer = replace(first, attachments=LabelRules(defaults, {}))
+    fewer = first._replace(attachments=LabelRules(defaults, {}))
     assert fewer.attachments != first.attachments
     cut = skeletal_quotient(first, 8)
     assert cut.attachments != first.attachments

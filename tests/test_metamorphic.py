@@ -17,7 +17,6 @@ import json
 import pathlib
 import random
 import sys
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -104,8 +103,8 @@ def _columns(spec):
 
 
 def _shifted(spec):
-    return replace(spec, suspensions=spec.suspensions + 1,
-                   target_shift=spec.target_shift + 1)
+    return spec._replace(suspensions=spec.suspensions + 1,
+                         target_shift=spec.target_shift + 1)
 
 
 def _catalogue_sample(n=40, seed=20261020):

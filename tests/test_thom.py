@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from helpers import (as_tuple_terms, basepoint_cell, bit_loop_indices,
-                     expand_labels, naive_dim, naive_key, sq_thom, suspend)
+                     expand_labels, naive_dim, naive_key, sq_thom, suspend,
+                     thom_rung)
+from thomstem import pipeline
 from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
@@ -236,6 +238,43 @@ class TestProperCells:
                                    if not complex_.is_basepoint(cell))
             assert "proper_cells" not in repr(complex_)
         assert len(thom.proper_cells) == len(thom.cells) - 1
+
+    @pytest.mark.parametrize("spec", [
+        pipeline.preset("paper-sec3", det=5),
+        pipeline.preset("paper-sec4", det1=3, det2=5),
+        pipeline.preset("paper-sec5", det1=3, det2=5),
+        pipeline.parse_scenario(thom_rung(9)),
+    ], ids=["sec3-cut", "sec4", "sec5", "thom-b1-9"])
+    def test_derived_complexes_equal_the_public_constructor(
+            self, spec, monkeypatch):
+        # infer_attachments and skeletal_quotient keep the order and the
+        # proper cells of the complex they are given: no cell is tested
+        # for the basepoint again, and what they make is what the
+        # constructor makes of the same cells in any order
+        k = spec.suspensions
+        built = pipeline._stages(spec, k)[2]
+        bare = built._replace(attachments=None)
+        tested = []
+        is_basepoint = StableCellComplex.is_basepoint
+        monkeypatch.setattr(StableCellComplex, "is_basepoint",
+                            lambda self, cell: tested.append(cell) or
+                            is_basepoint(self, cell))
+        derived = [infer_attachments(bare)]
+        if spec.skeletal_cut is not None:
+            derived.append(skeletal_quotient(built, spec.skeletal_cut + k))
+        assert tested == []
+        monkeypatch.undo()
+        for complex_ in derived:
+            shuffled = list(complex_.cells)
+            random.Random(len(shuffled)).shuffle(shuffled)
+            made = StableCellComplex(
+                tuple(shuffled), complex_.bundle, complex_.basepoint_policy,
+                complex_.attachments.rules, complex_.gap3_trivial)
+            assert made == complex_
+            assert made.proper_cells == complex_.proper_cells
+            assert made.attachments == complex_.attachments
+            assert made.attachments.detected == complex_.attachments.detected
+        assert derived[0] == built
 
 
 def lifted_fresh(cells, k, cut=None):
