@@ -485,8 +485,9 @@ def complex_to_dict(complex_: StableCellComplex) -> dict:
 
 
 def _assembly_dict(report: GroupReport, names: Dict[int, str]) -> dict:
-    """The assembly section; `names` maps the id of a cell to its name,
-    and a cell it does not hold is named afresh."""
+    """The assembly section. `names` maps the id of each cell of the run's
+    final complex to its name; a column whose cell is not one of those
+    objects (a report copied apart from its complex) is named afresh."""
     # a report holds a few group objects, one per stem, over many columns
     groups = {id(entry.group): entry.group for entry in report.entries}
     pretty = {key: group.pretty() for key, group in groups.items()}
