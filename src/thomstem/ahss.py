@@ -12,7 +12,7 @@ direct-summed; extension problems are ignored and noted.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, groupby
@@ -24,7 +24,7 @@ from .stems import AbelianGroup, OutOfTableError, StemElement, group_sum
 from .thom import (_DIM, DETECTION_OF, DETECTIONS, FIBER_SPHERE_ZERO,
                    POLICY_REDUCED, StableCell, StableCellComplex, TRIVIAL,
                    UNKNOWN)
-from .values import CheckedTuple
+from .values import CheckedTuple, Frozen
 
 SURVIVES, KILLED, REDUCED = "survives", "killed", "reduced"
 # column status "unknown" reuses thom.UNKNOWN
@@ -44,7 +44,10 @@ class ColumnEntry(NamedTuple):
     reduced_index: Optional[int] = None
 
 
-class Notes(Sequence):
+_CELL = itemgetter(0)
+
+
+class Notes(Frozen, Sequence):
     """An immutable sequence of note strings kept as `items`: each item is
     a plain note, or a run `(head, tails)` that stands for the notes
     `head + tail`, one per tail of the tuple `tails` (a run with no tails
@@ -60,9 +63,6 @@ class Notes(Sequence):
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "_ends", tuple(accumulate(
             1 if isinstance(item, str) else len(item[1]) for item in items)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Notes is immutable: cannot set {name}")
 
     def __len__(self):
         return self._ends[-1] if self._ends else 0
@@ -107,23 +107,12 @@ class GroupReport(CheckedTuple, namedtuple(
     `assembled` is exact when no entry is unknown; otherwise `bounds`
     holds the (all unknowns die, all unknowns survive) pair. `notes` is
     a `Notes`: each unknown column's pair notes are one run over the
-    tails its dimension shares. The {cell: entry} dict of `entry_for` is
-    an eighth item after the fields; it and `complex` are left out of
-    `repr`.
+    tails its dimension shares. `entries` holds one entry per proper
+    cell, in canonical cell order, as `assemble` makes them; `entry_for`
+    bisects them. `complex` is left out of `repr`.
     """
 
     __slots__ = ()
-
-    def __new__(cls, target_n: int, entries: Tuple[ColumnEntry, ...],
-                assembled: Optional[AbelianGroup],
-                bounds: Optional[Tuple[AbelianGroup, AbelianGroup]],
-                notes: Notes, differentials: Tuple[str, ...],
-                complex: StableCellComplex):
-        return tuple.__new__(cls, (
-            target_n, entries, assembled, bounds, notes, differentials,
-            complex, {entry.cell: entry for entry in entries}))
-
-    _by_cell = property(itemgetter(7))
 
     def __repr__(self) -> str:
         return (f"GroupReport(target_n={self[0]!r}, entries={self[1]!r}, "
@@ -131,10 +120,11 @@ class GroupReport(CheckedTuple, namedtuple(
                 f"notes={self[4]!r}, differentials={self[5]!r})")
 
     def entry_for(self, cell: StableCell) -> ColumnEntry:
-        try:
-            return self._by_cell[cell]
-        except KeyError:
-            raise KeyError(f"no column for cell {cell.name()}") from None
+        entries = self.entries
+        i = bisect_left(entries, cell, key=_CELL)
+        if i < len(entries) and entries[i].cell == cell:
+            return entries[i]
+        raise KeyError(f"no column for cell {cell.name()}")
 
     def blocks(self) -> Dict[str, AbelianGroup]:
         """Surviving contribution split by fiber kind (unknowns excluded)."""
@@ -169,14 +159,13 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
         raise ValueError("assemble needs a labelled complex: run "
                          "infer_attachments first")
 
-    # one entry per proper cell; a rule that changes a column stores a
-    # new entry at its position, and each label reads its entries afresh,
-    # so a later label sees an earlier kill
+    # {cell: entry}, one per proper cell in canonical order; a rule that
+    # changes a column stores a new entry under its cell, and each label
+    # reads its entries afresh, so a later label sees an earlier kill
     groups = stem_groups(complex_, target_n)
-    columns = [ColumnEntry(cell, cell.dim - target_n,
-                           groups[cell.dim - target_n])
-               for cell in complex_.proper_cells]
-    index = {cell: i for i, cell in enumerate(complex_.proper_cells)}
+    columns = {cell: ColumnEntry(cell, cell.dim - target_n,
+                                 groups[cell.dim - target_n])
+               for cell in complex_.proper_cells}
 
     notes = [
         "surviving columns are direct-summed; extension problems in reading "
@@ -187,10 +176,10 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 
     # page order: all d2 effects, then d4; gap-3 labels never act
     # definitively (trivial = no differential, unknown handled last).
-    drained = _run_eta_rules(complex_, columns, index, differentials)
-    _run_nu_rules(complex_, columns, index, drained, differentials, notes)
+    drained = _run_eta_rules(complex_, columns, differentials)
+    _run_nu_rules(complex_, columns, drained, differentials, notes)
     _mark_unknowns(complex_, columns, notes)
-    entries = tuple(columns)
+    entries = tuple(columns.values())
 
     if complex_.basepoint_policy == POLICY_REDUCED:
         for entry in entries:
@@ -222,7 +211,7 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 _ETA, _NU = DETECTIONS
 
 
-def _run_eta_rules(complex_, columns, index, differentials):
+def _run_eta_rules(complex_, columns, differentials):
     """d2 driven by eta attachments.
 
     Kill side: an upper column at a stem in `_ETA.decides` is hit from
@@ -238,25 +227,24 @@ def _run_eta_rules(complex_, columns, index, differentials):
     for (upper, lower), label in complex_.attachments.detected:
         if label.value != _ETA.value:
             continue
-        i, j = index[upper], index[lower]
-        up, low = columns[i], columns[j]
+        up, low = columns[upper], columns[lower]
         if up.stem_q == 1:
             drained.add(lower)
         if up.stem_q in _ETA.decides and KILLED not in (up.status, low.status):
             # onto: 1 o eta = eta and eta o eta = eta^2 generate stems 1, 2
-            columns[i] = up._replace(status=KILLED,
-                                     killer=f"d2 from {lower.name()}")
+            columns[upper] = up._replace(status=KILLED,
+                                         killer=f"d2 from {lower.name()}")
             differentials.append(
                 f"d2: column {upper.name()} ({up.group.pretty()}) killed "
                 f"by composition with eta from {lower.name()}")
         if low.stem_q == 0 and low.status == SURVIVES:
-            columns[j] = low._replace(status=REDUCED, reduced_index=2,
-                                      killer=f"d2 into {upper.name()}")
+            columns[lower] = low._replace(status=REDUCED, reduced_index=2,
+                                          killer=f"d2 into {upper.name()}")
             differentials.append(
                 f"d2: column {lower.name()} reduced to index 2 (kernel of "
                 f"composition with eta into {upper.name()}); still Z abstractly")
         elif low.stem_q == 1 and low.status == SURVIVES:
-            columns[j] = low._replace(
+            columns[lower] = low._replace(
                 status=KILLED,
                 killer=f"d2 into {upper.name()} (source consumed)")
             differentials.append(
@@ -265,7 +253,7 @@ def _run_eta_rules(complex_, columns, index, differentials):
     return drained
 
 
-def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
+def _run_nu_rules(complex_, columns, drained, differentials, notes):
     """d4 driven by odd-nu attachments.
 
     Kill side: an upper Z/24 column at a stem in `_NU.decides` dies
@@ -282,11 +270,10 @@ def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
     for (upper, lower), label in complex_.attachments.detected:
         if label.value != _NU.value:
             continue
-        i, j = index[upper], index[lower]
-        up, low = columns[i], columns[j]
+        up, low = columns[upper], columns[lower]
         if up.stem_q in _NU.decides and KILLED not in (up.status, low.status):
             if lower in drained:
-                columns[i] = up._replace(status=UNKNOWN, killer=None)
+                columns[upper] = up._replace(status=UNKNOWN, killer=None)
                 notes.append(
                     f"column {upper.name()} marked unknown: the d4 source "
                     f"{lower.name()} was reduced by an earlier d2, so the "
@@ -294,8 +281,8 @@ def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
                 continue
             # any odd multiple of nu generates pi_3, so the composition
             # from the intact source Z column is onto
-            columns[i] = up._replace(status=KILLED,
-                                     killer=f"d4 from {lower.name()}")
+            columns[upper] = up._replace(status=KILLED,
+                                         killer=f"d4 from {lower.name()}")
             differentials.append(
                 f"d4: column {upper.name()} (Z/24) killed by composition "
                 f"with nu from {lower.name()}; the source Z column one "
@@ -305,8 +292,8 @@ def _run_nu_rules(complex_, columns, index, drained, differentials, notes):
                 "nu-attached cell in canonical order; any of the "
                 "nu-attached cells kills the column")
         if low.stem_q == 0 and low.status == SURVIVES:
-            columns[j] = low._replace(status=REDUCED, reduced_index=24,
-                                      killer=f"d4 into {upper.name()}")
+            columns[lower] = low._replace(status=REDUCED, reduced_index=24,
+                                          killer=f"d4 into {upper.name()}")
             differentials.append(
                 f"d4: column {lower.name()} reduced to index 24 (kernel of "
                 f"composition with nu into {upper.name()}); still Z abstractly")
@@ -376,10 +363,10 @@ def _mark_unknowns(complex_, columns, notes):
             by_dim[dim] = tails, shared.setdefault(run, run)
         return by_dim[dim]
 
-    for i, column in enumerate(columns):
+    for upper, column in columns.items():
         if column.status == KILLED or column.group.is_trivial:
             continue
-        upper, q = column.cell, column.stem_q
+        q = column.stem_q
         tails, run = threats_at(upper.dim, q)
         own = labels.exceptions_from(upper)
         if own:
@@ -398,7 +385,7 @@ def _mark_unknowns(complex_, columns, notes):
             run = tuple(tails.values())
             run = shared.setdefault(run, run)
         if run:
-            columns[i] = column._replace(status=UNKNOWN, killer=None)
+            columns[upper] = column._replace(status=UNKNOWN, killer=None)
             notes.append((f"column {upper.name()} marked unknown: reachable "
                           "through a ", run))
 
@@ -459,8 +446,8 @@ def vanishing_certificate(report: GroupReport,
         lines.append(line)
         labels = report.complex.attachments
         if entry.status == KILLED and labels is not None:
-            for (upper, _), label in labels.detected:
-                if upper == cell:
+            for _, label in labels.exceptions_from(cell):
+                if label.value in DETECTION_OF:
                     lines.append(f"  label {label.value}: {label.justification}")
     verdict = evaluate_class(report, assignment)
     lines.append(f"verdict: {verdict}")

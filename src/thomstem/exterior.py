@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
-from .values import CheckedTuple
+from .values import CheckedTuple, Frozen
 
 
 # mask -> (ascending generator indices, their digit text "1,2,4"), filled
@@ -83,7 +83,7 @@ def _as_mask(key: MonomialKey) -> int:
     return Monomial.from_indices(key).mask
 
 
-class ExteriorClass:
+class ExteriorClass(Frozen):
     """Finite map from monomials to nonzero coefficients, with a fixed rank.
 
     `modulus` is 0 over the integers and 2 for the mod-2 shadow; mod-2
@@ -114,9 +114,6 @@ class ExteriorClass:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExteriorClass is immutable")
-
     def __reduce__(self):       # copy and pickle without __setattr__
         return ExteriorClass, (self._terms, self.ambient_rank, self.modulus)
 
@@ -125,14 +122,6 @@ class ExteriorClass:
     @classmethod
     def zero(cls, ambient_rank: int, modulus: int = 0) -> "ExteriorClass":
         return cls({}, ambient_rank, modulus)
-
-    @classmethod
-    def _raw(cls, terms: dict, ambient_rank: int, modulus: int) -> "ExteriorClass":
-        out = cls.__new__(cls)
-        object.__setattr__(out, "ambient_rank", ambient_rank)
-        object.__setattr__(out, "modulus", modulus)
-        object.__setattr__(out, "_terms", terms)
-        return out
 
     # -- inspection ----------------------------------------------------
 
@@ -150,20 +139,12 @@ class ExteriorClass:
     # -- arithmetic ----------------------------------------------------
 
     def scale(self, n: int) -> "ExteriorClass":
-        modulus = self.modulus
-        terms: dict = {}
-        for m, c in self._terms.items():
-            v = n * c
-            if modulus:
-                v %= modulus
-            if v:
-                terms[m] = v
-        return ExteriorClass._raw(terms, self.ambient_rank, modulus)
+        return ExteriorClass({m: n * c for m, c in self._terms.items()},
+                             self.ambient_rank, self.modulus)
 
     def mod2(self) -> "ExteriorClass":
         """Coefficientwise reduction; the result stores coefficients in {1}."""
-        terms = {m: 1 for m, c in self._terms.items() if c % 2}
-        return ExteriorClass._raw(terms, self.ambient_rank, 2)
+        return ExteriorClass(self._terms, self.ambient_rank, 2)
 
     # -- equality ------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .chern import QUATERNIONIC, REAL, BundleData, FrozenMap
 from .exterior import ExteriorClass, Monomial, mask_text
-from .values import CheckedTuple
+from .values import CheckedTuple, Frozen
 
 # Fiber kinds and the dimension they add on top of the base subset.
 FIBER_POINT = "point"            # basepoint at infinity (Thom construction)
@@ -141,7 +141,7 @@ class LabelRules(NamedTuple):
     exceptions: Mapping[Pair, AttachLabel]
 
 
-class AttachmentView:
+class AttachmentView(Frozen):
     """The (upper, lower) -> AttachLabel labels of one complex, read from
     its `LabelRules`; no pair map is written out.
 
@@ -162,31 +162,34 @@ class AttachmentView:
             raise ValueError("only trivial or unknown labels can be defaults")
         # each cell is hashed once, here; only a cell outside the proper
         # cells (the basepoint, or a foreign one) is looked for in `cells`
-        proper = self._proper = frozenset(proper_cells)
+        proper = frozenset(proper_cells)
         for upper, lower in exceptions:
             if (upper not in proper and upper not in cells
                     or lower not in proper and lower not in cells):
                 raise ValueError(f"attachment {upper.name()} -> {lower.name()} "
                                  "names a cell outside the complex")
-        self.rules = LabelRules(defaults, exceptions)
         ordered = sorted(exceptions.items())  # distinct pairs: no label compared
         # only trivial and unknown can be defaults, so every detected
         # label is an exception
-        self.detected = tuple(item for item in ordered
-                              if item[1].value in DETECTION_OF)
-        for (upper, lower), label in self.detected:
+        detected = tuple(item for item in ordered
+                         if item[1].value in DETECTION_OF)
+        for (upper, lower), label in detected:
             gap, rule = upper.dim - lower.dim, DETECTION_OF[label.value]
             if gap != rule.gap:     # d_r spans exactly gap r
                 raise ValueError(
                     f"label {rule.value} on a gap-{gap} attachment "
                     f"{upper.name()} -> {lower.name()}: d{rule.gap} spans "
                     f"gap {rule.gap} only")
-        # canonical order sorts by dim first, so each group is one run
-        self._by_dim = {dim: tuple(group) for dim, group
-                        in groupby(proper_cells, _DIM)}
-        self._by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
+        by_upper: Dict[StableCell, Dict[StableCell, AttachLabel]] = {}
         for (upper, lower), label in ordered:
-            self._by_upper.setdefault(upper, {})[lower] = label
+            by_upper.setdefault(upper, {})[lower] = label
+        object.__setattr__(self, "rules", LabelRules(defaults, exceptions))
+        object.__setattr__(self, "detected", detected)
+        object.__setattr__(self, "_proper", proper)
+        # canonical order sorts by dim first, so each group is one run
+        object.__setattr__(self, "_by_dim", {
+            dim: tuple(group) for dim, group in groupby(proper_cells, _DIM)})
+        object.__setattr__(self, "_by_upper", by_upper)
 
     def _pairs_at(self, gap: int) -> int:
         return sum(len(uppers) * len(self._by_dim.get(dim - gap, ()))

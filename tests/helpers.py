@@ -381,12 +381,12 @@ def thom_rung(b1):
 def per_pair_mark_unknowns(complex_, columns, notes):
     """Drop-in for `ahss._mark_unknowns`: walks every threatening pair of
     every column and formats each note from scratch. Like it, stores an
-    unknown column's new entry at that column's position in `columns`."""
+    unknown column's new entry under that column's cell in `columns`."""
     rows = label_rows(complex_)
-    for i, column in enumerate(columns):
+    for upper, column in columns.items():
         if column.status == KILLED or column.group.is_trivial:
             continue
-        upper, q = column.cell, column.stem_q
+        q = column.stem_q
         head = None
         for lower, label in rows[upper]:
             gap = upper.dim - lower.dim
@@ -394,7 +394,7 @@ def per_pair_mark_unknowns(complex_, columns, notes):
             if source_q is None:
                 continue
             if head is None:
-                columns[i] = column._replace(status=UNKNOWN, killer=None)
+                columns[upper] = column._replace(status=UNKNOWN, killer=None)
                 head = f"column {upper.name()} marked unknown: reachable " \
                        "through a "
             notes.append(f"{head}{label.value} gap-{gap} label from "
