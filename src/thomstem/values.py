@@ -26,11 +26,10 @@ class Frozen:
 class CheckedTuple:
     """Routes `_make`, and so `_replace`, and copy and pickle through the
     type's constructor, so that none of them can build a value the
-    constructor rejects. `+` and `*` are refused, as they were for the
-    frozen dataclasses these types replaced: a tuple's would concatenate
-    or repeat the items into a plain tuple. A plain tuple on the left of
-    `+` still concatenates, and `StableCell` and the `NamedTuple`s are
-    tuples that keep both operators."""
+    constructor rejects. `+` and `*` are refused: a tuple's would
+    concatenate or repeat the items into a plain tuple. A plain tuple on
+    the left of `+` still concatenates, and `StableCell` and the
+    `NamedTuple`s are tuples that keep both operators."""
 
     __slots__ = ()
 

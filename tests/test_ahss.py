@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -405,6 +406,83 @@ class TestGuards:
         report = assemble(complex_, 7)
         with pytest.raises(ValueError, match="carries no assembly column"):
             evaluate_class(report, {basepoint_cell(complex_): stems.eta()})
+
+
+def _final_runs():
+    """Run results of sec3, sec4, sec5 and the thom b1 = 10 ladder rung."""
+    specs = (pipeline.preset("paper-sec3", det=5),
+             pipeline.preset("paper-sec4", det1=3, det2=5),
+             pipeline.preset("paper-sec5", det1=3, det2=5),
+             pipeline.parse_scenario(thom_rung(10)))
+    return {spec.name: pipeline.run_scenario(spec) for spec in specs}
+
+
+FINAL_RUNS = _final_runs()
+
+
+class TestEntryFor:
+    """`entry_for` bisects the entries, one per proper cell in canonical
+    order; a report keeps no second table of them."""
+
+    @pytest.mark.parametrize("name", sorted(FINAL_RUNS))
+    def test_every_proper_cell_finds_its_own_entry(self, name):
+        result = FINAL_RUNS[name]
+        report, proper = result.report, result.final_complex.proper_cells
+        assert len(report.entries) == len(proper)
+        for entry, cell in zip(report.entries, proper):
+            assert entry.cell == cell
+            assert report.entry_for(cell) is entry
+
+    @staticmethod
+    def assert_no_column(report, cells):
+        assert cells
+        for cell in cells:
+            with pytest.raises(KeyError, match=re.escape(
+                    f"no column for cell {cell.name()}")):
+                report.entry_for(cell)
+
+    @pytest.mark.parametrize("name", sorted(set(FINAL_RUNS) - {"paper-sec3"}))
+    def test_the_basepoint_has_no_column(self, name):
+        result = FINAL_RUNS[name]
+        self.assert_no_column(result.report,
+                              [basepoint_cell(result.final_complex)])
+
+    @pytest.mark.parametrize("name", sorted(FINAL_RUNS))
+    def test_a_cell_of_another_complex_has_no_column(self, name):
+        result = FINAL_RUNS[name]
+        complex_ = result.final_complex
+        foreign = [cell for run in FINAL_RUNS.values() if run is not result
+                   for cell in run.final_complex.proper_cells
+                   if cell not in complex_.cells]
+        # and a suspension that no cell of this complex has
+        self.assert_no_column(result.report,
+                              foreign + [complex_.top_cell.suspended(5)])
+
+    def test_a_cell_collapsed_by_the_cut_has_no_column(self):
+        # sec3 cuts the 5-skeleton, the basepoint with it
+        result = FINAL_RUNS["paper-sec3"]
+        _, _, built, cut, _ = pipeline._stages(result.spec, 0)
+        assert cut == result.final_complex
+        collapsed = [cell for cell in built.cells if cell not in cut.cells]
+        assert basepoint_cell(built) in collapsed
+        self.assert_no_column(result.report, collapsed)
+
+    @pytest.mark.parametrize("name", sorted(FINAL_RUNS))
+    def test_no_item_of_a_report_is_a_dict(self, name):
+        report = FINAL_RUNS[name].report
+        assert len(report) == len(report._fields)
+        assert not any(isinstance(item, dict) for item in report)
+
+    def test_a_verdict_cannot_be_flipped_through_the_report(self):
+        # a writable {cell: entry} item once let this turn sec4's trivial
+        # into nontrivial
+        result = pipeline.run_scenario(
+            pipeline.preset("paper-sec4", det1=3, det2=5))
+        report, top = result.report, result.final_complex.top_cell
+        assert evaluate_class(report, result.assignment) == VERDICT_TRIVIAL
+        with pytest.raises(IndexError):
+            report[7][top] = report.entry_for(top)._replace(status=SURVIVES)
+        assert evaluate_class(report, result.assignment) == VERDICT_TRIVIAL
 
 
 class TestStemGroups:

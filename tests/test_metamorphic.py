@@ -11,18 +11,28 @@ as they are. This pins the skeletal cut's shift by the suspensions. The
 specs are every golden case and a seeded sample of the benchmark
 catalogue, imported read-only from `perfbench/` as `tests/test_catalogue.py`
 does.
+
+A change of basis of H^1 by A in GL(b1, Z) pulls the quadruple form back
+to q'_T = sum_S det(A[T, S]) q_S and leaves the spaces homeomorphic, so no
+top-cell class is trivial in one basis and nontrivial in the other, exact
+assemblies are equal, and under a signed permutation the columns agree
+after relabelling. Precision may depend on the basis: a move to or from
+unknown is counted, not forbidden.
 """
 
 import json
 import pathlib
 import random
+import re
 import sys
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from test_golden import CASES
 from thomstem import pipeline
+from thomstem.thom import StableCell
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "perfbench"))
@@ -127,3 +137,159 @@ def test_catalogue_specs_keep_their_columns_one_suspension_up():
     assert any(spec.skeletal_cut is not None for spec in specs)
     for spec in specs:
         assert _columns(_shifted(spec)) == _columns(spec), spec.name
+
+
+# -- change of basis of H^1 ----------------------------------------------------
+#
+# A in GL(b1, Z) acts on H^1(X; Z) as a diffeomorphism of the Picard torus,
+# and the index bundle pulls back along it, so both complexes are
+# homeomorphic and the top cell goes to +/- the top cell. The engine's
+# cells are the subsets of one basis, so the detected pairs and the
+# unknown columns move with A while the answer must not.
+
+_SIGNED_PERMS_OF_4 = tuple(
+    (perm, (-1) ** sum(perm[i] > perm[j]
+                       for i, j in combinations(range(4), 2)))
+    for perm in permutations(range(4)))
+
+# stem of the top cell -> elements to assign there; each is sign-symmetric
+# as a claim, since the top cell may go to minus the top cell
+BASIS_ELEMENTS = {0: ("one(1)", "one(2)", "one(3)", "one(24)"),
+                  1: ("eta",), 2: ("eta_sq",),
+                  3: ("nu_multiple(1)", "nu_multiple(3)", "nu_multiple(8)",
+                      "nu_multiple(12)")}
+
+BASIS_DETERMINANTS = (1, 2, 3, 5, 6, 9, 15)
+
+
+def _minor(a, rows, cols):
+    """det A[rows, cols] of a 4 x 4 minor, by the Leibniz formula."""
+    return sum(sign * a[rows[0]][cols[p[0]]] * a[rows[1]][cols[p[1]]]
+               * a[rows[2]][cols[p[2]]] * a[rows[3]][cols[p[3]]]
+               for p, sign in _SIGNED_PERMS_OF_4)
+
+
+def _pulled_back(quad, a):
+    """q'_T = sum over S of det(A[T, S]) q_S, over 4-subsets of generators
+    1..b1 (A is indexed from 0)."""
+    b1 = len(a)
+    out = {}
+    for subset in combinations(range(1, b1 + 1), 4):
+        rows = [k - 1 for k in subset]
+        value = sum(_minor(a, rows, [k - 1 for k in s]) * q
+                    for s, q in quad.items() if q)
+        if value:
+            out[subset] = value
+    return out
+
+
+def _unimodular(rng, b1, moves):
+    """`moves` elementary row moves on the identity, then a random
+    permutation of the rows and random sign flips."""
+    a = [[int(i == j) for j in range(b1)] for i in range(b1)]
+    for _ in range(moves):
+        i, j = rng.sample(range(b1), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    rng.shuffle(a)
+    return [[rng.choice((-1, 1)) * x for x in row] if rng.random() < 0.5
+            else row for row in a]
+
+
+def _random_form(rng, b1):
+    if b1 == 8 and rng.random() < 0.5:     # a sum of two homology tori
+        return {(1, 2, 3, 4): rng.choice(BASIS_DETERMINANTS),
+                (5, 6, 7, 8): rng.choice(BASIS_DETERMINANTS)}
+    subsets = list(combinations(range(1, b1 + 1), 4))
+    chosen = rng.sample(subsets, rng.randint(1, min(4, len(subsets))))
+    return {subset: rng.choice((-1, 1)) * rng.choice(BASIS_DETERMINANTS)
+            for subset in chosen}
+
+
+def _signed_permutation(a):
+    """sigma with A[t][sigma(t)] = +/-1 and every other entry 0, or None."""
+    sigma = {}
+    for t, row in enumerate(a):
+        support = [s for s, x in enumerate(row) if x]
+        if len(support) != 1 or abs(row[support[0]]) != 1:
+            return None
+        sigma[t] = support[0]
+    return sigma
+
+
+def _relabel(cell, inverse):
+    """The cell over the subset T with sigma(T) = the cell's subset."""
+    mask = 0
+    for k in cell.base_indices:
+        mask |= 1 << inverse[k - 1]
+    return StableCell(mask, cell.fiber_part, cell.fiber_offset,
+                      cell.suspension)
+
+
+_CELL_NAME = re.compile(r"\S*\{[\d,]*\}(?:\+\d+)?")
+
+
+def _killer_cell(killer, complex_):
+    names = _CELL_NAME.findall(killer)
+    assert len(names) == 1, killer
+    return next(cell for cell in complex_.cells if cell.name() == names[0])
+
+
+def _assert_relabelled_columns_agree(one, other, inverse):
+    """Status, group, stem and reduced index agree column by column under
+    the relabelling; a recorded killer's image is a killer of the same
+    rule: the same text up to the cell it names, and a cell attached to
+    the column by a detected label."""
+    detected = {pair for pair, _ in other.final_complex.attachments.detected}
+    for entry in one.report.entries:
+        cell = _relabel(entry.cell, inverse)
+        image = other.report.entry_for(cell)
+        assert (image.stem_q, image.group, image.status,
+                image.reduced_index) == (entry.stem_q, entry.group,
+                                         entry.status, entry.reduced_index)
+        assert (image.killer is None) == (entry.killer is None)
+        if entry.killer is None:
+            continue
+        assert _CELL_NAME.sub("", image.killer) == \
+            _CELL_NAME.sub("", entry.killer)
+        source = _relabel(_killer_cell(entry.killer, one.final_complex),
+                          inverse)
+        partner = _killer_cell(image.killer, other.final_complex)
+        assert {(cell, source), (source, cell)} & detected
+        assert {(cell, partner), (partner, cell)} & detected
+
+
+def test_verdicts_are_invariant_under_a_change_of_basis(record_property):
+    rng = random.Random(20261020)
+    verdicts = Counter()
+    unknown_moves = exact_pairs = relabelled = 0
+    for _ in range(400):
+        b1 = rng.randint(4, 8)
+        pipe = rng.choice((pipeline.PIPELINE_THOM, pipeline.PIPELINE_SPHERE))
+        suspensions = rng.randint(0, 1)
+        stem = rng.randint(0, 3)
+        element = rng.choice(BASIS_ELEMENTS[stem])
+        quad = _random_form(rng, b1)
+        a = _unimodular(rng, b1, rng.choice((0, 1, 2, 3, 4)))
+        case = (b1, pipe, suspensions, stem, element)
+        one, other = (pipeline.run_scenario(_scenario(*case, form))
+                      for form in (quad, _pulled_back(quad, a)))
+        pair = {one.verdict, other.verdict}
+        assert pair != {"trivial", "nontrivial"}, (case, quad, a)
+        verdicts[one.verdict] += 1
+        unknown_moves += len(pair) == 2
+        if one.report.assembled is not None \
+                and other.report.assembled is not None:
+            exact_pairs += 1
+            assert one.report.assembled == other.report.assembled, (
+                case, quad, a)
+        sigma = _signed_permutation(a)
+        if sigma is not None:
+            relabelled += 1
+            inverse = {s: t for t, s in sigma.items()}
+            _assert_relabelled_columns_agree(one, other, inverse)
+    # a move to or from unknown loses precision, not soundness: counted
+    record_property("unknown_moves", unknown_moves)
+    # every verdict and both checks are reached, not only the defaults
+    assert set(verdicts) == {"trivial", "nontrivial", "unknown"}, verdicts
+    assert exact_pairs >= 100 and relabelled >= 40, (exact_pairs, relabelled)

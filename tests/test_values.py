@@ -4,7 +4,12 @@ Each is a namedtuple subclass with one checked constructor. `_make`,
 `_replace`, copy and pickle all go through that constructor, so none of
 them can build a value it rejects; a value forged with `tuple.__new__`
 is rejected (or made again) the moment it is copied or pickled. A fresh
-`import thomstem.cli` loads neither `dataclasses` nor `inspect`.
+`import thomstem.cli` loads neither `dataclasses` nor `inspect`. A value
+neither adds nor multiplies as a tuple would.
+
+The values that are not tuples (`AttachmentView`, `Notes`,
+`ExteriorClass`) are `values.Frozen`: setting or deleting any attribute
+raises `AttributeError`.
 """
 
 import copy
@@ -17,13 +22,14 @@ import pytest
 
 from helpers import package_env
 from thomstem import pipeline
-from thomstem.ahss import GroupReport
+from thomstem.ahss import GroupReport, Notes
 from thomstem.chern import (REAL, BundleData, FrozenMap, ManifoldData,
                             make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.pipeline import RunResult, ScenarioSpec
 from thomstem.stems import AbelianGroup, StemElement
-from thomstem.thom import StableCellComplex, skeletal_quotient
+from thomstem.thom import AttachmentView, StableCellComplex, skeletal_quotient
+from thomstem.values import Frozen
 
 SEC4 = pipeline.preset("paper-sec4", det1=3, det2=5)
 RESULT = pipeline.run_scenario(SEC4)
@@ -155,10 +161,10 @@ def test_a_complex_copies_its_rules_through_the_constructor():
 def test_derived_items_are_made_again():
     report, result = RESULT.report, RESULT
     top = result.final_complex.top_cell
-    stale = _forged(report)             # its entry dict is left out
-    assert len(stale) == len(GroupReport._fields)
+    # a report derives nothing: `entry_for` reads the entries themselves
+    assert len(report) == len(GroupReport._fields)
     for copier in COPIES.values():
-        assert copier(stale).entry_for(top) == report.entry_for(top)
+        assert copier(report).entry_for(top) == report.entry_for(top)
     fewer = report._replace(entries=report.entries[:-1])
     with pytest.raises(KeyError, match="no column for cell"):
         fewer.entry_for(top)
@@ -211,3 +217,38 @@ def test_dataclasses_replace_on_a_result_goes_through_the_constructor():
     assert type(changed) is RunResult and changed.verdict == "trivial"
     assert type(changed.assignment) is FrozenMap
     assert changed._replace(verdict=RESULT.verdict) == RESULT
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda kind: kind.__name__)
+def test_values_neither_add_nor_multiply(kind):
+    # a tuple's + and * would concatenate or repeat the items into a
+    # plain tuple
+    value = VALUES[kind]
+    for combine in (lambda: value + value, lambda: value * 2,
+                    lambda: 2 * value):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()
+
+
+FROZEN = {
+    AttachmentView: RESULT.final_complex.attachments,
+    Notes: RESULT.report.notes,
+    ExteriorClass: RESULT.bundle.c2,
+}
+
+
+@pytest.mark.parametrize("kind", FROZEN, ids=lambda kind: kind.__name__)
+def test_frozen_values_refuse_setting_and_deleting_attributes(kind):
+    value = FROZEN[kind]
+    assert isinstance(value, kind) and isinstance(value, Frozen)
+    assert not hasattr(value, "__dict__")
+    for name in kind.__slots__ + ("other",):
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"{kind.__name__} is "
+                           "immutable"):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError, match=f"{kind.__name__} is "
+                           "immutable"):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+
