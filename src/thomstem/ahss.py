@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, groupby
-from operator import eq, itemgetter
+from operator import eq, itemgetter, lt
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import stems
@@ -108,11 +108,17 @@ class GroupReport(CheckedTuple, namedtuple(
     holds the (all unknowns die, all unknowns survive) pair. `notes` is
     a `Notes`: each unknown column's pair notes are one run over the
     tails its dimension shares. `entries` holds one entry per proper
-    cell, in canonical cell order, as `assemble` makes them; `entry_for`
+    cell, in strictly ascending canonical order (checked); `entry_for`
     bisects them. `complex` is left out of `repr`.
     """
 
     __slots__ = ()
+
+    def __new__(cls, target_n, entries, *rest):
+        cells = tuple(map(_CELL, entries))
+        if not all(map(lt, cells, cells[1:])):
+            raise ValueError("entries: the cells must strictly ascend")
+        return super().__new__(cls, target_n, entries, *rest)
 
     def __repr__(self) -> str:
         return (f"GroupReport(target_n={self[0]!r}, entries={self[1]!r}, "

@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
+from operator import methodcaller
 from typing import Optional, Sequence
 
 from . import pipeline
@@ -113,15 +115,22 @@ def _text_report(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise SpecError("--out", f"cannot write {out_path}: {exc}")
-    else:
-        sys.stdout.write(text)
+def _emit(write, out_path: Optional[str]) -> None:
+    """Call `write(fp)` on stdout or on the file at `out_path`, which
+    must be writable (SpecError) and is never left partly written."""
+    if not out_path:
+        return write(sys.stdout)
+    try:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            try:
+                write(handle)
+                handle.flush()
+            except BaseException:
+                if os.path.isfile(out_path):
+                    os.remove(out_path)
+                raise
+    except OSError as exc:
+        raise SpecError("--out", f"cannot write {out_path}: {exc}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -134,13 +143,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         spec = _load_spec(args)
         if explain:
-            _emit(pipeline.explain_text(spec), args.out)
+            _emit(methodcaller("write", pipeline.explain_text(spec)), args.out)
             return EXIT_OK
         result = pipeline.run_scenario(spec)
         if args.fmt == "text":
-            _emit(_text_report(result), args.out)
+            _emit(methodcaller("write", _text_report(result)), args.out)
         else:
-            _emit(pipeline.report_json(result), args.out)
+            _emit(partial(pipeline.write_report, result), args.out)
         return EXIT_UNKNOWN if result.verdict == VERDICT_UNKNOWN else EXIT_OK
     except SpecError as exc:
         print(f"thomstem: malformed scenario: {exc}", file=sys.stderr)

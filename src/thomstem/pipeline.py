@@ -43,10 +43,9 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
-# The Thom complex has 2^b1 cells and each generator costs about 4x: thom
-# b1 = 12 takes 0.05 s to run and 0.32 s to render, and gives a 114 MB
-# report (860k notes) at 241 MB peak RSS (best of 3 fresh processes,
-# Python 3.11, 2-vCPU VM).
+# The Thom complex has 2^b1 cells and each generator costs about 4x: the
+# CLI runs thom b1 = 12 and writes its 114 MB report (860k notes) in 0.23 s
+# at 43 MB peak RSS (best of 5 fresh processes, Python 3.11, 2 vCPUs).
 MAX_TOTAL_B1 = 12
 
 
@@ -581,26 +580,37 @@ def report_dict(result: RunResult) -> dict:
     }
 
 
+def _report_parts(result: RunResult) -> List[str]:
+    parts: List[str] = []
+    _write(report_dict(result), "\n", parts)
+    parts.append("\n")
+    return parts
+
+
 def report_json(result: RunResult) -> str:
     """The report as json.dumps(indent=2, sort_keys=True, default=list)
     writes it (a `Rows` or `Notes` value as the list of its items), plus a
     newline, byte for byte; strings go through the C escaper."""
-    parts: List[str] = []
-    _write(report_dict(result), "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return "".join(_report_parts(result))
 
+
+def write_report(result: RunResult, fp) -> None:
+    """Write `report_json(result)` to the text file `fp` in slices of
+    `_SLICE_PARTS` parts. Each part is bounded, so each slice is too: a
+    note part is one head, tail or separator, and the largest parts, the
+    `Rows` tables, are about 1 MB at thom b1 = 12."""
+    parts = _report_parts(result)
+    for start in range(0, len(parts), _SLICE_PARTS):
+        fp.write("".join(parts[start:start + _SLICE_PARTS]))
+
+
+_SLICE_PARTS = 8192
 
 # JSON text of the scalars a report may hold, by exact type
 _SCALARS = {str: encode_basestring_ascii,
             bool: lambda value: "true" if value else "false",
             int: int.__repr__,
             type(None): lambda value: "null"}
-
-# the bytes encode_basestring_ascii copies as they are: printable ASCII
-# but the quote and the backslash
-_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-_PROBE_ITEMS = 4096     # strings per probe, so its copy stays small
 
 
 def _write(value, newline: str, parts: List[str]) -> None:
@@ -650,38 +660,29 @@ def _write(value, newline: str, parts: List[str]) -> None:
 
 
 def _write_notes(notes: Notes, newline: str, parts: List[str]) -> None:
-    """Append `notes` as the JSON list of its notes. When every plain note
-    and head, and each distinct tails tuple, passes `_plain`, the body is
-    one join, each run written as its head before each of its tails;
-    otherwise the notes go as a list. A note, head or tail that is not an
-    exact str raises TypeError."""
+    """Append `notes` as the JSON list of its notes without building one.
+    JSON escapes code point by code point, so the parts are the escapes
+    of each plain note, head and distinct tails tuple, made once, and the
+    separators. A note, head or tail not an exact str raises TypeError."""
     items = notes.items
     heads = [item if isinstance(item, str) else item[0] for item in items]
-    tails = list({id(item[1]): item[1] for item in items
-                  if not isinstance(item, str)}.values())
-    if not items:
-        parts.append("[]")
-    elif set(map(type, chain(heads, *tails))) != {str}:
+    tails = {id(item[1]): item[1] for item in items
+             if not isinstance(item, str)}
+    if set(map(type, chain(heads, *tails.values()))) - {str}:
         raise TypeError("a report note is not a str")
-    elif not (_plain(heads) and all(map(_plain, tails))):
-        _write(list(notes), newline, parts)
-    else:
-        sep = '",' + newline + '  "'
-        parts += ("[" + newline + '  "', sep.join(
-            item if isinstance(item, str) else
-            item[0] + (sep + item[0]).join(item[1]) for item in items),
-            '"' + newline + "]")
-
-
-def _plain(strings) -> bool:
-    """Is every string printable ASCII without a quote or a backslash, so
-    that encode_basestring_ascii(s) == '"' + s + '"'? Probed a slice at
-    a time on the joined text."""
-    for start in range(0, len(strings), _PROBE_ITEMS):
-        text = "".join(strings[start:start + _PROBE_ITEMS])
-        if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
-            return False
-    return True
+    tails = {key: tuple(encode_basestring_ascii(tail)[1:-1] for tail in run)
+             for key, run in tails.items()}
+    sep = '",' + newline + '  "'
+    parts.append("[" + newline + '  "')
+    for item, head in zip(items, heads):
+        head = encode_basestring_ascii(head)[1:-1]
+        if isinstance(item, str):
+            parts += (head, sep)
+        else:       # head, tail, sep + head, tail, ..., tail, sep
+            run = [sep + head] * (2 * len(item[1]) + 1)
+            run[0], run[1::2], run[-1] = head, tails[id(item[1])], sep
+            parts += run
+    parts[-1] = '"' + newline + "]" if items else "[]"
 
 
 def _write_rows(rows: Rows, newline: str, parts: List[str]) -> None:

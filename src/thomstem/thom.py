@@ -191,6 +191,10 @@ class AttachmentView(Frozen):
             dim: tuple(group) for dim, group in groupby(proper_cells, _DIM)})
         object.__setattr__(self, "_by_upper", by_upper)
 
+    def __reduce__(self):   # copy and pickle through the constructor
+        return AttachmentView, (frozenset(chain(*self.rules.exceptions)),
+                                tuple(sorted(self._proper)), self.rules)
+
     def _pairs_at(self, gap: int) -> int:
         return sum(len(uppers) * len(self._by_dim.get(dim - gap, ()))
                    for dim, uppers in self._by_dim.items())

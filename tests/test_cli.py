@@ -1,6 +1,7 @@
 """CLI surface: presets, exit codes, JSON reports, explain mode."""
 
 import copy
+import errno
 import json
 import random
 import re
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from helpers import package_env
-from thomstem import pipeline
+from thomstem import cli, pipeline
 from thomstem.cli import (EXIT_BAD_SPEC, EXIT_ERROR, EXIT_OK,
                           EXIT_OUT_OF_TABLE, EXIT_UNKNOWN, main)
 from thomstem.pipeline import MAX_TOTAL_B1, SpecError, parse_scenario
@@ -164,6 +165,53 @@ class TestExitCodes:
         # paper-sec3 reads --det only
         code, _, _ = run_cli(capsys, "paper-sec3", "--det1", "0")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("part", ["none", "one", "half", "all but one"])
+    @pytest.mark.parametrize("argv", [(), ("--text",)], ids=["json", "text"])
+    def test_a_failed_write_leaves_no_partial_out(self, capsys, tmp_path,
+                                                  monkeypatch, argv, part):
+        """The file fails after `limit` characters of the report, all of
+        them on disk: exit 2, and no partial report at --out, nor the
+        file it replaced."""
+        spec = ("paper-sec4", "--det1", "3", "--det2", "5", *argv)
+        size = len(run_cli(capsys, *spec)[1])
+        limit = {"none": 0, "one": 1, "half": size // 2,
+                 "all but one": size - 1}[part]
+        out_path = tmp_path / "report.json"
+        out_path.write_text("an earlier report\n")
+
+        def failing_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write, left = handle.write, [limit]
+
+            def write_some(text):
+                if len(text) <= left[0]:
+                    left[0] -= len(text)
+                    return write(text)
+                write(text[:left[0]])
+                handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write_some
+            return handle
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, out, err = run_cli(capsys, *spec, "--out", str(out_path))
+        assert code == EXIT_BAD_SPEC
+        assert err.startswith("thomstem: malformed scenario: --out: "
+                              f"cannot write {out_path}: ")
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [(), ("--text",)])
+    def test_out_holds_what_stdout_gets(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        out_path.write_text("an earlier, longer report\n" * 10 ** 5)
+        spec = ("paper-sec4", "--det1", "3", "--det2", "5", *argv)
+        code, out, _ = run_cli(capsys, *spec)
+        assert code == EXIT_OK
+        assert run_cli(capsys, *spec, "--out", str(out_path)) == \
+            (EXIT_OK, "", "")
+        assert out_path.read_text(encoding="utf-8") == out
 
     @pytest.mark.parametrize("command", [(), ("explain",)],
                              ids=["run", "explain"])

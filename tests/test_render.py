@@ -7,7 +7,11 @@ dicts and a `Notes` sequence as its notes.
 """
 
 import enum
+import io
 import json
+import pathlib
+import random
+import sys
 from itertools import groupby
 
 import pytest
@@ -19,6 +23,10 @@ from thomstem.ahss import Notes
 from thomstem.pipeline import Rows
 from thomstem.thom import StableCell
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "perfbench"))
+from workloads import catalogue  # noqa: E402
+
 
 def stdlib(value):
     return json.dumps(value, indent=2, sort_keys=True, default=list) + "\n"
@@ -28,6 +36,39 @@ def stdlib(value):
 def test_golden_reports_match_stdlib_encoder(name):
     result = pipeline.run_scenario(CASES[name])
     assert pipeline.report_json(result) == stdlib(pipeline.report_dict(result))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_write_report_streams_the_report_json_bytes(monkeypatch, name):
+    """`write_report` writes `report_json`'s text, one write per slice of
+    `_SLICE_PARTS` parts, whatever the slice size."""
+    result = pipeline.run_scenario(CASES[name])
+    text, parts = pipeline.report_json(result), pipeline._report_parts(result)
+    for size in (pipeline._SLICE_PARTS, 7, 1):
+        monkeypatch.setattr(pipeline, "_SLICE_PARTS", size)
+        chunks = []
+        pipeline.write_report(result, Chunks(chunks))
+        assert "".join(chunks) == text
+        assert len(chunks) == -(-len(parts) // size)
+
+
+class Chunks:
+    """A text file that keeps each write in `chunks`."""
+
+    def __init__(self, chunks):
+        self.write = chunks.append
+
+
+def test_write_report_matches_report_json_on_catalogue_items():
+    items = [item for item in catalogue()
+             if item.mode == "run" and item.expect == "report"]
+    # a seeded sample, and the ladder's thom b1 = 9, 10 and sphere b1 = 9
+    rungs = [item for item in items if "_b1_" in item.name][:3]
+    for item in random.Random(26).sample(items, 20) + rungs:
+        result = pipeline.run_scenario(pipeline.parse_scenario(item.raw))
+        out = io.StringIO()
+        pipeline.write_report(result, out)
+        assert out.getvalue() == pipeline.report_json(result), item.name
 
 
 class Level(enum.IntEnum):
@@ -114,23 +155,16 @@ def written(value):
 ])
 def test_str_lists_that_need_escapes_match_stdlib(bad):
     strings = ["plain", "", bad, "tail"]
-    assert not pipeline._plain(strings)
     assert written(strings) == stdlib(strings)
     assert written(tuple(strings)) == stdlib(strings)
 
 
 def test_plain_str_lists_match_stdlib():
     strings = ["", "plain", "  spaces and ~!@#$%^&*()_+-=[]{};':,./<>?", ""]
-    assert pipeline._plain(strings)
     assert written(strings) == stdlib(strings)
     assert written({"k": strings}) == stdlib({"k": strings})
-
-
-def test_str_probe_reads_every_slice():
-    strings = ["ok"] * (3 * pipeline._PROBE_ITEMS)
-    assert pipeline._plain(strings)
-    strings[-1] = "late \\ escape"
-    assert not pipeline._plain(strings)
+    # a long list with one escape at its end
+    strings = ["ok"] * 12287 + ["late \\ escape"]
     assert written(strings) == stdlib(strings)
 
 
@@ -245,25 +279,26 @@ def test_large_lists_are_not_written_one_part_per_item():
     assert all(type(table) is Rows for table in tables)
     assert len(report["assembly"]["notes"]) == 4548
     assert len(list(report["complex"]["cells"])) == 513
-    parts = []
+    parts, note_parts, other_parts = [], [], []
     pipeline._write(report, "\n", parts)
-    assert len(parts) < 200
     assert "".join(parts) + "\n" == stdlib(report)
+    # only the notes go a part per head, tail and separator; without
+    # them (an empty list is one part) the tables keep the report small
+    pipeline._write(report["assembly"]["notes"], "\n    ", note_parts)
+    report["assembly"]["notes"] = Notes(())
+    pipeline._write(report, "\n", other_parts)
+    assert len(parts) == len(note_parts) + len(other_parts) - 1
+    assert len(other_parts) < 200
 
 
-# -- notes written a run at a time ---------------------------------------
+# -- notes written as heads, tails and separators ------------------------
 
-# written in one join
-JOINED_NOTES = [
-    ["only"], [("h: ", ("a",))], ["", ("", ("", ""))],
+NOTE_CASES = [
+    [], ["only"], [("h: ", ("a",))], ["", ("", ("", ""))],
     ["plain", ("column X: ", ("one", "two", "three")), "after"],
     # a tails tuple shared by runs, and runs of one head
     [("a: ", ("x", "y")), ("b: ", ("x", "y")), ("a: ", ("z",))],
-]
-
-# text that needs escapes, in a plain note, a head or a tail: written
-# item by item
-ESCAPED_NOTES = [
+    # text that needs escapes, in a plain note, a head or a tail
     ['a "quoted" note', ("h: ", ("t",))],
     [("back\\slash ", ("t", "u")), "plain"],
     [("h: ", ("t", "new\nline")), ("g: ", ("ok",))],
@@ -272,29 +307,59 @@ ESCAPED_NOTES = [
 ]
 
 
-@pytest.mark.parametrize("items", [[]] + JOINED_NOTES + ESCAPED_NOTES)
+def check_note_parts(notes, newline, parts):
+    """`parts` are `notes` written flat, as the escaped strings without
+    their quotes: after the opening, each plain note, or a run's head
+    and then its tails with `sep + head` between them; `sep` after each
+    item but the last, and the closing after that."""
+    if not notes.items:
+        assert parts == ["[]"]
+        return
+    sep = '",' + newline + '  "'
+    expected = ["[" + newline + '  "']
+    for item in notes.items:
+        if isinstance(item, str):
+            expected += [json.dumps(item)[1:-1], sep]
+            continue
+        head = json.dumps(item[0])[1:-1]
+        expected.append(head)
+        for tail in item[1]:
+            expected += [json.dumps(tail)[1:-1], sep + head]
+        expected[-1] = sep
+    expected[-1] = '"' + newline + "]"
+    assert parts == expected
+    runs = sum(not isinstance(item, str) for item in notes.items)
+    assert len(parts) == 1 + 2 * len(notes) + runs
+
+
+@pytest.mark.parametrize("items", NOTE_CASES)
 def test_notes_match_stdlib(items):
     notes = Notes(items)
     parts = []
     pipeline._write(notes, "\n", parts)
-    assert len(parts) == (3 if items in JOINED_NOTES else 1 if not items
-                          else len(notes) + 1)
+    check_note_parts(notes, "\n", parts)
     assert written(notes) == stdlib(notes) == stdlib(list(notes))
     assert written({"notes": notes, "z": 1}) == \
         stdlib({"notes": list(notes), "z": 1})
     assert written([notes, notes]) == stdlib([list(notes)] * 2)
 
 
-def test_ladder_notes_are_one_part_built_from_runs(monkeypatch):
-    """The thom b1 = 10 rung's 32,624 notes are written as one part, and
-    no note is built on the way from `run_scenario` to `report_json`."""
+def test_ladder_notes_are_parts_built_from_runs(monkeypatch):
+    """The thom b1 = 10 rung's 32,624 notes are written as the parts of
+    their runs: each head and each distinct tails tuple is escaped once,
+    and no note is built on the way from `run_scenario` to
+    `report_json`."""
     result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(10)))
     notes = result.report.notes
     expected = stdlib(pipeline.report_dict(result))
     parts = []
     pipeline._write(notes, "\n    ", parts)
-    assert len(parts) == 3
-    assert parts[1].count('",\n      "') == len(notes) - 1
+    check_note_parts(notes, "\n    ", parts)
+    runs = [item for item in notes.items if not isinstance(item, str)]
+    tails = {id(item[1]): item[1] for item in runs}
+    # opening, closing, `sep`, each head and `sep + head`, each distinct tail
+    assert len(set(map(id, parts))) <= 3 + len(notes.items) + len(runs) + \
+        sum(map(len, tails.values())) < len(notes)
 
     def refuse(*args):
         raise AssertionError("built a note one at a time")

@@ -9,7 +9,7 @@ neither adds nor multiplies as a tuple would.
 
 The values that are not tuples (`AttachmentView`, `Notes`,
 `ExteriorClass`) are `values.Frozen`: setting or deleting any attribute
-raises `AttributeError`.
+raises `AttributeError`, and copy and pickle give equal values.
 """
 
 import copy
@@ -28,7 +28,8 @@ from thomstem.chern import (REAL, BundleData, FrozenMap, ManifoldData,
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.pipeline import RunResult, ScenarioSpec
 from thomstem.stems import AbelianGroup, StemElement
-from thomstem.thom import AttachmentView, StableCellComplex, skeletal_quotient
+from thomstem.thom import (TRIVIAL, AttachLabel, AttachmentView,
+                           StableCellComplex, skeletal_quotient)
 from thomstem.values import Frozen
 
 SEC4 = pipeline.preset("paper-sec4", det1=3, det2=5)
@@ -61,6 +62,8 @@ REJECTED = {
     ManifoldData: ({"b1": -1}, ValueError, "b1 must be nonnegative"),
     BundleData: ({"field": REAL, "c2": _C2}, ValueError,
                  "a real bundle needs c2 = 0"),
+    GroupReport: ({"entries": RESULT.report.entries[::-1]}, ValueError,
+                  "entries: the cells must strictly ascend"),
 }
 
 
@@ -175,6 +178,17 @@ def test_derived_items_are_made_again():
         assert value.assignment == result.assignment
 
 
+def test_a_report_takes_entries_in_strictly_ascending_cell_order():
+    report = RESULT.report
+    entries = report.entries
+    swapped = entries[:1] + entries[2:3] + entries[1:2] + entries[3:]
+    for bad in (entries[::-1], swapped, entries[:2] + entries[1:]):
+        with pytest.raises(ValueError, match="^entries: "):
+            report._replace(entries=bad)
+    for good in ((), entries[:1], entries[::2]):
+        assert report._replace(entries=good).entries == good
+
+
 def test_hash_leaves_out_the_mappings_and_equal_values_hash_equal():
     # a manifold's quad_form and a spec's manifolds are FrozenMaps, which
     # do not hash; the types that hash hash equal for equal values
@@ -252,3 +266,30 @@ def test_frozen_values_refuse_setting_and_deleting_attributes(kind):
             delattr(value, name)
         assert getattr(value, name, None) is before
 
+
+
+@pytest.mark.parametrize("kind", FROZEN, ids=lambda kind: kind.__name__)
+def test_frozen_values_copy_and_pickle_to_equal_values(kind):
+    value = FROZEN[kind]
+    for copier in COPIES.values():
+        copied = copier(value)
+        assert type(copied) is kind and copied == value
+
+
+def test_a_view_copies_its_rules_through_the_constructor():
+    labels = RESULT.final_complex.attachments
+    complex_ = RESULT.final_complex
+    # an exception that names the basepoint, a cell outside the proper ones
+    basepoint, top = complex_.cells[0], complex_.top_cell
+    assert basepoint not in complex_.proper_cells
+    rules = labels.rules._replace(exceptions={
+        **labels.rules.exceptions,
+        (top, basepoint): AttachLabel(TRIVIAL, "named by hand")})
+    for view in (labels, AttachmentView(complex_.cells,
+                                        complex_.proper_cells, rules)):
+        for copier in COPIES.values():
+            copied = copier(view)
+            assert copied == view and copied.detected == view.detected
+            assert copied.counts() == view.counts()
+            assert list(copied.exceptions_from(top)) == \
+                list(view.exceptions_from(top))
