@@ -163,9 +163,15 @@ def test_plain_str_lists_match_stdlib():
     strings = ["", "plain", "  spaces and ~!@#$%^&*()_+-=[]{};':,./<>?", ""]
     assert written(strings) == stdlib(strings)
     assert written({"k": strings}) == stdlib({"k": strings})
-    # a long list with one escape at its end
-    strings = ["ok"] * 12287 + ["late \\ escape"]
-    assert written(strings) == stdlib(strings)
+
+
+def test_str_probe_reads_every_slice():
+    """A long list of plain strings with one escape, at its start, in its
+    middle or at its end, is written as the stdlib writes it."""
+    for at in (0, 6143, 12287):
+        strings = ["ok"] * 12288
+        strings[at] = "late \\ escape"
+        assert written(strings) == stdlib(strings), at
 
 
 def as_rows(dicts):
