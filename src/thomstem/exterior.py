@@ -38,6 +38,11 @@ def mask_text(mask: int) -> Tuple[Tuple[int, ...], str]:
     return entry
 
 
+def monomial_text(mask: int) -> str:
+    """The text of a monomial: "1" for the empty mask, else "{1,2,4}"."""
+    return "{" + mask_text(mask)[1] + "}" if mask else "1"
+
+
 class Monomial(CheckedTuple, namedtuple("Monomial", "mask")):
     """Ascending subset of {1..rank} packed as a bitmask (bit k-1 = generator k)."""
 
@@ -65,9 +70,7 @@ class Monomial(CheckedTuple, namedtuple("Monomial", "mask")):
         return mask_text(self.mask)[0]
 
     def __str__(self) -> str:
-        if not self.mask:
-            return "1"
-        return "{" + mask_text(self.mask)[1] + "}"
+        return monomial_text(self.mask)
 
 
 MonomialKey = Union[Monomial, int, Iterable[int]]

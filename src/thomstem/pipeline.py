@@ -44,8 +44,8 @@ PRESET_NAMES = tuple(_PRESETS)
 
 # Largest total b1 a scenario file may ask for (a homology torus counts 4).
 # The Thom complex has 2^b1 cells and each generator costs about 4x: the
-# CLI runs thom b1 = 12 and writes its 114 MB report (860k notes) in 0.21 s
-# at 43 MB peak RSS (best of 6 fresh processes, Python 3.11, 2 vCPUs).
+# CLI runs thom b1 = 12 and writes its 114 MB report (860k notes) in about
+# 0.2 s at 25 MB peak RSS (fresh processes, Python 3.11, 2 vCPUs).
 MAX_TOTAL_B1 = 12
 
 
@@ -580,8 +580,9 @@ def report_dict(result: RunResult) -> dict:
     }
 
 
-def _report_parts(result: RunResult) -> List[str]:
-    parts: List[str] = []
+def _report_parts(result: RunResult,
+                  parts: Optional[List[str]] = None) -> List[str]:
+    parts = [] if parts is None else parts
     _write(report_dict(result), "\n", parts)
     parts.append("\n")
     return parts
@@ -596,12 +597,32 @@ def report_json(result: RunResult) -> str:
 
 def write_report(result: RunResult, fp) -> None:
     """Write `report_json(result)` to the text file `fp` in slices of
-    `_SLICE_PARTS` parts. Each part is bounded, so each slice is too: a
-    note part is one head, tail or separator, and the largest parts, the
-    `Rows` tables, are about 1 MB at thom b1 = 12."""
-    parts = _report_parts(result)
-    for start in range(0, len(parts), _SLICE_PARTS):
-        fp.write("".join(parts[start:start + _SLICE_PARTS]))
+    `_SLICE_PARTS` parts, each as soon as `_write` has appended the part
+    after it, so the whole part list is never held. Each part is bounded,
+    so each slice is too: a note part is one head, tail or separator, and
+    the largest parts, the `Rows` tables, are about 1 MB at thom b1 = 12."""
+    parts = _report_parts(result, _Slices(fp))
+    fp.write("".join(parts))
+
+
+class _Slices(list):
+    """A part list that writes its first `_SLICE_PARTS` parts to `fp`, and
+    drops them, whenever it holds more. The last part always stays, for
+    `_write_notes` replaces it."""
+
+    def __init__(self, fp):
+        super().__init__()
+        self.fp = fp
+
+    def append(self, part: str) -> None:
+        self += (part,)
+
+    def __iadd__(self, more):
+        self.extend(more)
+        while len(self) > _SLICE_PARTS:
+            self.fp.write("".join(self[:_SLICE_PARTS]))
+            del self[:_SLICE_PARTS]
+        return self
 
 
 _SLICE_PARTS = 8192

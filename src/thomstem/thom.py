@@ -11,14 +11,15 @@ lower cell L carries the Hopf class that Sq^g detects.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import ItemsView, Mapping
-from itertools import chain, filterfalse, groupby, repeat
+from itertools import chain, compress, filterfalse, groupby, repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .chern import QUATERNIONIC, REAL, BundleData, FrozenMap
-from .exterior import ExteriorClass, Monomial, mask_text
+from .exterior import ExteriorClass, Monomial, mask_text, monomial_text
 from .values import CheckedTuple, Frozen
 
 # Fiber kinds and the dimension they add on top of the base subset.
@@ -329,6 +330,35 @@ class StableCellComplex(CheckedTuple, namedtuple(
                        f"{fiber_part}")
 
 
+def _fiber_cells(rank: int, fiber_part: str, fiber_offset: int,
+                 suspension: int) -> Tuple[StableCell, ...]:
+    """The cells of `fiber_part` over every base subset of T^rank, in
+    canonical order: what `StableCell(mask, fiber_part, fiber_offset,
+    suspension)` makes for each mask, checked once here rather than once
+    per cell. One fiber part's dimension is |mask| + a constant, so the
+    order is popcount-major, mask-ascending."""
+    if fiber_part not in _FIBER_ORDER:
+        raise ValueError(f"unknown fiber part {fiber_part!r}")
+    if suspension < 0:
+        raise ValueError("suspension must be nonnegative")
+    masks = sorted(range(1 << rank), key=int.bit_count)
+    dims = map((fiber_offset + suspension).__add__, map(int.bit_count, masks))
+    return tuple(map(tuple.__new__, repeat(StableCell), zip(
+        dims, repeat(_FIBER_ORDER[fiber_part]), masks, repeat(suspension),
+        repeat(fiber_part), repeat(fiber_offset))))
+
+
+def _canonical_complex(cells: Tuple[StableCell, ...], bundle: BundleData,
+                       basepoint_policy: str,
+                       gap3_trivial: bool = False) -> StableCellComplex:
+    """The unlabelled complex over `cells`, which are in canonical order
+    with the basepoint first, as the builders make them: what
+    `StableCellComplex(...)` gives, with no sort and no basepoint test."""
+    bare = tuple.__new__(StableCellComplex, (cells, bundle, basepoint_policy,
+                                             None, gap3_trivial, ()))
+    return bare._derive(cells, cells[1:], None)
+
+
 def thom_cells(bundle: BundleData, suspension: int = 0) -> StableCellComplex:
     """Stable cell model of the Thom space of a quaternionic bundle over
     T^b: one cell per generator subset S, of dimension |S| + 4m, plus the
@@ -336,11 +366,10 @@ def thom_cells(bundle: BundleData, suspension: int = 0) -> StableCellComplex:
     isomorphism. Each cell is made suspended `suspension` times."""
     if bundle.field != QUATERNIONIC:
         raise ValueError("Thom cell model requires a quaternionic bundle")
-    offset = 4 * bundle.rank
-    cells = [StableCell(0, FIBER_POINT, 0, suspension)]
-    for mask in range(1 << bundle.base_rank):
-        cells.append(StableCell(mask, FIBER_THOM, offset, suspension))
-    return StableCellComplex(tuple(cells), bundle, POLICY_THOM)
+    # the point at infinity is the one cell of the lowest dim and order
+    cells = _fiber_cells(0, FIBER_POINT, 0, suspension) + _fiber_cells(
+        bundle.base_rank, FIBER_THOM, 4 * bundle.rank, suspension)
+    return _canonical_complex(cells, bundle, POLICY_THOM)
 
 
 def sphere_bundle_quotient(bundle: BundleData,
@@ -365,12 +394,12 @@ def sphere_bundle_quotient(bundle: BundleData,
         c2=ExteriorClass.zero(b),
         sphere_shift=bundle.sphere_shift,
     )
-    cells = []
-    for mask in range(1 << b):
-        cells.append(StableCell(mask, FIBER_SPHERE_ZERO, 0, suspension))
-        cells.append(StableCell(mask, FIBER_SPHERE_TWO, 2, suspension))
-    return StableCellComplex(tuple(cells), quotient, POLICY_REDUCED,
-                             gap3_trivial=True)
+    # a merge of two ascending runs; the basepoint, the empty-subset
+    # 0-cell, is the one cell of the lowest dim
+    cells = tuple(sorted(_fiber_cells(b, FIBER_SPHERE_ZERO, 0, suspension)
+                         + _fiber_cells(b, FIBER_SPHERE_TWO, 2, suspension)))
+    return _canonical_complex(cells, quotient, POLICY_REDUCED,
+                              gap3_trivial=True)
 
 
 def _default_labels(complex_: StableCellComplex) -> Dict[int, AttachLabel]:
@@ -409,10 +438,13 @@ def _detected_labels(complex_: StableCellComplex, rule: Detection
     """
     gap = rule.gap
     w = complex_.bundle.w_class(gap)
-    if w.is_zero:
+    proper = complex_.proper_cells
+    if w.is_zero or not proper:
         return {}
-    thom = {(cell.base_mask, cell.dim): cell for cell in complex_.proper_cells
-            if cell.fiber_part == FIBER_THOM}
+    # (mask, dim) -> cell over the Thom-fiber cells, read off one transpose
+    dims, _, masks, _, parts, _ = zip(*proper)
+    thom = dict(compress(zip(zip(masks, dims), proper),
+                         map(FIBER_THOM.__eq__, parts)))
     w_masks = tuple(m.mask for m in w.support())
     hits: Dict[Pair, int] = {}
     for (mask, dim), lower in thom.items():
@@ -420,11 +452,11 @@ def _detected_labels(complex_: StableCellComplex, rule: Detection
             upper = None if wm & mask else thom.get((mask | wm, dim + gap))
             if upper is not None:
                 hits[(upper, lower)] = hits.get((upper, lower), 0) ^ 1
+    head = f"Sq^{gap} detects {rule.hopf}: Sq^{gap}(u*x"
     via = f" via w{gap} = {w}"      # one text of w for every pair
     return {(upper, lower): AttachLabel(
-        rule.value, f"Sq^{gap} detects {rule.hopf}: "
-        f"Sq^{gap}(u*x{Monomial(lower.base_mask)})"
-        f" contains u*x{Monomial(upper.base_mask)}{via}")
+        rule.value, f"{head}{monomial_text(lower[2])}) contains "
+        f"u*x{monomial_text(upper[2])}{via}")
         for (upper, lower), odd in hits.items() if odd}
 
 
@@ -450,9 +482,10 @@ def skeletal_quotient(complex_: StableCellComplex, k: int) -> StableCellComplex:
         rules = LabelRules(defaults, {
             (u, l): label for (u, l), label in exceptions.items()
             if u.dim > k and l.dim > k})
-    return complex_._derive(tuple(c for c in complex_.cells if c.dim > k),
-                            tuple(c for c in complex_.proper_cells
-                                  if c.dim > k), rules)
+    # canonical order is dimension-major, so what is kept is a suffix
+    cells, proper = complex_.cells, complex_.proper_cells
+    return complex_._derive(cells[bisect_right(cells, k, key=_DIM):],
+                            proper[bisect_right(proper, k, key=_DIM):], rules)
 
 
 def label_counts(labels: AttachmentView) -> Dict[str, int]:

@@ -111,20 +111,30 @@ SUSPENDED = ("sec4_3_5", "sec5_3_5", "selector_cut_shift_thom",
 
 def _count_made(monkeypatch):
     """Count every StableCell and StableCellComplex made from here on:
-    returns the {"cells": n, "complexes": n} dict the counts go to."""
+    returns the {"cells": n, "complexes": n} dict the counts go to. A cell
+    is made one at a time by `StableCell.__new__`, or in bulk by
+    `thom._fiber_cells`, which the builders call and which makes its
+    cells without `__new__`."""
     made = {"cells": 0, "complexes": 0}
     cell_new = thom.StableCell.__new__
+    fiber_cells = thom._fiber_cells
     complex_derive = thom.StableCellComplex._derive
 
     def count_cell(cls, *args, **kwargs):
         made["cells"] += 1
         return cell_new(cls, *args, **kwargs)
 
+    def count_fiber_cells(*args):
+        cells = fiber_cells(*args)
+        made["cells"] += len(cells)
+        return cells
+
     def count_complex(self, *args):     # every complex is made here
         made["complexes"] += 1
         return complex_derive(self, *args)
 
     monkeypatch.setattr(thom.StableCell, "__new__", staticmethod(count_cell))
+    monkeypatch.setattr(thom, "_fiber_cells", count_fiber_cells)
     monkeypatch.setattr(thom.StableCellComplex, "_derive", count_complex)
     return made
 
