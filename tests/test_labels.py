@@ -6,16 +6,17 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (basepoint_cell, canonical_pairs, dense_attachments,
-                     expand_labels, naive_key, per_pair_mark_unknowns,
-                     suspend, thom_rung)
+from helpers import (basepoint_cell, bit_loop_str, canonical_pairs,
+                     dense_attachments, expand_labels, naive_key,
+                     per_pair_mark_unknowns, suspend, thom_rung)
 from thomstem import ahss, pipeline
 from thomstem.ahss import assemble
 from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass
-from thomstem.thom import (ETA_LABEL, NU_ODD, TRIVIAL, UNKNOWN, AttachLabel,
-                           LabelRules, StableCellComplex, infer_attachments,
+from thomstem.thom import (DETECTIONS, ETA_LABEL, NU_ODD, TRIVIAL, UNKNOWN,
+                           AttachLabel, LabelRules, StableCellComplex,
+                           _detected_labels, infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
                            thom_cells)
 
@@ -105,6 +106,29 @@ def test_random_bundles_match_dense_oracle():
                             expand_labels(labelled).values())
     # the draw exercises both detections, not only the defaults
     assert {ETA_LABEL, NU_ODD} <= detected
+
+
+def test_detection_texts_equal_the_monomial_text_on_random_bundles():
+    # each justification reads its masks off the cached digits; the
+    # oracle formats them bit by bit, "1" for the empty lower monomial
+    rng = random.Random(20261020)
+    lowers = set()
+    for _ in range(24):
+        bundle = _random_bundle(rng, rng.randint(4, 8))
+        for complex_ in (thom_cells(bundle, rng.randint(0, 2)),
+                         skeletal_quotient(thom_cells(bundle), 5)):
+            for rule in DETECTIONS:
+                w = bundle.w_class(rule.gap)
+                labels = _detected_labels(complex_, rule)
+                for (upper, lower), label in labels.items():
+                    assert label == AttachLabel(
+                        rule.value,
+                        f"Sq^{rule.gap} detects {rule.hopf}: "
+                        f"Sq^{rule.gap}(u*x{bit_loop_str(lower.base_mask)})"
+                        f" contains u*x{bit_loop_str(upper.base_mask)} "
+                        f"via w{rule.gap} = {w}")
+                    lowers.add(lower.base_mask)
+    assert 0 in lowers and len(lowers) > 1
 
 
 def assert_notes_match_oracle(complex_, targets=None):

@@ -15,8 +15,8 @@ from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_PARTS, FIBER_THOM,
                            NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
-                           StableCell, StableCellComplex, infer_attachments,
-                           label_counts, skeletal_quotient,
+                           StableCell, StableCellComplex, _fiber_cells,
+                           infer_attachments, label_counts, skeletal_quotient,
                            sphere_bundle_quotient, thom_cells)
 
 
@@ -63,6 +63,57 @@ class TestThomCells:
         g = sphere_bundle_quotient(torus_bundle()).bundle
         with pytest.raises(ValueError):
             thom_cells(g)
+
+
+class TestBulkCells:
+    """The builders make each fiber part's cells in one checked pass and
+    hand them over in canonical order; what they make is what the cell and
+    complex constructors make one at a time."""
+
+    @pytest.mark.parametrize("part", FIBER_PARTS)
+    def test_fiber_cells_equal_the_cells_made_one_at_a_time(self, part):
+        for rank in range(8):
+            for suspension in range(3):
+                for offset in (0, 2, 4):
+                    bulk = _fiber_cells(rank, part, offset, suspension)
+                    one_by_one = sorted(
+                        StableCell(mask, part, offset, suspension)
+                        for mask in range(1 << rank))
+                    assert list(bulk) == one_by_one
+                    assert {type(cell) for cell in bulk} == {StableCell}
+                    assert list(bulk) == sorted(bulk, key=naive_key)
+
+    def test_bad_fiber_part_or_suspension_raises_as_the_constructor(self):
+        for part, suspension in (("H", 0), ("", 1), (None, 0),
+                                 (FIBER_THOM, -1), ("point", -(1 << 70))):
+            with pytest.raises(ValueError) as one:
+                StableCell(0, part, 4, suspension)
+            with pytest.raises(ValueError) as bulk:
+                _fiber_cells(3, part, 4, suspension)
+            assert str(bulk.value) == str(one.value)
+
+    @pytest.mark.parametrize("dets", [(), (3,), (3, 5), (2, 3, 5)],
+                             ids=["point", "b4", "b8", "b12"])
+    def test_builders_equal_the_public_constructor(self, dets):
+        from thomstem.chern import ManifoldData
+        manifold = ManifoldData(b1=0, quad_form={}, signature=0, b_plus=3)
+        if dets:
+            manifold = make_homology_torus(dets[0])
+            for det in dets[1:]:
+                manifold = connected_sum(manifold, make_homology_torus(det))
+        bundle = index_bundle(manifold)
+        for suspension in (0, 1, 2):
+            for built in (thom_cells(bundle, suspension),
+                          sphere_bundle_quotient(bundle, suspension)):
+                shuffled = list(built.cells)
+                random.Random(suspension).shuffle(shuffled)
+                made = StableCellComplex(
+                    tuple(shuffled), built.bundle, built.basepoint_policy,
+                    gap3_trivial=built.gap3_trivial)
+                assert made == built
+                assert made.proper_cells == built.proper_cells
+                assert basepoint_cell(built) == built.cells[0]
+                assert built.attachments is None
 
 
 class TestSqThom:
@@ -222,6 +273,37 @@ class TestSkeletalQuotient:
     def test_cut_above_top_empties(self):
         complex_ = thom_cells(torus_bundle())
         assert skeletal_quotient(complex_, 8).cells == ()
+
+    def test_slices_equal_the_dimension_filter_at_every_cut(self):
+        bundle = sum_bundle(3, 5)
+        thom = infer_attachments(thom_cells(bundle, 1))
+        sphere = infer_attachments(sphere_bundle_quotient(bundle))
+        # a reduced complex whose basepoint (dim 2) is not its lowest cell
+        hand_cells = (StableCell(0, "sphere_zero", 0, 2),
+                      StableCell(1, "sphere_zero", 0), StableCell(3, "thom", 4),
+                      StableCell(0, "sphere_two", 2), StableCell(6, "thom", 4))
+        hand = StableCellComplex(hand_cells, bundle, "reduced", LabelRules(
+            {1: AttachLabel(TRIVIAL, "hand")},
+            {(hand_cells[2], hand_cells[1]): AttachLabel(UNKNOWN, "hand"),
+             (hand_cells[4], hand_cells[0]): AttachLabel(UNKNOWN, "hand")}))
+        unlabelled = thom_cells(torus_bundle(), 2)
+        for complex_ in (thom, sphere, hand, unlabelled):
+            top = complex_.top_cell.dim
+            for k in range(-1, top + 2):
+                cut = skeletal_quotient(complex_, k)
+                assert cut.cells == tuple(
+                    c for c in complex_.cells if naive_dim(c) > k)
+                assert cut.proper_cells == tuple(
+                    c for c in complex_.proper_cells if naive_dim(c) > k)
+                assert cut == StableCellComplex(
+                    cut.cells, complex_.bundle, complex_.basepoint_policy,
+                    None if cut.attachments is None
+                    else cut.attachments.rules, complex_.gap3_trivial)
+                if complex_.attachments is not None:
+                    assert dict(cut.attachments.rules.exceptions) == {
+                        (u, l): label for (u, l), label
+                        in complex_.attachments.rules.exceptions.items()
+                        if naive_dim(u) > k and naive_dim(l) > k}
 
 
 class TestProperCells:
