@@ -3,11 +3,11 @@ and evaluation of user-supplied class assignments against it.
 
 Each cell contributes the stable stem of (dim - N); attaching-map labels
 drive the differentials. The engine implements exactly the patterns the
-verdicts need: the cellular d1 vanishes on torus models, an eta label
-drives a d2 onto the neighbouring stem, an odd-nu label drives a d4 onto
-a Z/24 column, and every other potentially nonzero configuration is
-reported as unknown rather than guessed. Surviving columns are
-direct-summed; extension problems are ignored and noted.
+verdicts need: the cellular d1 vanishes on torus models, the d2 vanishes
+because every bundle has w2 = 0, an odd-nu label drives a d4 onto a Z/24
+column, and every other potentially nonzero configuration is reported as
+unknown rather than guessed. Surviving columns are direct-summed;
+extension problems are ignored and noted.
 """
 
 from __future__ import annotations
@@ -180,10 +180,9 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
     ]
     differentials: List[str] = []
 
-    # page order: all d2 effects, then d4; gap-3 labels never act
+    # the d4 rule, then the unknown scan; gap-3 labels never act
     # definitively (trivial = no differential, unknown handled last).
-    drained = _run_eta_rules(complex_, columns, differentials)
-    _run_nu_rules(complex_, columns, drained, differentials, notes)
+    _run_nu_rules(complex_, columns, differentials, notes)
     _mark_unknowns(complex_, columns, notes)
     entries = tuple(columns.values())
 
@@ -214,77 +213,20 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
                        Notes(notes), tuple(differentials), complex_)
 
 
-_ETA, _NU = DETECTIONS
+(_NU,) = DETECTIONS
 
 
-def _run_eta_rules(complex_, columns, differentials):
-    """d2 driven by eta attachments.
-
-    Kill side: an upper column at a stem in `_ETA.decides` is hit from
-    the lower cell's column one degree over, and composition with eta
-    (Z -> Z/2 onto, or Z/2 -> Z/2 iso) wipes it out. Source side: a
-    lower column at stem 0 is reduced to the kernel 2Z (still Z); at
-    stem 1 it is consumed entirely (eta composes injectively).
-
-    Returns the lower cells of the eta attachments whose upper column
-    sits at stem 1, for the d4 pass.
-    """
-    drained = set()
-    for (upper, lower), label in complex_.attachments.detected:
-        if label.value != _ETA.value:
-            continue
-        up, low = columns[upper], columns[lower]
-        if up.stem_q == 1:
-            drained.add(lower)
-        if up.stem_q in _ETA.decides and KILLED not in (up.status, low.status):
-            # onto: 1 o eta = eta and eta o eta = eta^2 generate stems 1, 2
-            columns[upper] = up._replace(status=KILLED,
-                                         killer=f"d2 from {lower.name()}")
-            differentials.append(
-                f"d2: column {upper.name()} ({up.group.pretty()}) killed "
-                f"by composition with eta from {lower.name()}")
-        if low.stem_q == 0 and low.status == SURVIVES:
-            columns[lower] = low._replace(status=REDUCED, reduced_index=2,
-                                          killer=f"d2 into {upper.name()}")
-            differentials.append(
-                f"d2: column {lower.name()} reduced to index 2 (kernel of "
-                f"composition with eta into {upper.name()}); still Z abstractly")
-        elif low.stem_q == 1 and low.status == SURVIVES:
-            columns[lower] = low._replace(
-                status=KILLED,
-                killer=f"d2 into {upper.name()} (source consumed)")
-            differentials.append(
-                f"d2: column {lower.name()} consumed as a d2 source onto "
-                f"{upper.name()} (eta composes injectively)")
-    return drained
-
-
-def _run_nu_rules(complex_, columns, drained, differentials, notes):
+def _run_nu_rules(complex_, columns, differentials, notes):
     """d4 driven by odd-nu attachments.
 
     Kill side: an upper Z/24 column at a stem in `_NU.decides` dies
     because any odd multiple of nu generates pi_3, so the composition
     from the lower cell's Z column is onto. Source side: a lower Z
     column at stem 0 is reduced to the kernel 24Z (still Z).
-
-    `drained` holds the cells whose Z column one degree over already
-    fired a d2: an eta attachment whose upper cell sits at in-report
-    stem 1 consumed half of the lower cell's source column (kernel 2Z),
-    so a d4 out of that column only reaches the even multiples of nu and
-    is no longer onto Z/24.
     """
-    for (upper, lower), label in complex_.attachments.detected:
-        if label.value != _NU.value:
-            continue
+    for (upper, lower), _ in complex_.attachments.detected:
         up, low = columns[upper], columns[lower]
         if up.stem_q in _NU.decides and KILLED not in (up.status, low.status):
-            if lower in drained:
-                columns[upper] = up._replace(status=UNKNOWN, killer=None)
-                notes.append(
-                    f"column {upper.name()} marked unknown: the d4 source "
-                    f"{lower.name()} was reduced by an earlier d2, so the "
-                    "composition with nu reaches only even multiples")
-                continue
             # any odd multiple of nu generates pi_3, so the composition
             # from the intact source Z column is onto
             columns[upper] = up._replace(status=KILLED,
@@ -312,7 +254,7 @@ def _threat_source(value: str, gap: int, stem_q: int) -> Optional[int]:
         return None
     rule = DETECTION_OF.get(value)
     if rule is not None and stem_q in rule.decides:
-        return None     # handled definitively by the d2/d4 rules
+        return None     # handled definitively by the d4 rule
     source_q = stem_q - gap + 1
     if source_q < 0:
         return None

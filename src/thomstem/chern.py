@@ -138,7 +138,7 @@ class BundleData(CheckedTuple, namedtuple(
         "BundleData", "base_rank field rank c1 c2 sphere_shift")):
     """A vector bundle over T^{base_rank} by rank, coefficient field and
     Chern classes. Its Stiefel-Whitney classes are read from c1 and c2
-    (`w_class`); a real bundle has c1 = c2 = 0."""
+    (`w_class`). c1 = 0 always, and a real bundle has c2 = 0 too."""
 
     __slots__ = ()
 
@@ -146,11 +146,12 @@ class BundleData(CheckedTuple, namedtuple(
                 c2: ExteriorClass, sphere_shift: int):
         if field not in (QUATERNIONIC, REAL):
             raise ValueError(f"unknown coefficient field {field!r}")
-        if field == REAL:
-            for name, c in (("c1", c1), ("c2", c2)):
-                if not c.is_zero:
-                    raise ValueError(f"a real bundle needs {name} = 0, "
-                                     f"got {name} = {c.format()}")
+        # c1 = 0: a quaternionic bundle is its own conjugate, so 2 c1 = 0
+        # (Milnor-Stasheff 14), and H^2 of a torus has no torsion
+        for name, c in (("c1", c1), ("c2", c2))[:2 if field == REAL else 1]:
+            if not c.is_zero:
+                raise ValueError(f"a {field} bundle needs {name} = 0, "
+                                 f"got {name} = {c.format()}")
         return tuple.__new__(cls, (base_rank, field, rank, c1, c2,
                                    sphere_shift))
 

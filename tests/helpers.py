@@ -29,9 +29,8 @@ import thomstem
 from thomstem import stems
 from thomstem.ahss import KILLED, _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
-from thomstem.thom import (ETA_LABEL, FIBER_PARTS, FIBER_THOM, NU_ODD,
-                           TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
-                           StableCellComplex)
+from thomstem.thom import (FIBER_PARTS, FIBER_THOM, NU_ODD, TRIVIAL,
+                           UNKNOWN, AttachLabel, LabelRules, StableCellComplex)
 
 
 # -- wedge oracle: list concatenation + bubble parity --------------------
@@ -236,8 +235,6 @@ def _dense_labeler(complex_, gap):
             label = AttachLabel(UNKNOWN, "gap-3 attaching class undetermined "
                                 "(could be eta^2); no detection rule applies")
         return lambda upper, lower: label
-    detected_value = ETA_LABEL if gap == 2 else NU_ODD
-    hopf = "eta" if gap == 2 else "odd multiples of nu"
     w = bundle.w_class(gap)
     if gap == 2:
         miss = AttachLabel(TRIVIAL, f"eta excluded: Sq^2(u*x) = u*(w2^x) "
@@ -261,10 +258,13 @@ def _dense_labeler(complex_, gap):
     def labeler(upper, lower):
         if (upper.fiber_part == FIBER_THOM and lower.fiber_part == FIBER_THOM
                 and upper.base_mask in hits(lower)):
+            # w2 = c1 mod 2, and every bundle has c1 = 0
+            assert gap == 4, f"Sq^2 hits {upper.name()} over {lower.name()}"
             return AttachLabel(
-                detected_value,
-                f"Sq^{gap} detects {hopf}: Sq^{gap}(u*x{Monomial(lower.base_mask)})"
-                f" contains u*x{Monomial(upper.base_mask)} via w{gap} = {w}")
+                NU_ODD,
+                "Sq^4 detects odd multiples of nu: "
+                f"Sq^4(u*x{Monomial(lower.base_mask)}) contains "
+                f"u*x{Monomial(upper.base_mask)} via w4 = {w}")
         return miss
 
     return labeler

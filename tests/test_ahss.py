@@ -16,8 +16,8 @@ from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
                             connected_sum, index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass
 from thomstem.stems import AbelianGroup, OutOfTableError
-from thomstem.thom import (ETA_LABEL, FIBER_SPHERE_TWO, FIBER_SPHERE_ZERO,
-                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
+from thomstem.thom import (FIBER_SPHERE_TWO, FIBER_SPHERE_ZERO, NU_ODD,
+                           TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
                            StableCell, StableCellComplex, infer_attachments,
                            skeletal_quotient, sphere_bundle_quotient,
                            thom_cells)
@@ -58,101 +58,57 @@ def two_cell_complex(gap: int, label_value: str) -> StableCellComplex:
                              LabelRules({}, labels))
 
 
-def eta_torus_complex():
-    """Labelled Thom cells of a hand-built rank-1 quaternionic bundle over
-    T^4 with c1 = x{1,2} and c2 = -3 x{1,2,3,4}: w2 = x{1,2} puts eta
-    labels on (L | {1,2}, L) for every L off {1,2}, and w4 a nu_odd label
-    on the top cell over H{}."""
-    c1 = ExteriorClass({(1, 2): 1}, 4)
-    c2 = ExteriorClass({(1, 2, 3, 4): -3}, 4)
-    bundle = BundleData(4, QUATERNIONIC, 1, c1, c2, 1)
-    return infer_attachments(thom_cells(bundle))
+def c1_torus_bundle(c1_terms):
+    """The rank-1 quaternionic bundle over T^4 with the given c1 and
+    c2 = -3 x{1,2,3,4}; with c1 = 0 it is the det-3 torus's index bundle."""
+    return BundleData(4, QUATERNIONIC, 1, ExteriorClass(c1_terms, 4),
+                      ExteriorClass({(1, 2, 3, 4): -3}, 4), 1)
 
 
 _UNKNOWN_NOTE = ("column {} marked unknown: reachable through a {} gap-{} "
                  "label from {} (source stem {})")
 _BOUNDS_NOTE = ("{} column(s) unknown: assembled group reported as bounds "
                 "(lower = unknowns die, upper = unknowns survive)")
+_NO_DIFFERENTIALS = ("direct sum, no differentials",)
 
 # target -> (differentials, notes after the two fixed ones, {cell name:
 # (status, killer, reduced_index)} of every column that does not survive)
-D2_PINNED = {
-    3: (("d2: column H{} consumed as a d2 source onto H{1,2} (eta composes "
-         "injectively)",),
-        (_UNKNOWN_NOTE.format("H{1,2}", "eta", 2, "H{}", 2),
-         _BOUNDS_NOTE.format(1)),
-        {"H{}": (KILLED, "d2 into H{1,2} (source consumed)", None),
-         "H{1,2}": (UNKNOWN, None, None)}),
-    4: (("d2: column H{1,2} (Z/2) killed by composition with eta from H{}",
-         "d2: column H{} reduced to index 2 (kernel of composition with eta "
-         "into H{1,2}); still Z abstractly",
-         "d2: column H{3} consumed as a d2 source onto H{1,2,3} (eta "
-         "composes injectively)",
-         "d2: column H{4} consumed as a d2 source onto H{1,2,4} (eta "
-         "composes injectively)"),
+TWIN_PINNED = {
+    3: (_NO_DIFFERENTIALS, (), {}),
+    4: (("d4: column H{} reduced to index 24 (kernel of composition with nu "
+         "into H{1,2,3,4}); still Z abstractly",),
         (_UNKNOWN_NOTE.format("H{1,2,3}", "unknown", 3, "H{}", 1),
-         _UNKNOWN_NOTE.format("H{1,2,3}", "eta", 2, "H{3}", 2),
          _UNKNOWN_NOTE.format("H{1,2,4}", "unknown", 3, "H{}", 1),
-         _UNKNOWN_NOTE.format("H{1,2,4}", "eta", 2, "H{4}", 2),
          _UNKNOWN_NOTE.format("H{1,3,4}", "unknown", 3, "H{}", 1),
          _UNKNOWN_NOTE.format("H{2,3,4}", "unknown", 3, "H{}", 1),
          _BOUNDS_NOTE.format(4)),
-        {"H{}": (REDUCED, "d2 into H{1,2}", 2),
-         "H{3}": (KILLED, "d2 into H{1,2,3} (source consumed)", None),
-         "H{4}": (KILLED, "d2 into H{1,2,4} (source consumed)", None),
-         "H{1,2}": (KILLED, "d2 from H{}", None),
+        {"H{}": (REDUCED, "d4 into H{1,2,3,4}", 24),
          "H{1,2,3}": (UNKNOWN, None, None),
          "H{1,2,4}": (UNKNOWN, None, None),
          "H{1,3,4}": (UNKNOWN, None, None),
          "H{2,3,4}": (UNKNOWN, None, None)}),
-    5: (("d2: column H{1,2} (Z/2) killed by composition with eta from H{}",
-         "d2: column H{1,2,3} (Z/2) killed by composition with eta from "
-         "H{3}",
-         "d2: column H{3} reduced to index 2 (kernel of composition with "
-         "eta into H{1,2,3}); still Z abstractly",
-         "d2: column H{1,2,4} (Z/2) killed by composition with eta from "
-         "H{4}",
-         "d2: column H{4} reduced to index 2 (kernel of composition with "
-         "eta into H{1,2,4}); still Z abstractly",
-         "d2: column H{3,4} consumed as a d2 source onto H{1,2,3,4} (eta "
-         "composes injectively)"),
-        ("column H{1,2,3,4} marked unknown: the d4 source H{} was reduced "
-         "by an earlier d2, so the composition with nu reaches only even "
-         "multiples",
+    5: (("d4: column H{1,2,3,4} (Z/24) killed by composition with nu from "
+         "H{}; the source Z column one degree over is reduced to index 24",),
+        ("d4 source recorded as H{}, the first nu-attached cell in canonical "
+         "order; any of the nu-attached cells kills the column",
+         _UNKNOWN_NOTE.format("H{1,2,3}", "unknown", 3, "H{}", 0),
+         _UNKNOWN_NOTE.format("H{1,2,4}", "unknown", 3, "H{}", 0),
          _UNKNOWN_NOTE.format("H{1,3,4}", "unknown", 3, "H{}", 0),
          _UNKNOWN_NOTE.format("H{2,3,4}", "unknown", 3, "H{}", 0),
-         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{1}", 1),
-         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{2}", 1),
-         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{3}", 1),
-         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{4}", 1),
-         _UNKNOWN_NOTE.format("H{1,2,3,4}", "eta", 2, "H{3,4}", 2),
-         _BOUNDS_NOTE.format(3)),
-        {"H{3}": (REDUCED, "d2 into H{1,2,3}", 2),
-         "H{4}": (REDUCED, "d2 into H{1,2,4}", 2),
-         "H{1,2}": (KILLED, "d2 from H{}", None),
-         "H{3,4}": (KILLED, "d2 into H{1,2,3,4} (source consumed)", None),
-         "H{1,2,3}": (KILLED, "d2 from H{3}", None),
-         "H{1,2,4}": (KILLED, "d2 from H{4}", None),
+         _BOUNDS_NOTE.format(4)),
+        {"H{1,2,3}": (UNKNOWN, None, None),
+         "H{1,2,4}": (UNKNOWN, None, None),
          "H{1,3,4}": (UNKNOWN, None, None),
          "H{2,3,4}": (UNKNOWN, None, None),
-         "H{1,2,3,4}": (UNKNOWN, None, None)}),
-    6: (("d2: column H{1,2,3} (Z/2) killed by composition with eta from "
-         "H{3}",
-         "d2: column H{1,2,4} (Z/2) killed by composition with eta from "
-         "H{4}",
-         "d2: column H{1,2,3,4} (Z/2) killed by composition with eta from "
-         "H{3,4}",
-         "d2: column H{3,4} reduced to index 2 (kernel of composition with "
-         "eta into H{1,2,3,4}); still Z abstractly"),
-        (),
-        {"H{3,4}": (REDUCED, "d2 into H{1,2,3,4}", 2),
-         "H{1,2,3}": (KILLED, "d2 from H{3}", None),
-         "H{1,2,4}": (KILLED, "d2 from H{4}", None),
-         "H{1,2,3,4}": (KILLED, "d2 from H{3,4}", None)}),
-    7: (("d2: column H{1,2,3,4} (Z/2) killed by composition with eta from "
-         "H{3,4}",),
-        (),
-        {"H{1,2,3,4}": (KILLED, "d2 from H{3,4}", None)}),
+         "H{1,2,3,4}": (KILLED, "d4 from H{}", None)}),
+    6: (_NO_DIFFERENTIALS,
+        (_UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{1}", 0),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{2}", 0),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{3}", 0),
+         _UNKNOWN_NOTE.format("H{1,2,3,4}", "unknown", 3, "H{4}", 0),
+         _BOUNDS_NOTE.format(1)),
+        {"H{1,2,3,4}": (UNKNOWN, None, None)}),
+    7: (_NO_DIFFERENTIALS, (), {}),
 }
 
 
@@ -239,39 +195,56 @@ def blocks_extra_note(report):
     return [note for note in report.notes if "extra base-block cell" in note]
 
 
+def eta_pair_is_rejected():
+    with pytest.raises(ValueError) as err:
+        two_cell_complex(2, "eta")
+    assert str(err.value) == ("label eta on a gap-2 attachment S0{1}+3 -> "
+                              "S0{}+2: no rule reads it")
+
+
 class TestTwoCellComplexes:
-    """Cofiber-of-eta bookkeeping at every target degree."""
+    """Two-cell bookkeeping at every target degree.
+
+    Where the eta cofiber was: an eta label is rejected when the complex
+    is built, since every bundle has w2 = 0 and no rule reads it. The
+    gap-2 pair then takes the label that `infer_attachments` gives every
+    such pair, trivial, and its columns are direct-summed; a hand-built
+    unknown label keeps the columns it could reach unknown.
+    """
 
     def test_eta_cofiber_at_top_degree_minus_two(self):
-        # cells 2, 4; N = 2: the 4-cell dies, the 2-cell survives with
-        # index 2: the group is still Z abstractly
-        report = assemble(two_cell_complex(2, ETA_LABEL), 2)
-        upper = next(e for e in report.entries if e.cell.dim == 4)
-        lower = next(e for e in report.entries if e.cell.dim == 2)
-        assert upper.status == KILLED and upper.killer.startswith("d2")
-        assert lower.status == REDUCED and lower.reduced_index == 2
-        assert report.assembled == AbelianGroup(free_rank=1)
+        # cells 2, 4; N = 2: Z from the 2-cell, Z/2 from the 4-cell
+        eta_pair_is_rejected()
+        report = assemble(two_cell_complex(2, TRIVIAL), 2)
+        assert report.differentials == _NO_DIFFERENTIALS
+        assert all(e.status == SURVIVES for e in report.entries)
+        assert report.assembled == AbelianGroup(1, (2,))
 
     def test_eta_cofiber_at_top_degree_minus_one(self):
-        report = assemble(two_cell_complex(2, ETA_LABEL), 3)
+        eta_pair_is_rejected()
+        report = assemble(two_cell_complex(2, TRIVIAL), 3)
         upper = next(e for e in report.entries if e.cell.dim == 4)
-        assert upper.status == KILLED
-        assert report.assembled == AbelianGroup()
+        assert upper.status == SURVIVES
+        assert report.assembled == AbelianGroup(torsion=(2,))
 
     def test_eta_cofiber_at_top_degree(self):
-        report = assemble(two_cell_complex(2, ETA_LABEL), 4)
+        eta_pair_is_rejected()
+        report = assemble(two_cell_complex(2, TRIVIAL), 4)
         assert report.assembled == AbelianGroup(free_rank=1)
 
     def test_eta_cofiber_below_is_honestly_unknown(self):
-        # N = 1: the true group is Z/12 (eta hits only part of Z/24); the
-        # engine refuses to guess and reports bounds instead
-        report = assemble(two_cell_complex(2, ETA_LABEL), 1)
+        # N = 1: an undetermined gap-2 class could hit the top Z/24 from
+        # the Z/2 one degree over; the engine refuses to guess and reports
+        # bounds instead, and the source column is left alone
+        eta_pair_is_rejected()
+        report = assemble(two_cell_complex(2, UNKNOWN), 1)
         upper = next(e for e in report.entries if e.cell.dim == 4)
         lower = next(e for e in report.entries if e.cell.dim == 2)
         assert upper.status == UNKNOWN
-        assert lower.status == KILLED  # consumed as a d2 source
+        assert lower.status == SURVIVES
         assert report.assembled is None
-        assert report.bounds == (AbelianGroup(), AbelianGroup(torsion=(24,)))
+        assert report.bounds == (AbelianGroup(torsion=(2,)),
+                                 AbelianGroup(torsion=(2, 24)))
 
     def test_nu_cofiber(self):
         # cells 2, 6 attached by odd nu; N = 3 kills the top Z/24
@@ -294,51 +267,55 @@ class TestTwoCellComplexes:
         assert report.bounds is not None
 
     def test_nu_source_drained_by_eta_is_not_overclaimed(self):
-        # one cell carries both an eta attachment (gap 2) and an odd-nu
-        # attachment (gap 4): the d2 halves the shared source column, so
-        # the d4 image is only the even multiples and the Z/24 column
-        # must come out unknown, not killed
+        # one cell under both a gap-2 and an odd-nu (gap 4) attachment:
+        # an eta label on the gap-2 pair, which would halve the shared
+        # source column, is rejected when built, so the source stays
+        # intact and the d4 kills the Z/24 column
         lower = synthetic_cell(0, 2)
         mid = synthetic_cell(1, 4)
         top = synthetic_cell(2, 6)
-        labels = {(mid, lower): AttachLabel(ETA_LABEL, "synthetic"),
-                  (top, lower): AttachLabel(NU_ODD, "synthetic")}
-        complex_ = StableCellComplex((lower, mid, top), _point_bundle(),
+
+        def build(value):
+            labels = {(mid, lower): AttachLabel(value, "synthetic"),
+                      (top, lower): AttachLabel(NU_ODD, "synthetic")}
+            return StableCellComplex((lower, mid, top), _point_bundle(),
                                      "thom", LabelRules({}, labels))
-        report = assemble(complex_, 3)
-        assert report.entry_for(mid).status == KILLED
-        assert report.entry_for(top).status == UNKNOWN
-        assert any("reduced by an earlier d2" in note
-                   for note in report.notes)
+
+        with pytest.raises(ValueError, match="no rule reads it"):
+            build("eta")
+        report = assemble(build(TRIVIAL), 3)
+        assert report.entry_for(mid).status == SURVIVES
+        assert report.entry_for(top).status == KILLED
+        assert report.entry_for(top).killer == f"d4 from {lower.name()}"
 
     def test_unlabelled_complex_is_rejected(self):
         with pytest.raises(ValueError, match="infer_attachments"):
             assemble(thom_cells(_point_bundle()), 4)
 
     def test_misplaced_labels_are_rejected(self):
-        # eta off gap 2 / nu off gap 4 must never drive a differential
+        # eta, which no rule reads, and nu off gap 4 must never drive a
+        # differential
         with pytest.raises(ValueError):
-            assemble(two_cell_complex(3, ETA_LABEL), 3)
+            assemble(two_cell_complex(3, "eta"), 3)
         with pytest.raises(ValueError):
             assemble(two_cell_complex(3, NU_ODD), 2)
 
 
 class TestEtaTorusPinned:
-    """The d2 branch on a bundle with w2 != 0, pinned as the engine reads
-    it today: the kill, the index-2 reduction, the consumed source and
-    the note on a d4 source reduced by an earlier d2, at targets 3..7.
+    """The bundle that drove the d2 branch, c1 = x{1,2} over T^4, is
+    rejected when it is built: a quaternionic bundle has c1 = 0. Its
+    c1 = 0 twin is the det-3 torus's index bundle, pinned here at targets
+    3..7 as the engine reads it: no differential is a d2, and only the d4
+    and the unknown-column scan move a column."""
 
-    No golden and no benchmark catalogue item reaches a d2 (their bundles
-    have w2 = 0), so these literals are its only byte record. They are
-    not all sound: a column killed as a consumed d2 source leaves its
-    eta class a non-cycle, so a later change that makes an assigned
-    class a permanent cycle will change them on purpose.
-    """
-
-    @pytest.mark.parametrize("target", sorted(D2_PINNED))
+    @pytest.mark.parametrize("target", sorted(TWIN_PINNED))
     def test_d2_text_and_columns(self, target):
-        differentials, notes, moved = D2_PINNED[target]
-        report = assemble(eta_torus_complex(), target)
+        with pytest.raises(ValueError, match="needs c1 = 0"):
+            c1_torus_bundle({(1, 2): 1})
+        differentials, notes, moved = TWIN_PINNED[target]
+        report = assemble(infer_attachments(thom_cells(c1_torus_bundle({}))),
+                          target)
+        assert not any(line.startswith("d2") for line in report.differentials)
         assert report.differentials == differentials
         assert report.notes[2:] == notes
         assert {entry.cell.name(): (entry.status, entry.killer,

@@ -190,17 +190,16 @@ class TestBundleReadMod2:
     so labels and assembly see a bundle only through those reductions."""
 
     def test_equal_reductions_give_equal_labels_and_assembly(self):
-        # c1 and c2 agree mod 2 but differ as integers, in support too
-        one = _bundle({(1, 2): 1, (3, 5): -1},
-                      {(1, 2, 3, 4): -3, (3, 4, 5, 6): 1})
-        other = _bundle({(1, 2): 3, (3, 5): 5, (2, 6): 2},
-                        {(1, 2, 3, 4): 5, (3, 4, 5, 6): -7, (1, 2, 5, 6): 4})
-        assert one.c1 != other.c1 and one.c2 != other.c2
+        # c2 agrees mod 2 but differs as integers, in support too
+        one = _bundle({}, {(1, 2, 3, 4): -3, (3, 4, 5, 6): 1})
+        other = _bundle({}, {(1, 2, 3, 4): 5, (3, 4, 5, 6): -7,
+                             (1, 2, 5, 6): 4})
+        assert one.c2 != other.c2
         for i in range(1, 5):
             assert one.w_class(i) == other.w_class(i)
         built = [infer_attachments(thom_cells(b)) for b in (one, other)]
         assert built[0].attachments.rules == built[1].attachments.rules
-        assert built[0].attachments.detected       # both rules fire
+        assert built[0].attachments.detected       # Sq^4 fires
         for target in range(3, 10):
             a, b = (assemble(complex_, target) for complex_ in built)
             assert a.entries == b.entries
@@ -223,11 +222,23 @@ class TestBundleReadMod2:
         with pytest.raises(ValueError, match=f"real bundle needs {name} = 0"):
             _bundle(c1, c2, field=REAL, rank=3)
 
+    @pytest.mark.parametrize("c1, text", [
+        ({(1, 2): 3, (2, 6): 1}, "3*a{1,2} + a{2,6}"),
+        ({(1, 2): 2}, "2*a{1,2}"),       # w2 = 0, and still rejected
+    ], ids=["odd", "even"])
+    def test_quaternionic_c1_is_rejected(self, c1, text):
+        # a quaternionic bundle is its own conjugate, so 2 c1 = 0, and
+        # H^2 of a torus has no torsion: c1 = 0, and so w2 = 0
+        with pytest.raises(ValueError) as err:
+            _bundle(c1, {(1, 2, 3, 4): -5})
+        assert str(err.value) == ("a quaternionic bundle needs c1 = 0, "
+                                  f"got c1 = {text}")
+
     @pytest.mark.parametrize("bundle", [
         index_bundle(connected_sum(make_homology_torus(3),
                                    make_homology_torus(5))),
-        _bundle({(1, 2): 3, (2, 6): 1}, {(1, 2, 3, 4): -5}),
-    ], ids=["index", "c1"])
+        _bundle({}, {(1, 2, 3, 4): -5, (3, 4, 5, 6): 2}),
+    ], ids=["index", "hand"])
     def test_copy_and_pickle(self, bundle):
         for copied in (copy.deepcopy(bundle),
                        pickle.loads(pickle.dumps(bundle))):

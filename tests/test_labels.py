@@ -11,14 +11,12 @@ from helpers import (basepoint_cell, bit_loop_str, canonical_pairs,
                      per_pair_mark_unknowns, suspend, thom_rung)
 from thomstem import ahss, pipeline
 from thomstem.ahss import assemble
-from thomstem.chern import (QUATERNIONIC, BundleData, ManifoldData,
-                            connected_sum, index_bundle, make_homology_torus)
-from thomstem.exterior import ExteriorClass
-from thomstem.thom import (DETECTIONS, ETA_LABEL, NU_ODD, TRIVIAL, UNKNOWN,
-                           AttachLabel, LabelRules, StableCellComplex,
-                           _detected_labels, infer_attachments,
-                           skeletal_quotient, sphere_bundle_quotient,
-                           thom_cells)
+from thomstem.chern import (ManifoldData, connected_sum, index_bundle,
+                            make_homology_torus)
+from thomstem.thom import (DETECTIONS, NU_ODD, TRIVIAL, UNKNOWN, AttachLabel,
+                           LabelRules, StableCellComplex, _detected_labels,
+                           infer_attachments, skeletal_quotient,
+                           sphere_bundle_quotient, thom_cells)
 
 
 def assert_matches_oracle(complex_, oracle=None):
@@ -71,21 +69,14 @@ def test_presets_match_dense_oracle(name):
 
 
 def _random_bundle(rng, b1):
-    """A quaternionic bundle over T^b1 from a random quadruple form; every
-    third one also gets a random degree-2 c1, so Sq^2 detects eta."""
+    """The index bundle over T^b1 of a random quadruple form: c1 = 0, as
+    for every quaternionic bundle, so only Sq^4 detects."""
     quad = {}
     for subset in combinations(range(1, b1 + 1), 4):
         if rng.random() < 0.4:
             quad[subset] = rng.randint(-3, 3)
-    bundle = index_bundle(ManifoldData(b1=b1, quad_form=quad, signature=0,
-                                       b_plus=3))
-    if rng.random() < 1 / 3:
-        c1 = ExteriorClass({(1 << i) | (1 << j): rng.randint(1, 3)
-                            for i, j in combinations(range(b1), 2)
-                            if rng.random() < 0.3}, b1)
-        bundle = BundleData(base_rank=b1, field=QUATERNIONIC, rank=1, c1=c1,
-                            c2=bundle.c2, sphere_shift=bundle.sphere_shift)
-    return bundle
+    return index_bundle(ManifoldData(b1=b1, quad_form=quad, signature=0,
+                                     b_plus=3))
 
 
 def test_random_bundles_match_dense_oracle():
@@ -93,10 +84,7 @@ def test_random_bundles_match_dense_oracle():
     detected = set()
     for _ in range(24):
         bundle = _random_bundle(rng, rng.randint(4, 7))
-        builds = [thom_cells(bundle)]
-        if bundle.c1.is_zero:
-            builds.append(sphere_bundle_quotient(bundle))
-        for built in builds:
+        for built in (thom_cells(bundle), sphere_bundle_quotient(bundle)):
             labelled = infer_attachments(built)
             assert_matches_oracle(labelled)
             assert_matches_oracle(suspend(labelled, rng.randint(1, 3)))
@@ -104,8 +92,8 @@ def test_random_bundles_match_dense_oracle():
             assert_matches_oracle(suspend(cut, 1))
             detected.update(label.value for label in
                             expand_labels(labelled).values())
-    # the draw exercises both detections, not only the defaults
-    assert {ETA_LABEL, NU_ODD} <= detected
+    # the draw exercises the detection, not only the defaults
+    assert NU_ODD in detected
 
 
 def test_detection_texts_equal_the_monomial_text_on_random_bundles():
@@ -162,10 +150,7 @@ def test_random_bundle_notes_match_per_pair_oracle():
     unknown = 0
     for _ in range(24):
         bundle = _random_bundle(rng, rng.randint(4, 7))
-        builds = [thom_cells(bundle)]
-        if bundle.c1.is_zero:
-            builds.append(sphere_bundle_quotient(bundle))
-        for built in builds:
+        for built in (thom_cells(bundle), sphere_bundle_quotient(bundle)):
             labelled = infer_attachments(built)
             assert_notes_match_oracle(labelled)
             assert_notes_match_oracle(suspend(labelled, rng.randint(1, 2)))
@@ -215,7 +200,7 @@ def test_hand_built_exception_notes_match_per_pair_oracle():
     assert_notes_match_oracle(StableCellComplex(
         complex_.cells, complex_.bundle, complex_.basepoint_policy,
         LabelRules({}, {pair: label for pair, label in exceptions.items()
-                        if label.value not in (ETA_LABEL, NU_ODD)})))
+                        if label.value != NU_ODD})))
 
 
 def test_ladder_rung_notes_match_per_pair_oracle():
@@ -345,7 +330,7 @@ def test_view_is_read_only_and_rejects_foreign_cells():
                                           AttachLabel(TRIVIAL, "synthetic")}))
     with pytest.raises(ValueError):
         StableCellComplex(complex_.cells, complex_.bundle, "thom",
-                          LabelRules({2: AttachLabel(ETA_LABEL, "x")}, {}))
+                          LabelRules({2: AttachLabel("eta", "x")}, {}))
 
 
 def test_view_keeps_only_what_its_callers_read():

@@ -13,8 +13,8 @@ from thomstem import pipeline
 from thomstem.chern import (QUATERNIONIC, BundleData, connected_sum,
                             index_bundle, make_homology_torus)
 from thomstem.exterior import ExteriorClass, Monomial
-from thomstem.thom import (DETECTION_OF, ETA_LABEL, FIBER_PARTS, FIBER_THOM,
-                           NU_ODD, TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
+from thomstem.thom import (DETECTION_OF, FIBER_PARTS, FIBER_THOM, NU_ODD,
+                           TRIVIAL, UNKNOWN, AttachLabel, LabelRules,
                            StableCell, StableCellComplex, _fiber_cells,
                            infer_attachments, label_counts, skeletal_quotient,
                            sphere_bundle_quotient, thom_cells)
@@ -205,13 +205,14 @@ class TestInferAttachments:
 
 class TestDetections:
     def test_detected_labels_follow_their_rule(self):
-        # w2 = x{1,2} (eta) and w4 = x{1,2,3,4} (nu_odd) on a hand-built
-        # bundle, so both rules fire
-        c1 = ExteriorClass({(1, 2): 1}, 4)
-        c2 = ExteriorClass({(1, 2, 3, 4): 1}, 4)
-        bundle = BundleData(4, QUATERNIONIC, 1, c1, c2, 1)
+        # w4 = x{1,2,3,4} + x{3,4,5,6} on a hand-built bundle: Sq^4 hits
+        # one pair over each of the four lower cells off each block, and
+        # Sq^2 hits none (c1 = 0)
+        c2 = ExteriorClass({(1, 2, 3, 4): 1, (3, 4, 5, 6): 1}, 6)
+        bundle = BundleData(6, QUATERNIONIC, 1, ExteriorClass.zero(6), c2, 1)
         detected = infer_attachments(thom_cells(bundle)).attachments.detected
-        assert {label.value for _, label in detected} == {ETA_LABEL, NU_ODD}
+        assert {label.value for _, label in detected} == {NU_ODD}
+        assert len(detected) == 2 * 4
         for (upper, lower), label in detected:
             rule = DETECTION_OF[label.value]
             assert upper.dim - lower.dim == rule.gap
@@ -219,14 +220,20 @@ class TestDetections:
                 f"Sq^{rule.gap} detects {rule.hopf}: ")
 
     @pytest.mark.parametrize("value, gap, message", [
-        (ETA_LABEL, 3, "label eta on a gap-3 attachment H{1,2,3} -> H{}: "
-                       "d2 spans gap 2 only"),
+        ("eta", 3, "label eta on a gap-3 attachment H{1,2,3} -> H{}: "
+                   "no rule reads it"),
+        ("eta", 2, "label eta on a gap-2 attachment H{1,2} -> H{}: "
+                   "no rule reads it"),
+        ("eta_sq", 3, "label eta_sq on a gap-3 attachment H{1,2,3} -> H{}: "
+                      "no rule reads it"),
         (NU_ODD, 2, "label nu_odd on a gap-2 attachment H{1,2} -> H{}: "
                     "d4 spans gap 4 only"),
     ])
     def test_detected_label_off_its_gap_is_rejected_when_built(
             self, value, gap, message):
-        # before any assembly runs
+        # before any assembly runs. A label no rule reads is off every
+        # rule's gap: assembly would take it for an unhandled threat, and
+        # a bundle with w2 = 0 never makes an eta label
         lower = StableCell(0, FIBER_THOM, 4)
         upper = StableCell((1 << gap) - 1, FIBER_THOM, 4)
         with pytest.raises(ValueError) as err:
@@ -431,7 +438,7 @@ class TestDerivedIndexes:
         by_name = {cell.name(): cell for cell in cells}
         exceptions = {
             # down to the basepoint, on and off the default gaps
-            (by_name["S0{1,2}"], basepoint): AttachLabel(ETA_LABEL, "hand"),
+            (by_name["S0{1,2}"], basepoint): AttachLabel(UNKNOWN, "hand"),
             (by_name["S2{1}"], basepoint): AttachLabel(UNKNOWN, "hand"),
             (by_name["S2{1,2,3,4}"], basepoint): AttachLabel(UNKNOWN, "hand"),
             # a proper pair overriding its default
@@ -446,7 +453,7 @@ class TestDerivedIndexes:
             random.Random(seed).shuffle(shuffled)
             complex_ = StableCellComplex(tuple(shuffled), bundle, "reduced",
                                          LabelRules(defaults, exceptions))
-            assert complex_.attachments.counts()[(2, ETA_LABEL)] == 1
+            assert complex_.attachments.counts()[(2, UNKNOWN)] == 1
             self.check(complex_, shuffled)
             self.check(suspend(complex_, 3), lifted_fresh(cells, 3))
             self.check(skeletal_quotient(complex_, 1),
