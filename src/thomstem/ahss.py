@@ -1,9 +1,9 @@
 """Assembly of the stable cohomotopy group {complex, S^N} cell by cell,
 and evaluation of user-supplied class assignments against it.
 
-Each cell contributes the stable stem of (dim - N); attaching-map labels
-drive the differentials. The engine implements exactly the patterns the
-verdicts need: the cellular d1 vanishes on torus models, the d2 vanishes
+Each cell contributes the stable stem of (dim - N), and each column is
+made once, from the d4 page and the unknown scan of the labels. The
+engine implements exactly the patterns the verdicts need: the cellular d1 vanishes on torus models, the d2 vanishes
 because every bundle has w2 = 0, an odd-nu label drives a d4 onto a Z/24
 column, and every other potentially nonzero configuration is reported as
 unknown rather than guessed. Surviving columns are direct-summed;
@@ -144,11 +144,6 @@ class GroupReport(CheckedTuple, namedtuple(
 ClassAssignment = Mapping[StableCell, StemElement]
 
 
-def _surviving_sum(entries) -> AbelianGroup:
-    return group_sum(entry.group for entry in entries
-                     if entry.status in (SURVIVES, REDUCED))
-
-
 def stem_groups(complex_: StableCellComplex, target_n: int
                 ) -> Dict[int, AbelianGroup]:
     """The stable stem group of each stem that holds a column: a proper
@@ -160,18 +155,12 @@ def stem_groups(complex_: StableCellComplex, target_n: int
 
 
 def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
-    """Assemble {complex, S^N} from cell columns and attachment labels."""
+    """Assemble {complex, S^N}: each column is made once, from its stem
+    group and its d4 page row, and is unknown when it is neither killed
+    nor trivial and some label could still hit it."""
     if complex_.attachments is None:
         raise ValueError("assemble needs a labelled complex: run "
                          "infer_attachments first")
-
-    # {cell: entry}, one per proper cell in canonical order; a rule that
-    # changes a column stores a new entry under its cell, and each label
-    # reads its entries afresh, so a later label sees an earlier kill
-    groups = stem_groups(complex_, target_n)
-    columns = {cell: ColumnEntry(cell, cell.dim - target_n,
-                                 groups[cell.dim - target_n])
-               for cell in complex_.proper_cells}
 
     notes = [
         "surviving columns are direct-summed; extension problems in reading "
@@ -179,12 +168,24 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
         "basepoint cells contribute no column",
     ]
     differentials: List[str] = []
-
-    # the d4 rule, then the unknown scan; gap-3 labels never act
-    # definitively (trivial = no differential, unknown handled last).
-    _run_nu_rules(complex_, columns, differentials, notes)
-    _mark_unknowns(complex_, columns, notes)
-    entries = tuple(columns.values())
+    groups = stem_groups(complex_, target_n)
+    page = _d4_page(complex_.attachments.detected, target_n, differentials,
+                    notes)
+    threats = _threats(complex_)
+    entries = []
+    for cell in complex_.proper_cells:
+        q = cell.dim - target_n
+        entry = ColumnEntry(cell, q, groups[q], *page.get(cell, ()))
+        if entry.status != KILLED and not entry.group.is_trivial:
+            # a kill is onto whatever the unknown maps do; a reduced
+            # column keeps its index when it turns unknown
+            tails = threats(cell, q)
+            if tails:
+                entry = entry._replace(status=UNKNOWN, killer=None)
+                notes.append((f"column {cell.name()} marked unknown: "
+                              "reachable through a ", tails))
+        entries.append(entry)
+    entries = tuple(entries)
 
     if complex_.basepoint_policy == POLICY_REDUCED:
         for entry in entries:
@@ -195,16 +196,16 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
                     f"{entry.stem_q} on top of the fiber 2-cell block; the "
                     "binomial count covers only the fiber 2-cell block")
 
-    unknowns = [e for e in entries if e.status == UNKNOWN]
+    lower = group_sum(entry.group for entry in entries
+                      if entry.status in (SURVIVES, REDUCED))
+    unknowns = [entry.group for entry in entries if entry.status == UNKNOWN]
     if unknowns:
-        lower = _surviving_sum(entries)
-        upper = group_sum([lower] + [entry.group for entry in unknowns])
-        assembled, bounds = None, (lower, upper)
+        assembled, bounds = None, (lower, group_sum([lower] + unknowns))
         notes.append(f"{len(unknowns)} column(s) unknown: assembled group "
                      "reported as bounds (lower = unknowns die, upper = "
                      "unknowns survive)")
     else:
-        assembled, bounds = _surviving_sum(entries), None
+        assembled, bounds = lower, None
 
     if not differentials:
         differentials.append("direct sum, no differentials")
@@ -216,21 +217,21 @@ def assemble(complex_: StableCellComplex, target_n: int) -> GroupReport:
 (_NU,) = DETECTIONS
 
 
-def _run_nu_rules(complex_, columns, differentials, notes):
-    """d4 driven by odd-nu attachments.
+def _d4_page(detected, target_n, differentials, notes):
+    """{cell: (status, killer[, reduced_index])} of each column an odd-nu
+    attachment moves, in one pass over the detected labels in canonical
+    order that appends each differential and note as it is found.
 
-    Kill side: an upper Z/24 column at a stem in `_NU.decides` dies
-    because any odd multiple of nu generates pi_3, so the composition
-    from the lower cell's Z column is onto. Source side: a lower Z
-    column at stem 0 is reduced to the kernel 24Z (still Z).
+    Kill side: an upper Z/24 column at a stem in `_NU.decides` dies by
+    its first source, because any odd multiple of nu generates pi_3, so
+    the composition from the lower cell's Z column is onto. Source side:
+    a lower Z column at stem 0 is reduced to the kernel 24Z (still Z) by
+    its first target. The sides sit at different stems: no cell is on both.
     """
-    for (upper, lower), _ in complex_.attachments.detected:
-        up, low = columns[upper], columns[lower]
-        if up.stem_q in _NU.decides and KILLED not in (up.status, low.status):
-            # any odd multiple of nu generates pi_3, so the composition
-            # from the intact source Z column is onto
-            columns[upper] = up._replace(status=KILLED,
-                                         killer=f"d4 from {lower.name()}")
+    page = {}
+    for (upper, lower), _ in detected:
+        if upper.dim - target_n in _NU.decides and upper not in page:
+            page[upper] = (KILLED, f"d4 from {lower.name()}")
             differentials.append(
                 f"d4: column {upper.name()} (Z/24) killed by composition "
                 f"with nu from {lower.name()}; the source Z column one "
@@ -239,22 +240,20 @@ def _run_nu_rules(complex_, columns, differentials, notes):
                 f"d4 source recorded as {lower.name()}, the first "
                 "nu-attached cell in canonical order; any of the "
                 "nu-attached cells kills the column")
-        if low.stem_q == 0 and low.status == SURVIVES:
-            columns[lower] = low._replace(status=REDUCED, reduced_index=24,
-                                          killer=f"d4 into {upper.name()}")
+        if lower.dim - target_n == 0 and lower not in page:
+            page[lower] = (REDUCED, f"d4 into {upper.name()}", 24)
             differentials.append(
                 f"d4: column {lower.name()} reduced to index 24 (kernel of "
                 f"composition with nu into {upper.name()}); still Z abstractly")
+    return page
 
 
 def _threat_source(value: str, gap: int, stem_q: int) -> Optional[int]:
     """The source stem through which a `value` label at `gap` could hit a
-    nontrivial column at `stem_q`, or None when it cannot."""
+    nontrivial column at `stem_q`, or None when it cannot. The d4 page
+    kills every column at a stem a detected label's rule decides."""
     if value == TRIVIAL:
         return None
-    rule = DETECTION_OF.get(value)
-    if rule is not None and stem_q in rule.decides:
-        return None     # handled definitively by the d4 rule
     source_q = stem_q - gap + 1
     if source_q < 0:
         return None
@@ -265,26 +264,19 @@ def _threat_source(value: str, gap: int, stem_q: int) -> Optional[int]:
     return None if source_group.is_trivial else source_q
 
 
-def _mark_unknowns(complex_, columns, notes):
-    """Columns that could be hit only through unknown or unhandled labels.
+def _threats(complex_):
+    """threats(upper, q): the note tails of the column of `upper` at stem
+    q, one per label that could hit it (its source stem q - gap + 1
+    carries a nonzero group), in canonical pair order. Ask it only about
+    a column that is neither killed nor trivial.
 
-    A label threatens the upper column when the source stem (one degree
-    over: stem_q(upper) - gap + 1) carries a nonzero group. Definitively
-    killed columns stay killed: the kill was a surjection and holds
-    whatever the unknown maps do.
-
-    Each threatening pair gets one note, in canonical pair order. A note
-    is a head naming the column plus a tail that depends only on the
-    upper cell's dimension and the lower cell, and a column's notes are
-    appended as one `Notes` run, (head, tails tuple): no note string is
-    built here. The default-labelled tails of a dimension, {lower: tail}
-    in canonical order and its tuple of tails, are built once per
-    dimension, and every column of that dimension without exceptions
-    shares that tuple. A column with exceptions copies its dimension's
+    A tail depends only on the upper cell's dimension and the lower cell.
+    A dimension's default-labelled {lower: tail} and its tuple of tails
+    are built once, and every column of that dimension without
+    exceptions shares that tuple. A column with exceptions copies the
     row: an exception replaces its lower's tail, drops it when the label
-    is no threat, or adds a new tail; only an added tail needs the row
-    sorted again. Equal tuples of tails, a dimension's or a column's, are
-    kept as one object.
+    is no threat, or adds one; only an added tail needs the row sorted
+    again. Equal tuples of tails are kept as one object.
     """
     labels = complex_.attachments
     defaults = labels.rules.defaults
@@ -295,11 +287,10 @@ def _mark_unknowns(complex_, columns, notes):
         return (f"{value} gap-{gap} label from {lower.name()} "
                 f"(source stem {source_q})")
 
-    def threats_at(dim, q):
-        """{lower: tail} of the pairs at the threatening default gaps, in
-        canonical order (lower dims ascend, so gaps descend), and its
-        tails as a tuple."""
+    def threats(upper, q):
+        dim = upper.dim
         if dim not in by_dim:
+            # lower dims ascend in canonical order, so gaps descend
             tails = {}
             for gap in sorted(defaults, reverse=True):
                 value = defaults[gap].value
@@ -309,33 +300,25 @@ def _mark_unknowns(complex_, columns, notes):
                         tails[lower] = tail(value, gap, lower, source_q)
             run = tuple(tails.values())
             by_dim[dim] = tails, shared.setdefault(run, run)
-        return by_dim[dim]
-
-    for upper, column in columns.items():
-        if column.status == KILLED or column.group.is_trivial:
-            continue
-        q = column.stem_q
-        tails, run = threats_at(upper.dim, q)
+        tails, run = by_dim[dim]
         own = labels.exceptions_from(upper)
-        if own:
-            tails, added = dict(tails), False
-            for lower, label in own:
-                gap = upper.dim - lower.dim
-                source_q = _threat_source(label.value, gap, q)
-                if source_q is None:
-                    tails.pop(lower, None)
-                    continue
-                added = added or lower not in tails
-                tails[lower] = tail(label.value, gap, lower, source_q)
-            if added:
-                tails = {lower: tails[lower]
-                         for lower in sorted(tails)}
-            run = tuple(tails.values())
-            run = shared.setdefault(run, run)
-        if run:
-            columns[upper] = column._replace(status=UNKNOWN, killer=None)
-            notes.append((f"column {upper.name()} marked unknown: reachable "
-                          "through a ", run))
+        if not own:
+            return run
+        tails, added = dict(tails), False
+        for lower, label in own:
+            gap = dim - lower.dim
+            source_q = _threat_source(label.value, gap, q)
+            if source_q is None:
+                tails.pop(lower, None)
+                continue
+            added = added or lower not in tails
+            tails[lower] = tail(label.value, gap, lower, source_q)
+        if added:
+            tails = {lower: tails[lower] for lower in sorted(tails)}
+        run = tuple(tails.values())
+        return shared.setdefault(run, run)
+
+    return threats
 
 
 def evaluate_class(report: GroupReport, assignment: ClassAssignment) -> str:

@@ -151,7 +151,8 @@ class AttachmentView(Frozen):
 
     `detected` lists, in canonical (upper, lower) order, the
     exceptions whose label is a `DETECTIONS` value; a detected label off
-    its rule's gap is rejected, and so is an exception whose label is
+    its rule's gap or on the basepoint is rejected, and so is an exception
+    whose upper cell is not above its lower cell, or whose label is
     neither trivial, unknown nor detected, since no rule reads it. `len`
     and `counts` are arithmetic. Two views are equal when they have the
     same proper cells and rules.
@@ -182,14 +183,19 @@ class AttachmentView(Frozen):
         for item in sorted(exceptions.items()):
             (upper, lower), label = item
             gap, rule = upper.dim - lower.dim, DETECTION_OF.get(label.value)
-            if rule is not None and gap == rule.gap:  # d_r spans gap r only
+            # d_r spans gap r only, between two cells that carry columns
+            if (rule is not None and gap == rule.gap and upper in proper
+                    and lower in proper):
                 detected.append(item)
-            elif rule is not None or label.value not in (TRIVIAL, UNKNOWN):
+            elif (gap <= 0 or rule is not None
+                  or label.value not in (TRIVIAL, UNKNOWN)):
                 raise ValueError(
                     f"label {label.value} on a gap-{gap} attachment "
                     f"{upper.name()} -> {lower.name()}: " + (
-                        "no rule reads it" if rule is None else
-                        f"d{rule.gap} spans gap {rule.gap} only"))
+                        "the upper cell must lie above the lower" if gap <= 0
+                        else "no rule reads it" if rule is None
+                        else f"d{rule.gap} spans gap {rule.gap} only"
+                        if gap != rule.gap else "the basepoint has no column"))
             by_upper.setdefault(upper, {})[lower] = label
         object.__setattr__(self, "rules", LabelRules(defaults, exceptions))
         object.__setattr__(self, "detected", tuple(detected))

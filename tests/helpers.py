@@ -10,8 +10,8 @@ deciding each Sq detection by a bubble-oracle wedge with a Stiefel-Whitney
 class (`sq_thom`) rather than by the library's bitmask walk over
 `DETECTIONS`; the rule-expansion oracle `label_rows` writes a complex's
 label rules out pair by pair, the way its attachment view once iterated;
-the unknown-column oracle formats one note per threatening pair, pair by
-pair, the way assembly once did; the monomial-text oracle
+the unknown-column oracle formats one note tail per threatening pair,
+pair by pair, the way assembly once did; the monomial-text oracle
 reads a mask off bit by bit on every call, the way each monomial and cell
 once did; the suspension oracle `suspend` remakes every cell of a built
 complex one dimension up per suspension, the way the pipeline once did
@@ -27,7 +27,7 @@ from itertools import combinations
 
 import thomstem
 from thomstem import stems
-from thomstem.ahss import KILLED, _threat_source
+from thomstem.ahss import _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (FIBER_PARTS, FIBER_THOM, NU_ODD, TRIVIAL,
                            UNKNOWN, AttachLabel, LabelRules, StableCellComplex)
@@ -378,24 +378,21 @@ def thom_rung(b1):
 # -- per-pair unknown-column oracle -------------------------------------------
 
 
-def per_pair_mark_unknowns(complex_, columns, notes):
-    """Drop-in for `ahss._mark_unknowns`: walks every threatening pair of
-    every column and formats each note from scratch. Like it, stores an
-    unknown column's new entry under that column's cell in `columns`."""
+def per_pair_threats(complex_):
+    """Drop-in for `ahss._threats`: its `threats(upper, q)` walks every
+    label of `upper`'s row from `label_rows`, one pair at a time, and
+    formats each threatening pair's tail from scratch, sharing nothing
+    between columns."""
     rows = label_rows(complex_)
-    for upper, column in columns.items():
-        if column.status == KILLED or column.group.is_trivial:
-            continue
-        q = column.stem_q
-        head = None
+
+    def threats(upper, q):
+        tails = []
         for lower, label in rows[upper]:
             gap = upper.dim - lower.dim
             source_q = _threat_source(label.value, gap, q)
-            if source_q is None:
-                continue
-            if head is None:
-                columns[upper] = column._replace(status=UNKNOWN, killer=None)
-                head = f"column {upper.name()} marked unknown: reachable " \
-                       "through a "
-            notes.append(f"{head}{label.value} gap-{gap} label from "
-                         f"{lower.name()} (source stem {source_q})")
+            if source_q is not None:
+                tails.append(f"{label.value} gap-{gap} label from "
+                             f"{lower.name()} (source stem {source_q})")
+        return tuple(tails)
+
+    return threats

@@ -288,6 +288,28 @@ class TestTwoCellComplexes:
         assert report.entry_for(top).status == KILLED
         assert report.entry_for(top).killer == f"d4 from {lower.name()}"
 
+    def test_reduced_column_then_marked_unknown(self):
+        # L is a source of the d4 into U, so the page reduces it to index
+        # 24; then an unknown gap-1 label from L could hit it through the
+        # Z at stem 0, and the scan marks it unknown, keeping the index.
+        # ROADMAP item 2 (an assigned class must be a permanent cycle)
+        # decides what such a column should read
+        x = synthetic_cell(0, 1)
+        low = synthetic_cell(1, 2)
+        up = synthetic_cell(2, 6)
+        complex_ = StableCellComplex(
+            (x, low, up), _point_bundle(), "thom", LabelRules({}, {
+                (up, low): AttachLabel(NU_ODD, "synthetic"),
+                (low, x): AttachLabel(UNKNOWN, "synthetic")}))
+        report = assemble(complex_, 2)
+        entry = report.entry_for(low)
+        assert (entry.stem_q, entry.status, entry.killer,
+                entry.reduced_index) == (0, UNKNOWN, None, 24)
+        assert report.differentials == (
+            f"d4: column {low.name()} reduced to index 24 (kernel of "
+            f"composition with nu into {up.name()}); still Z abstractly",)
+        assert report.entry_for(up).status == SURVIVES
+
     def test_unlabelled_complex_is_rejected(self):
         with pytest.raises(ValueError, match="infer_attachments"):
             assemble(thom_cells(_point_bundle()), 4)

@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from helpers import (basepoint_cell, bit_loop_str, canonical_pairs,
-                     dense_attachments, expand_labels, naive_key,
-                     per_pair_mark_unknowns, suspend, thom_rung)
+                     dense_attachments, expand_labels, label_rows,
+                     naive_key, per_pair_threats, suspend, thom_rung)
 from thomstem import ahss, pipeline
-from thomstem.ahss import assemble
+from thomstem.ahss import KILLED, assemble
 from thomstem.chern import (ManifoldData, connected_sum, index_bundle,
                             make_homology_torus)
 from thomstem.thom import (DETECTIONS, NU_ODD, TRIVIAL, UNKNOWN, AttachLabel,
@@ -122,19 +122,31 @@ def test_detection_texts_equal_the_monomial_text_on_random_bundles():
 def assert_notes_match_oracle(complex_, targets=None):
     """Unknown-column notes and column statuses equal the per-pair oracle's
     at `targets`, by default every target that keeps the stems in the
-    table."""
+    table. The statuses are checked without leaning on `assemble`: a
+    column is killed exactly when an odd-nu label leaves it at a stem its
+    rule decides, and unknown exactly when it is not killed, its group is
+    nontrivial and the oracle finds a threatening pair."""
     top = max(cell.dim for cell in complex_.cells)
+    rows, threats = label_rows(complex_), per_pair_threats(complex_)
+    (rule,) = DETECTIONS
     for target_n in targets or range(top - 7, top - 1):
         fast = assemble(complex_, target_n)
-        original = ahss._mark_unknowns
-        ahss._mark_unknowns = per_pair_mark_unknowns
+        original = ahss._threats
+        ahss._threats = per_pair_threats
         try:
             slow = assemble(complex_, target_n)
         finally:
-            ahss._mark_unknowns = original
+            ahss._threats = original
         assert fast.notes == slow.notes
         assert fast.entries == slow.entries
         assert (fast.assembled, fast.bounds) == (slow.assembled, slow.bounds)
+        for entry in fast.entries:
+            killed = entry.stem_q in rule.decides and any(
+                label.value == rule.value for _, label in rows[entry.cell])
+            assert (entry.status == KILLED) == killed, entry
+            assert (entry.status == UNKNOWN) == (
+                not killed and not entry.group.is_trivial
+                and bool(threats(entry.cell, entry.stem_q))), entry
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_BUILDS))

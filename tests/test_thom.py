@@ -242,6 +242,41 @@ class TestDetections:
                                               AttachLabel(value, "hand")}))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("value", [TRIVIAL, UNKNOWN])
+    @pytest.mark.parametrize("upper_mask, lower_mask, gap", [
+        (0b0000, 0b1111, -4),   # H{} -> H{1,2,3,4}
+        (0b0001, 0b0010, 0),    # H{1} -> H{2}
+    ])
+    def test_attachment_not_upward_is_rejected_when_built(
+            self, value, upper_mask, lower_mask, gap):
+        # an attaching map runs from a cell down to a lower one; an
+        # unknown label on such a pair would make a column unknown
+        labelled = infer_attachments(thom_cells(torus_bundle(3)))
+        upper, lower = (StableCell(mask, FIBER_THOM, 4)
+                        for mask in (upper_mask, lower_mask))
+        rules = labelled.attachments.rules
+        exceptions = {**rules.exceptions,
+                      (upper, lower): AttachLabel(value, "hand")}
+        with pytest.raises(ValueError) as err:
+            labelled._replace(attachments=LabelRules(rules.defaults,
+                                                     exceptions))
+        assert str(err.value) == (
+            f"label {value} on a gap-{gap} attachment {upper.name()} -> "
+            f"{lower.name()}: the upper cell must lie above the lower")
+
+    def test_detected_label_on_the_basepoint_is_rejected_when_built(self):
+        # the basepoint carries no column for a d4 to kill or reduce
+        labelled = infer_attachments(thom_cells(torus_bundle(3)))
+        basepoint = basepoint_cell(labelled)
+        upper = StableCell(0, FIBER_THOM, 4)
+        assert upper.dim - basepoint.dim == DETECTION_OF[NU_ODD].gap
+        with pytest.raises(ValueError) as err:
+            labelled._replace(attachments=LabelRules({}, {
+                (upper, basepoint): AttachLabel(NU_ODD, "hand")}))
+        assert str(err.value) == (
+            f"label nu_odd on a gap-4 attachment H{{}} -> {basepoint.name()}: "
+            "the basepoint has no column")
+
 
 class TestSuspend:
     def test_sec4_labels_ride_along(self):
