@@ -11,7 +11,8 @@ class (`sq_thom`) rather than by the library's bitmask walk over
 `DETECTIONS`; the rule-expansion oracle `label_rows` writes a complex's
 label rules out pair by pair, the way its attachment view once iterated;
 the unknown-column oracle formats one note tail per threatening pair,
-pair by pair, the way assembly once did; the monomial-text oracle
+pair by pair, the way assembly once did, and reads each source stem off
+the stem table rather than the library's threat rule; the monomial-text oracle
 reads a mask off bit by bit on every call, the way each monomial and cell
 once did; the suspension oracle `suspend` remakes every cell of a built
 complex one dimension up per suspension, the way the pipeline once did
@@ -27,7 +28,6 @@ from itertools import combinations
 
 import thomstem
 from thomstem import stems
-from thomstem.ahss import _threat_source
 from thomstem.exterior import ExteriorClass, Monomial
 from thomstem.thom import (FIBER_PARTS, FIBER_THOM, NU_ODD, TRIVIAL,
                            UNKNOWN, AttachLabel, LabelRules, StableCellComplex)
@@ -382,17 +382,25 @@ def per_pair_threats(complex_):
     """Drop-in for `ahss._threats`: its `threats(upper, q)` walks every
     label of `upper`'s row from `label_rows`, one pair at a time, and
     formats each threatening pair's tail from scratch, sharing nothing
-    between columns."""
+    between columns. A non-trivial label threatens when the stem one
+    degree over, q - gap + 1, holds a nonzero group or lies past the
+    table; that is read off the stem table here, not off `ahss`."""
     rows = label_rows(complex_)
 
     def threats(upper, q):
         tails = []
         for lower, label in rows[upper]:
             gap = upper.dim - lower.dim
-            source_q = _threat_source(label.value, gap, q)
-            if source_q is not None:
-                tails.append(f"{label.value} gap-{gap} label from "
-                             f"{lower.name()} (source stem {source_q})")
+            source_q = q - gap + 1
+            if label.value == TRIVIAL or source_q < 0:
+                continue
+            try:
+                if stems.stem_group(source_q).is_trivial:
+                    continue
+            except stems.OutOfTableError:
+                pass
+            tails.append(f"{label.value} gap-{gap} label from "
+                         f"{lower.name()} (source stem {source_q})")
         return tuple(tails)
 
     return threats
