@@ -3,11 +3,12 @@ and evaluation of user-supplied class assignments against it.
 
 Each cell contributes the stable stem of (dim - N), and each column is
 made once, from the d4 page and the unknown scan of the labels. The
-engine implements exactly the patterns the verdicts need: the cellular d1 vanishes on torus models, the d2 vanishes
-because every bundle has w2 = 0, an odd-nu label drives a d4 onto a Z/24
-column, and every other potentially nonzero configuration is reported as
-unknown rather than guessed. Surviving columns are direct-summed;
-extension problems are ignored and noted.
+engine implements exactly the patterns the verdicts need: the cellular
+d1 vanishes on torus models, the d2 vanishes because every bundle has
+w2 = 0, an odd-nu label drives a d4 onto a Z/24 column, and every other
+potentially nonzero configuration is reported as unknown rather than
+guessed. Surviving columns are direct-summed; extension problems are
+ignored and noted.
 """
 
 from __future__ import annotations
