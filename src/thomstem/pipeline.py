@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import chain, groupby
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import SimpleNamespace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from . import stems
-from .ahss import (GroupReport, Notes, assemble, evaluate_class,
-                   stem_groups, vanishing_certificate)
+from .ahss import (ColumnEntry, GroupReport, Notes, assemble,
+                   evaluate_class, stem_groups, vanishing_certificate)
 from .chern import (SIGN_CONVENTION_NOTE, BundleData, FrozenMap,
                     ManifoldData, connected_sum, index_bundle,
                     make_homology_torus)
+from .exterior import mask_text
 from .thom import (BASEPOINT_NOTE, FIBER_PARTS, FIBER_THOM, StableCell,
                    StableCellComplex, infer_attachments, label_counts,
                    skeletal_quotient, sphere_bundle_quotient, thom_cells)
@@ -442,7 +445,7 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 class Rows:
     """A report table kept by column: one {key: column list} dict per run
     of rows that share one key set. Iterates over its row dicts, and is
-    written as the list of them."""
+    written as the list of them. It serves `complex.detected_labels`."""
 
     def __init__(self, *runs: Dict[str, list]):
         self.runs = runs
@@ -452,20 +455,48 @@ class Rows:
             yield from (dict(zip(run, row)) for row in zip(*run.values()))
 
 
+class CellRows:
+    """The `complex.cells` table: a row per cell of `complex_`, in order,
+    named by `names`, each cell's `name()`. Iterates over its row dicts,
+    and is written as the list of them, row by row from the cells."""
+
+    def __init__(self, complex_: StableCellComplex, names: List[str]):
+        self.complex, self.names = complex_, names
+
+    def __iter__(self):
+        is_basepoint = self.complex.is_basepoint
+        for cell, name in zip(self.complex.cells, self.names):
+            yield {"name": name, "base": cell.base_indices,
+                   "fiber": cell.fiber_part, "suspension": cell.suspension,
+                   "dim": cell.dim, "basepoint": is_basepoint(cell)}
+
+
+class EntryRows:
+    """The `assembly.entries` table: a row per `ColumnEntry` of `entries`.
+    `names` maps the id of each cell of the run's final complex to its
+    name; a column whose cell is not one of those objects (a report copied
+    apart from its complex) is named afresh. Iterates over its row dicts,
+    and is written as the list of them, row by row from the entries."""
+
+    def __init__(self, entries: Sequence[ColumnEntry], names: Dict[int, str]):
+        self.entries, self.names = entries, names
+
+    def __iter__(self):
+        for cell, stem, group, status, killer, reduced in self.entries:
+            row = {"cell": self.names.get(id(cell)) or cell.name(),
+                   "dim": cell.dim, "stem": stem, "group": group.pretty(),
+                   "status": status, "killer": killer}
+            if reduced is not None:
+                row["reduced_index"] = reduced
+            yield row
+
+
 def complex_to_dict(complex_: StableCellComplex) -> dict:
     """JSON-ready description: cells, dims, label counts, detected labels."""
-    cells = complex_.cells
     out = {
         "basepoint_policy": complex_.basepoint_policy,
         "gap3_trivial_flag": complex_.gap3_trivial,
-        "cells": Rows({
-            "name": [cell.name() for cell in cells],
-            "base": [cell.base_indices for cell in cells],
-            "fiber": [cell.fiber_part for cell in cells],
-            "suspension": [cell.suspension for cell in cells],
-            "dim": [cell.dim for cell in cells],
-            "basepoint": [complex_.is_basepoint(cell) for cell in cells],
-        }),
+        "cells": CellRows(complex_, [cell.name() for cell in complex_.cells]),
         "cells_by_dim": {str(d): n
                          for d, n in sorted(complex_.cells_by_dim().items())},
     }
@@ -484,30 +515,10 @@ def complex_to_dict(complex_: StableCellComplex) -> dict:
 
 
 def _assembly_dict(report: GroupReport, names: Dict[int, str]) -> dict:
-    """The assembly section. `names` maps the id of each cell of the run's
-    final complex to its name; a column whose cell is not one of those
-    objects (a report copied apart from its complex) is named afresh."""
-    # a report holds a few group objects, one per stem, over many columns
-    groups = {id(entry.group): entry.group for entry in report.entries}
-    pretty = {key: group.pretty() for key, group in groups.items()}
-    runs = []   # a new run wherever the optional reduced_index key appears
-    for reduced, run in groupby(report.entries,
-                                lambda entry: entry.reduced_index is not None):
-        run = list(run)
-        runs.append({
-            "cell": [names.get(id(entry.cell)) or entry.cell.name()
-                     for entry in run],
-            "dim": [entry.cell.dim for entry in run],
-            "stem": [entry.stem_q for entry in run],
-            "group": [pretty[id(entry.group)] for entry in run],
-            "status": [entry.status for entry in run],
-            "killer": [entry.killer for entry in run],
-        })
-        if reduced:
-            runs[-1]["reduced_index"] = [entry.reduced_index for entry in run]
+    """The assembly section; `names` as `EntryRows` takes them."""
     out = {
         "target": report.target_n,
-        "entries": Rows(*runs),
+        "entries": EntryRows(report.entries, names),
         "assembled": report.assembled.pretty() if report.assembled else None,
         "notes": report.notes,
         "blocks": {k: g.pretty() for k, g in sorted(report.blocks().items())},
@@ -550,8 +561,7 @@ def report_dict(result: RunResult) -> dict:
     complex_dict = complex_to_dict(final)
     # the assembly's columns are cells of this complex: each name is
     # formatted once, for both tables
-    names = dict(zip(map(id, final.cells),
-                     complex_dict["cells"].runs[0]["name"]))
+    names = dict(zip(map(id, final.cells), complex_dict["cells"].names))
     return {
         "schema": SCHEMA_REPORT,
         "scenario": {
@@ -635,18 +645,17 @@ _SCALARS = {str: encode_basestring_ascii,
 
 
 def _write(value, newline: str, parts: List[str]) -> None:
-    """Append the list, tuple, dict, `Rows` or `Notes` value as JSON;
+    """Append the list, tuple, dict, table or `Notes` value as JSON;
     `newline` is the line break plus the indent of the line `value` starts
     on. Items are str, int, bool, None or containers again, and dict keys
     are str; anything else (a float too, or a subclass of a scalar) raises
-    TypeError, so the report stays exact. `Rows` is written by
-    `_write_rows` a column at a time and `Notes` by `_write_notes` a run
-    at a time; a list or tuple goes one part per item."""
+    TypeError, so the report stays exact. A table (`Rows`, `CellRows`,
+    `EntryRows`) or `Notes` goes to its writer in `_WRITERS`; a list or
+    tuple goes one part per item."""
     inner = newline + "  "
-    if type(value) is Rows:
-        _write_rows(value, newline, parts)
-    elif type(value) is Notes:
-        _write_notes(value, newline, parts)
+    writer = _WRITERS.get(type(value))
+    if writer is not None:
+        writer(value, newline, parts)
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -719,6 +728,97 @@ def _write_rows(rows: Rows, newline: str, parts: List[str]) -> None:
             key_line + encode_basestring_ascii(name).replace("%", "%%")
             + ": %s" for name in names) + inner + "}"
         texts += map(template.__mod__, zip(*columns))
+    _join_rows(texts, newline, parts)
+
+
+# item 0 is an entry's cell, and a cell's dim
+_CELL = _DIM = itemgetter(0)
+_STEM, _GROUP, _REDUCED = itemgetter(1), itemgetter(2), itemgetter(5)
+_DIM_SUSPENSION, _FIBER = itemgetter(0, 3), itemgetter(4)
+_STATUS_KILLER = itemgetter(3, 4)
+
+
+def _write_cells(table: CellRows, newline: str, parts: List[str]) -> None:
+    """Append `table` as JSON in one join, each row one f-string filled
+    from its name and its cell, the tuple (dim, fiber order, mask,
+    suspension, fiber part, offset): the mask's digit text, the ints as
+    they are and the strs escaped. A dim or suspension that is not an
+    exact int, or a name or fiber part that is not an exact str, raises
+    TypeError."""
+    cells = table.complex.cells
+    if set(map(type, chain.from_iterable(map(_DIM_SUSPENSION, cells)))) \
+            - {int}:
+        raise TypeError("a report cell's dim or suspension is not an int")
+    fibers = _texts(list(map(_FIBER, cells)))
+    line, item, end = newline + "    ", newline + "      ", newline + "  }"
+    sep, digits = "," + item, mask_text
+    is_basepoint = table.complex.is_basepoint
+    _join_rows([
+        f'{{{line}"base": ['
+        f'{item + digits(cell[2])[1].replace(",", sep) + line if cell[2] else ""}],'
+        f'{line}"basepoint": {"true" if is_basepoint(cell) else "false"},'
+        f'{line}"dim": {cell[0]},{line}"fiber": {fibers[cell[4]]},'
+        f'{line}"name": {name},{line}"suspension": {cell[3]}{end}'
+        for cell, name in zip(cells, _names(table.names))], newline, parts)
+
+
+def _write_entries(table: EntryRows, newline: str, parts: List[str]) -> None:
+    """Append `table` as JSON in one join, each row one f-string filled
+    from its entry, (cell, stem, group, status, killer, reduced index):
+    its cell's name and dim, its stem, and the texts of its group's
+    `pretty()` (once per group object), status, killer and reduced index
+    (once per distinct value). A dim or stem that is not an exact int, a
+    reduced index that is neither an exact int nor None, a name or group
+    text that is not an exact str, or a status or killer that is neither
+    an exact str nor None, raises TypeError."""
+    entries, names = table.entries, table.names
+    cells = list(map(_CELL, entries))
+    if set(map(type, chain(map(_DIM, cells), map(_STEM, entries)))) - {int} \
+            or set(map(type, map(_REDUCED, entries))) - {int, type(None)}:
+        raise TypeError("a report column's dim, stem or reduced index is "
+                        "not an int")
+    line, end = newline + "    ", newline + "  }"
+    reduced = {index: "" if index is None else
+               f'{line}"reduced_index": {index},'
+               for index in set(map(_REDUCED, entries))}
+    # a report holds a few group objects, one per stem, over many columns
+    groups = list(map(_GROUP, entries))
+    pretty = {key: group.pretty()
+              for key, group in dict(zip(map(id, groups), groups)).items()}
+    texts = _texts([*pretty.values(), *chain.from_iterable(
+        map(_STATUS_KILLER, entries))])
+    pretty = {key: texts[text] for key, text in pretty.items()}
+    _join_rows([
+        f'{{{line}"cell": {name},{line}"dim": {cell[0]},'
+        f'{line}"group": {pretty[id(group)]},{line}"killer": {texts[killer]},'
+        f'{reduced[index]}{line}"status": {texts[status]},'
+        f'{line}"stem": {stem}{end}'
+        for (cell, stem, group, status, killer, index), name in zip(
+            entries, _names([names.get(id(cell)) or cell.name()
+                             for cell in cells]))], newline, parts)
+
+
+def _names(names: List[str]) -> Iterator[str]:
+    """The JSON texts of `names`; a name that is not an exact str raises
+    TypeError."""
+    if set(map(type, names)) - {str}:
+        raise TypeError("a report cell name is not a str")
+    return map(encode_basestring_ascii, names)
+
+
+def _texts(values: list) -> Dict[Optional[str], str]:
+    """{value: JSON text} of each distinct value, an exact str or None;
+    any other value raises TypeError. Every value is checked, not only the
+    distinct ones: a str subclass equals the str it extends."""
+    if set(map(type, values)) - {str, type(None)}:
+        raise TypeError("a report table holds a value that is neither a "
+                        "str nor None")
+    return {value: "null" if value is None else
+            encode_basestring_ascii(value) for value in set(values)}
+
+
+def _join_rows(texts: List[str], newline: str, parts: List[str]) -> None:
+    inner = newline + "  "
     parts += ("[" + inner, ("," + inner).join(texts), newline + "]") \
         if texts else ("[]",)
 
@@ -739,24 +839,14 @@ def _column_texts(values: list, newline: str) -> List[str]:
     inner = newline + "  "
     sep = "," + inner
     return [_SCALARS[type(value)](value) if type(value) in _SCALARS else
-            "[" + inner + _int_list_text(value).replace(",", sep)
-            + newline + "]" if value else "[]"
+            "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]"
+            if value else "[]"
             for value in values]
 
 
-# the digits of each int list a report row holds, "1,2,4", joined once per
-# process: a base index tuple recurs in every report over the same torus.
-# Keyed by tuple, so read only once the caller has checked that every item
-# is an exact int: (True,) == (1,) and the two hash alike.
-_INT_LIST_TEXT: Dict[tuple, str] = {}
-
-
-def _int_list_text(value) -> str:
-    key = tuple(value)
-    text = _INT_LIST_TEXT.get(key)
-    if text is None:
-        text = _INT_LIST_TEXT[key] = ",".join(map(int.__repr__, key))
-    return text
+# the writer of each table type, and of `Notes`
+_WRITERS = {Rows: _write_rows, CellRows: _write_cells,
+            EntryRows: _write_entries, Notes: _write_notes}
 
 
 def explain_text(spec: ScenarioSpec) -> str:

@@ -64,6 +64,24 @@ DETECTIONS = (Detection(4, NU_ODD, "odd multiples of nu", (3,)),)
 DETECTION_OF = {rule.value: rule for rule in DETECTIONS}
 
 
+def _check_int(field: str, value) -> None:
+    # an exact int: a bool, float or int subclass would reach a cell's
+    # dim and name, and the report
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an int, not {type(value).__name__}")
+
+
+def _check_fiber(fiber_part: str, fiber_offset: int, suspension: int) -> None:
+    """The checks of a cell's fields past its mask, in the order
+    `StableCell` and `_fiber_cells` both make them."""
+    if fiber_part not in _FIBER_ORDER:
+        raise ValueError(f"unknown fiber part {fiber_part!r}")
+    _check_int("fiber_offset", fiber_offset)
+    _check_int("suspension", suspension)
+    if suspension < 0:
+        raise ValueError("suspension must be nonnegative")
+
+
 class StableCell(tuple):
     """One stable cell: base subset, fiber contribution, suspension count.
 
@@ -79,12 +97,10 @@ class StableCell(tuple):
 
     def __new__(cls, base_mask: int, fiber_part: str, fiber_offset: int,
                 suspension: int = 0):
+        _check_int("base_mask", base_mask)
         if base_mask < 0:
             raise ValueError("base mask must be nonnegative")
-        if fiber_part not in _FIBER_ORDER:
-            raise ValueError(f"unknown fiber part {fiber_part!r}")
-        if suspension < 0:
-            raise ValueError("suspension must be nonnegative")
+        _check_fiber(fiber_part, fiber_offset, suspension)
         return tuple.__new__(cls, (
             base_mask.bit_count() + fiber_offset + suspension,
             _FIBER_ORDER[fiber_part], base_mask, suspension, fiber_part,
@@ -350,10 +366,7 @@ def _fiber_cells(rank: int, fiber_part: str, fiber_offset: int,
     suspension)` makes for each mask, checked once here rather than once
     per cell. One fiber part's dimension is |mask| + a constant, so the
     order is popcount-major, mask-ascending."""
-    if fiber_part not in _FIBER_ORDER:
-        raise ValueError(f"unknown fiber part {fiber_part!r}")
-    if suspension < 0:
-        raise ValueError("suspension must be nonnegative")
+    _check_fiber(fiber_part, fiber_offset, suspension)
     masks = sorted(range(1 << rank), key=int.bit_count)
     dims = map((fiber_offset + suspension).__add__, map(int.bit_count, masks))
     return tuple(map(tuple.__new__, repeat(StableCell), zip(

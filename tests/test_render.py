@@ -20,7 +20,7 @@ from helpers import thom_rung
 from test_golden import CASES
 from thomstem import pipeline
 from thomstem.ahss import Notes
-from thomstem.pipeline import Rows
+from thomstem.pipeline import CellRows, EntryRows, Rows
 from thomstem.thom import StableCell
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
@@ -140,6 +140,59 @@ def test_values_a_report_cannot_hold_raise(monkeypatch, value):
         pipeline.report_json(None)
 
 
+def cell_with(cell, at, value):
+    """`cell` with item `at` set to `value`, which `StableCell` refuses."""
+    return tuple.__new__(StableCell, cell[:at] + (value,) + cell[at + 1:])
+
+
+def inexact_results():
+    """The thom b1 = 9 rung, whose report has killed and reduced columns,
+    with one value of a per-cell table made inexact: in a cell of the
+    final complex (items: dim, fiber order, mask, suspension, fiber part,
+    offset), or in a column entry of the report."""
+    result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(9)))
+    final, report = result.final_complex, result.report
+    top = final.cells[-1]
+    for at, value in ((0, float(top[0])), (0, Level.HIGH), (3, True),
+                      (3, 1.0), (4, Name(top[4]))):
+        bad = final._replace(cells=final.cells[:-1] + (cell_with(top, at,
+                                                                 value),),
+                             attachments=None)
+        yield f"cell item {at} {type(value).__name__}", result._replace(
+            final_complex=bad)
+    entries = report.entries
+    # the last of each kind: a value equal to one before it is checked too
+    killed = max(i for i, entry in enumerate(entries) if entry.killer)
+    reduced = max(i for i, entry in enumerate(entries)
+                  if entry.reduced_index is not None)
+    last = entries[-1]
+    for i, change in (
+            (reduced, {"reduced_index": 24.0}),
+            (reduced, {"reduced_index": True}),
+            (-1, {"stem_q": True}), (-1, {"stem_q": float(last.stem_q)}),
+            (killed, {"killer": Name(entries[killed].killer)}),
+            (killed, {"status": Name(entries[killed].status)}),
+            (-1, {"status": Name(last.status)}),
+            (-1, {"cell": cell_with(last.cell, 0, float(last.cell.dim))})):
+        i %= len(entries)
+        bad = entries[:i] + (entries[i]._replace(**change),) + entries[i + 1:]
+        (field, value), = change.items()
+        yield f"entry {i} {field} {type(value).__name__}", result._replace(
+            report=report._replace(entries=bad))
+
+
+@pytest.mark.parametrize("result", [
+    pytest.param(result, id=label) for label, result in inexact_results()])
+def test_inexact_cells_and_entries_raise(result):
+    """The two per-cell tables are written from the cells and entries
+    themselves, and refuse a float, a bool or an int subclass where an int
+    goes, and a str subclass where a str goes."""
+    with pytest.raises(TypeError):
+        pipeline.report_json(result)
+    with pytest.raises(TypeError):
+        pipeline.write_report(result, io.StringIO())
+
+
 # -- lists of strings -----------------------------------------------------
 
 def written(value):
@@ -254,9 +307,9 @@ def test_one_scalar_type_lists_match_stdlib(value):
 
 
 def test_int_lists_that_recur_match_stdlib():
-    """An int list's digits are joined once per process and reused: a
-    tuple object in several rows and both columns, the dims pairs, and a
-    bool list after the int list it equals all give their own bytes."""
+    """Int lists that recur give their own bytes: a tuple object in
+    several rows and both columns, the dims pairs, and a bool list after
+    the int list it equals."""
     shared = (1, 2, 4)
     rows = [{"base": shared, "dims": (6, 4)},
             {"base": shared, "dims": (7, 5)},
@@ -280,9 +333,9 @@ def test_large_lists_are_not_written_one_part_per_item():
                       {"b1": 5, "quad_form": ["[1,2,3,4] = 5"]}],
         "suspensions": 1})
     report = pipeline.report_dict(pipeline.run_scenario(spec))
-    tables = (report["complex"]["cells"], report["complex"]["detected_labels"],
-              report["assembly"]["entries"])
-    assert all(type(table) is Rows for table in tables)
+    assert type(report["complex"]["cells"]) is CellRows
+    assert type(report["complex"]["detected_labels"]) is Rows
+    assert type(report["assembly"]["entries"]) is EntryRows
     assert len(report["assembly"]["notes"]) == 4548
     assert len(list(report["complex"]["cells"])) == 513
     parts, note_parts, other_parts = [], [], []

@@ -92,6 +92,18 @@ class TestBulkCells:
                 _fiber_cells(3, part, 4, suspension)
             assert str(bulk.value) == str(one.value)
 
+    def test_non_int_offset_or_suspension_raises_as_the_constructor(self):
+        for offset, suspension in ((4.0, 0), (True, 0), (4, True),
+                                   (4, 0.5), (4, 1.0), (4, "1"), (None, 0)):
+            with pytest.raises(ValueError) as one:
+                StableCell(0, FIBER_THOM, offset, suspension)
+            with pytest.raises(ValueError) as bulk:
+                _fiber_cells(3, FIBER_THOM, offset, suspension)
+            assert str(bulk.value) == str(one.value)
+            field = "fiber_offset" if type(offset) is not int \
+                else "suspension"
+            assert str(one.value).startswith(f"{field} must be an int, not ")
+
     @pytest.mark.parametrize("dets", [(), (3,), (3, 5), (2, 3, 5)],
                              ids=["point", "b4", "b8", "b12"])
     def test_builders_equal_the_public_constructor(self, dets):
@@ -685,6 +697,31 @@ class TestCellNames:
         cell = StableCell(1, FIBER_THOM, 4, 2)
         with pytest.raises(ValueError, match="suspension"):
             cell.suspended(-1)
+
+    def test_non_int_fields_rejected_when_made(self):
+        """A bool, a float or an int subclass would reach the cell's dim,
+        its name and its report row: `StableCell(1, "thom", 4, True)` was
+        once named `H{1}+True`, and a suspension of 0.5 made a cell of dim
+        5.5. Each is refused, naming its field."""
+        class Count(int):
+            pass
+
+        where = {"base_mask": 0, "fiber_offset": 2, "suspension": 3}
+        for field, args in (
+                ("base_mask", (True, FIBER_THOM, 4)),
+                ("base_mask", (1.0, FIBER_THOM, 4)),
+                ("base_mask", (Count(1), FIBER_THOM, 4)),
+                ("fiber_offset", (1, FIBER_THOM, 4.0)),
+                ("fiber_offset", (1, FIBER_THOM, False)),
+                ("suspension", (1, FIBER_THOM, 4, True)),
+                ("suspension", (1, FIBER_THOM, 4, 0.5)),
+                ("suspension", (1, FIBER_THOM, 4, Count(2)))):
+            kind = type(args[where[field]]).__name__
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be an int, not {kind}$"):
+                StableCell(*args)
+        with pytest.raises(ValueError, match="^suspension must be an int"):
+            StableCell(1, FIBER_THOM, 4, 2).suspended(0.5)
 
     def test_suspended_equals_the_cell_made_fresh(self):
         masks = [0, 1, 0b1011, (1 << 12) - 1, 1 << 40, 1 << 79,
