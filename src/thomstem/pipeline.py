@@ -442,31 +442,19 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
 
 # -- rendering ----------------------------------------------------------
 
-class Rows:
-    """A report table kept by column: one {key: column list} dict per run
-    of rows that share one key set. Iterates over its row dicts, and is
-    written as the list of them. It serves `complex.detected_labels`."""
-
-    def __init__(self, *runs: Dict[str, list]):
-        self.runs = runs
-
-    def __iter__(self):
-        for run in self.runs:
-            yield from (dict(zip(run, row)) for row in zip(*run.values()))
-
-
 class CellRows:
     """The `complex.cells` table: a row per cell of `complex_`, in order,
-    named by `names`, each cell's `name()`. Iterates over its row dicts,
-    and is written as the list of them, row by row from the cells."""
+    named by `names`, which maps the id of each cell to its `name()`.
+    Iterates over its row dicts, and is written as the list of them, row
+    by row from the cells."""
 
-    def __init__(self, complex_: StableCellComplex, names: List[str]):
+    def __init__(self, complex_: StableCellComplex, names: Dict[int, str]):
         self.complex, self.names = complex_, names
 
     def __iter__(self):
         is_basepoint = self.complex.is_basepoint
-        for cell, name in zip(self.complex.cells, self.names):
-            yield {"name": name, "base": cell.base_indices,
+        for cell in self.complex.cells:
+            yield {"name": self.names[id(cell)], "base": cell.base_indices,
                    "fiber": cell.fiber_part, "suspension": cell.suspension,
                    "dim": cell.dim, "basepoint": is_basepoint(cell)}
 
@@ -491,26 +479,40 @@ class EntryRows:
             yield row
 
 
+class DetectedRows:
+    """The `complex.detected_labels` table: a row per ((upper, lower),
+    label) of `detected`, in canonical order; `names` as `EntryRows`
+    takes them. Iterates over its row dicts, and is written as the list
+    of them, row by row from the pairs."""
+
+    def __init__(self, detected: Sequence[tuple], names: Dict[int, str]):
+        self.detected, self.names = detected, names
+
+    def __iter__(self):
+        names = self.names
+        for (upper, lower), label in self.detected:
+            yield {"upper": names.get(id(upper)) or upper.name(),
+                   "lower": names.get(id(lower)) or lower.name(),
+                   "dims": (upper.dim, lower.dim), "label": label.value,
+                   "justification": label.justification}
+
+
 def complex_to_dict(complex_: StableCellComplex) -> dict:
-    """JSON-ready description: cells, dims, label counts, detected labels."""
+    """JSON-ready description: cells, dims, label counts, detected labels.
+    Each cell's name is formatted once, into one {id(cell): name} map that
+    every table of the report reads."""
+    names = {id(cell): cell.name() for cell in complex_.cells}
     out = {
         "basepoint_policy": complex_.basepoint_policy,
         "gap3_trivial_flag": complex_.gap3_trivial,
-        "cells": CellRows(complex_, [cell.name() for cell in complex_.cells]),
+        "cells": CellRows(complex_, names),
         "cells_by_dim": {str(d): n
                          for d, n in sorted(complex_.cells_by_dim().items())},
     }
     labels = complex_.attachments
     if labels is not None:
         out["label_counts"] = label_counts(labels)
-        detected = labels.detected
-        out["detected_labels"] = Rows({
-            "upper": [upper.name() for (upper, _), _ in detected],
-            "lower": [lower.name() for (_, lower), _ in detected],
-            "dims": [(upper.dim, lower.dim) for (upper, lower), _ in detected],
-            "label": [label.value for _, label in detected],
-            "justification": [label.justification for _, label in detected],
-        })
+        out["detected_labels"] = DetectedRows(labels.detected, names)
     return out
 
 
@@ -559,9 +561,6 @@ def report_dict(result: RunResult) -> dict:
     """The JSON report: stable key order, no timestamps, byte-reproducible."""
     spec, final = result.spec, result.final_complex
     complex_dict = complex_to_dict(final)
-    # the assembly's columns are cells of this complex: each name is
-    # formatted once, for both tables
-    names = dict(zip(map(id, final.cells), complex_dict["cells"].names))
     return {
         "schema": SCHEMA_REPORT,
         "scenario": {
@@ -581,7 +580,7 @@ def report_dict(result: RunResult) -> dict:
         "manifold": _manifold_dict(result.manifold),
         "bundle": _bundle_dict(result.bundle),
         "complex": complex_dict,
-        "assembly": _assembly_dict(result.report, names),
+        "assembly": _assembly_dict(result.report, complex_dict["cells"].names),
         "class_assignment": [
             {"cell": cell.name(), "element": str(element)}
             for cell, element in sorted(result.assignment.items())],
@@ -600,7 +599,7 @@ def _report_parts(result: RunResult,
 
 def report_json(result: RunResult) -> str:
     """The report as json.dumps(indent=2, sort_keys=True, default=list)
-    writes it (a `Rows` or `Notes` value as the list of its items), plus a
+    writes it (a table or `Notes` value as the list of its items), plus a
     newline, byte for byte; strings go through the C escaper."""
     return "".join(_report_parts(result))
 
@@ -610,7 +609,8 @@ def write_report(result: RunResult, fp) -> None:
     `_SLICE_PARTS` parts, each as soon as `_write` has appended the part
     after it, so the whole part list is never held. Each part is bounded,
     so each slice is too: a note part is one head, tail or separator, and
-    the largest parts, the `Rows` tables, are about 1 MB at thom b1 = 12."""
+    the largest parts, the per-cell tables, are about 1 MB at thom
+    b1 = 12."""
     parts = _report_parts(result, _Slices(fp))
     fp.write("".join(parts))
 
@@ -649,9 +649,9 @@ def _write(value, newline: str, parts: List[str]) -> None:
     `newline` is the line break plus the indent of the line `value` starts
     on. Items are str, int, bool, None or containers again, and dict keys
     are str; anything else (a float too, or a subclass of a scalar) raises
-    TypeError, so the report stays exact. A table (`Rows`, `CellRows`,
-    `EntryRows`) or `Notes` goes to its writer in `_WRITERS`; a list or
-    tuple goes one part per item."""
+    TypeError, so the report stays exact. A table (`CellRows`,
+    `EntryRows`, `DetectedRows`) or `Notes` goes to its writer in
+    `_WRITERS`; a list or tuple goes one part per item."""
     inner = newline + "  "
     writer = _WRITERS.get(type(value))
     if writer is not None:
@@ -715,25 +715,11 @@ def _write_notes(notes: Notes, newline: str, parts: List[str]) -> None:
     parts[-1] = '"' + newline + "]" if items else "[]"
 
 
-def _write_rows(rows: Rows, newline: str, parts: List[str]) -> None:
-    """Append `rows` as JSON in one join: each run sorts its keys once and
-    fills one %-template per row from the `_column_texts` of its columns."""
-    inner = newline + "  "
-    key_line = inner + "  "
-    texts: List[str] = []
-    for run in rows.runs:
-        names = sorted(run)                        # mixed key types raise
-        columns = [_column_texts(run[name], key_line) for name in names]
-        template = "{" + ",".join(
-            key_line + encode_basestring_ascii(name).replace("%", "%%")
-            + ": %s" for name in names) + inner + "}"
-        texts += map(template.__mod__, zip(*columns))
-    _join_rows(texts, newline, parts)
-
-
-# item 0 is an entry's cell, and a cell's dim
-_CELL = _DIM = itemgetter(0)
-_STEM, _GROUP, _REDUCED = itemgetter(1), itemgetter(2), itemgetter(5)
+# item 0 is an entry's cell, a cell's dim and a detected label's pair;
+# item 1 is an entry's stem and a detected label's label
+_CELL = _DIM = _PAIR = itemgetter(0)
+_STEM = _LABEL = itemgetter(1)
+_GROUP, _REDUCED = itemgetter(2), itemgetter(5)
 _DIM_SUSPENSION, _FIBER = itemgetter(0, 3), itemgetter(4)
 _STATUS_KILLER = itemgetter(3, 4)
 
@@ -759,7 +745,8 @@ def _write_cells(table: CellRows, newline: str, parts: List[str]) -> None:
         f'{line}"basepoint": {"true" if is_basepoint(cell) else "false"},'
         f'{line}"dim": {cell[0]},{line}"fiber": {fibers[cell[4]]},'
         f'{line}"name": {name},{line}"suspension": {cell[3]}{end}'
-        for cell, name in zip(cells, _names(table.names))], newline, parts)
+        for cell, name in zip(cells, _names(table.names, cells))],
+        newline, parts)
 
 
 def _write_entries(table: EntryRows, newline: str, parts: List[str]) -> None:
@@ -771,7 +758,7 @@ def _write_entries(table: EntryRows, newline: str, parts: List[str]) -> None:
     reduced index that is neither an exact int nor None, a name or group
     text that is not an exact str, or a status or killer that is neither
     an exact str nor None, raises TypeError."""
-    entries, names = table.entries, table.names
+    entries = table.entries
     cells = list(map(_CELL, entries))
     if set(map(type, chain(map(_DIM, cells), map(_STEM, entries)))) - {int} \
             or set(map(type, map(_REDUCED, entries))) - {int, type(None)}:
@@ -794,13 +781,41 @@ def _write_entries(table: EntryRows, newline: str, parts: List[str]) -> None:
         f'{reduced[index]}{line}"status": {texts[status]},'
         f'{line}"stem": {stem}{end}'
         for (cell, stem, group, status, killer, index), name in zip(
-            entries, _names([names.get(id(cell)) or cell.name()
-                             for cell in cells]))], newline, parts)
+            entries, _names(table.names, cells))], newline, parts)
 
 
-def _names(names: List[str]) -> Iterator[str]:
-    """The JSON texts of `names`; a name that is not an exact str raises
-    TypeError."""
+def _write_detected(table: DetectedRows, newline: str,
+                    parts: List[str]) -> None:
+    """Append `table` as JSON in one join, each row one f-string filled
+    from its ((upper, lower), (value, justification)): both cells' dims
+    and names, and the texts of the label's value and justification (once
+    per distinct value). A dim that is not an exact int, a name that is
+    not an exact str, or a value or justification that is neither an
+    exact str nor None, raises TypeError."""
+    detected = table.detected
+    cells = list(chain.from_iterable(map(_PAIR, detected)))
+    if set(map(type, map(_DIM, cells))) - {int}:
+        raise TypeError("a detected label's dim is not an int")
+    texts = _texts(list(chain.from_iterable(map(_LABEL, detected))))
+    line, item, end = newline + "    ", newline + "      ", newline + "  }"
+    names = _names(table.names, cells)     # upper, lower, upper, ...
+    _join_rows([
+        f'{{{line}"dims": [{item}{upper[0]},{item}{lower[0]}{line}],'
+        f'{line}"justification": {texts[label[1]]},'
+        f'{line}"label": {texts[label[0]]},'
+        f'{line}"lower": {lower_name},{line}"upper": {upper_name}{end}'
+        for ((upper, lower), label), upper_name, lower_name in zip(
+            detected, names, names)], newline, parts)
+
+
+def _names(names: Dict[int, str], cells: list) -> Iterator[str]:
+    """The JSON texts of the names of `cells`, read from `names`, which
+    maps a cell's id to its name; a cell not among them (one of a report
+    copied apart from its complex) is named afresh. A name that is not an
+    exact str raises TypeError."""
+    names = list(map(names.get, map(id, cells)))
+    if None in names:
+        names = [name or cell.name() for name, cell in zip(names, cells)]
     if set(map(type, names)) - {str}:
         raise TypeError("a report cell name is not a str")
     return map(encode_basestring_ascii, names)
@@ -823,30 +838,9 @@ def _join_rows(texts: List[str], newline: str, parts: List[str]) -> None:
         if texts else ("[]",)
 
 
-def _column_texts(values: list, newline: str) -> List[str]:
-    """JSON texts of one column of row values written on lines indented
-    as `newline`. A value that is neither a scalar nor a list or tuple of
-    exact int raises TypeError."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and kinds <= _SCALARS.keys():
-        return list(map(_SCALARS[kinds.pop()], values))
-    lists = kinds & {list, tuple}
-    if not kinds - lists <= _SCALARS.keys() or lists and not set(map(
-            type, chain.from_iterable(value for value in values
-                                      if type(value) in lists))) <= {int}:
-        raise TypeError("a report row holds a value that is neither a "
-                        "scalar nor a list of int")
-    inner = newline + "  "
-    sep = "," + inner
-    return [_SCALARS[type(value)](value) if type(value) in _SCALARS else
-            "[" + inner + sep.join(map(int.__repr__, value)) + newline + "]"
-            if value else "[]"
-            for value in values]
-
-
 # the writer of each table type, and of `Notes`
-_WRITERS = {Rows: _write_rows, CellRows: _write_cells,
-            EntryRows: _write_entries, Notes: _write_notes}
+_WRITERS = {CellRows: _write_cells, EntryRows: _write_entries,
+            DetectedRows: _write_detected, Notes: _write_notes}
 
 
 def explain_text(spec: ScenarioSpec) -> str:

@@ -16,12 +16,15 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from helpers import (as_tuple_terms, direct_sum_oracle, expand_labels,
                      oracle_chern_character, suspend)
 from thomstem import pipeline, stems
 from thomstem.ahss import (KILLED, UNKNOWN, VERDICT_NONTRIVIAL,
                            VERDICT_TRIVIAL, VERDICT_UNKNOWN, assemble,
                            evaluate_class)
+from thomstem.cli import EXIT_BAD_SPEC, EXIT_UNKNOWN, main
 from thomstem.chern import (ManifoldData, chern_character_index,
                             connected_sum, index_bundle, make_homology_torus)
 from thomstem.stems import AbelianGroup
@@ -200,3 +203,64 @@ def test_criterion_6_determinism():
         json.loads(first)  # stays valid JSON
     _report("ACCEPTANCE 6 PASS: repeated preset runs produce byte-identical "
             "JSON reports")
+
+
+# -- known soundness gaps of the d4 page ------------------------------------
+#
+# Each test asserts the sound outcome, so it fails today and is marked a
+# strict xfail: the change that mends its ROADMAP item turns it into a pass.
+
+def _thom_spec(dets, element, cell, **fields):
+    return {"schema": "thomstem-scenario/1", "name": "soundness",
+            "manifolds": [{"determinant": det} for det in dets],
+            "class_assignment": [{"cell": cell, "element": element}],
+            **fields}
+
+
+def _exit_and_stderr(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["run", "--spec", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: ahss._d4_page kills a Z/24 column by any odd nu "
+    "label, but 8 nu lies in the Z/3 part that Sq^4 cannot see"))
+def test_soundness_item_1_nu_multiple_8_is_not_trivial():
+    spec = _thom_spec((3, 9), "nu_multiple(8)", "top", suspensions=1)
+    result = pipeline.run_scenario(pipeline.parse_scenario(spec))
+    assert result.verdict != VERDICT_TRIVIAL
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: ahss._d4_page marks a d4 source 'reduced', and "
+    "evaluate_class takes every nonzero element on it for a cycle"))
+def test_soundness_item_2_a_non_cycle_is_no_class(tmp_path, capsys):
+    spec = _thom_spec((3,), "one(1)", {"base": [], "fiber": "thom"},
+                      suspensions=0, target_shift=-3)
+    code, err = _exit_and_stderr(tmp_path, capsys, spec)
+    assert code in (EXIT_BAD_SPEC, EXIT_UNKNOWN)
+    if code == EXIT_BAD_SPEC:
+        assert "spec.class_assignment[0]" in err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 18a: ahss._d4_page kills both targets of one nu source, "
+    "whose image in (Z/24)^2 is cyclic"))
+def test_soundness_item_18a_one_source_does_not_kill_two_targets():
+    spec = _thom_spec((1, 5), "nu_multiple(2)",
+                      {"base": [1, 2, 3, 4], "fiber": "thom"},
+                      suspensions=1, target_shift=-4)
+    result = pipeline.run_scenario(pipeline.parse_scenario(spec))
+    assert result.verdict != VERDICT_TRIVIAL
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 18b: ahss._d4_page reads only stem-0 sources, so a "
+    "detected nu pair out of stem 3 is dropped and both columns survive"))
+def test_soundness_item_18b_stem_3_sources_are_read(tmp_path, capsys):
+    spec = _thom_spec((3,), "nu_multiple(1)", {"base": [], "fiber": "thom"},
+                      suspensions=1, target_shift=-5)
+    code, _ = _exit_and_stderr(tmp_path, capsys, spec)
+    assert code in (EXIT_BAD_SPEC, EXIT_UNKNOWN)

@@ -2,8 +2,10 @@
 
 `report_json` must give `json.dumps(report_dict(r), indent=2,
 sort_keys=True, default=list) + "\n"` byte for byte, and refuse what a
-report must never hold. `default=list` writes a `Rows` table as its row
-dicts and a `Notes` sequence as its notes.
+report must never hold. A report holds two kinds of value that are not
+plain lists: row tables (`CellRows`, `EntryRows`, `DetectedRows`), which
+`default=list` writes as their row dicts, and the `Notes` sequence,
+which it writes as its notes.
 """
 
 import enum
@@ -12,16 +14,16 @@ import json
 import pathlib
 import random
 import sys
-from itertools import groupby
 
 import pytest
 
 from helpers import thom_rung
 from test_golden import CASES
 from thomstem import pipeline
-from thomstem.ahss import Notes
-from thomstem.pipeline import CellRows, EntryRows, Rows
-from thomstem.thom import StableCell
+from thomstem.ahss import ColumnEntry, Notes
+from thomstem.pipeline import CellRows, DetectedRows, EntryRows
+from thomstem.stems import AbelianGroup
+from thomstem.thom import AttachLabel, AttachmentView, StableCell
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "perfbench"))
@@ -79,6 +81,16 @@ class Name(str):
     pass
 
 
+def cell_with(cell, at, value):
+    """`cell` with item `at` set to `value`, which `StableCell` refuses."""
+    return tuple.__new__(StableCell, cell[:at] + (value,) + cell[at + 1:])
+
+
+# a detected nu pair of dims 9 and 5, as the sec4 complex has
+UPPER, LOWER = StableCell(15, "thom", 4, 1), StableCell(0, "thom", 4, 1)
+NU = AttachLabel("nu_odd", "Sq^4 detects odd multiples of nu")
+
+
 ZOO = {
     "empties": [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
     "tuples": (1, "two", (3, ()), [(4,)]),
@@ -118,16 +130,24 @@ def test_value_zoo_matches_stdlib_encoder(monkeypatch, value):
     [{"a": 1}, {1: "int key"}],
     # a report is a container
     "top-level string", 12, None,
-    # a Rows column holds scalars of exact type or lists of exact int
-    Rows({"dim": [1, 2.0]}), Rows({"dim": [Level.HIGH]}),
-    Rows({"name": ["a", Name("b")]}),
-    Rows({"a": [1]}, {"name": [Name("b")]}),
-    Rows({"base": [[1, [2]], [3]]}), Rows({"base": [[1], ["2"]]}),
-    Rows({"base": [[True]]}), Rows({"base": [(1, 2.0)]}),
-    Rows({"nested": [{"a": 1}]}), Rows({"set": [{1, 2}]}),
-    # and its keys are str
-    Rows({1: ["int key"]}), Rows({"a": [1], 1: [2]}),
-    Rows({"a": [1]}, {2: [3]}),
+    # a detected-label row holds cells of exact int dim, and its name,
+    # label value and justification are exact str, in every row
+    *(DetectedRows(rows, names) for rows, names in (
+        ([((cell_with(UPPER, 0, 9.0), LOWER), NU)], {}),
+        ([((UPPER, cell_with(LOWER, 0, Level.HIGH)), NU)], {}),
+        ([((UPPER, cell_with(LOWER, 0, True)), NU)], {}),
+        ([((cell_with(UPPER, 0, "9"), LOWER), NU)], {}),
+        ([((UPPER, cell_with(LOWER, 0, None)), NU)], {}),
+        ([((UPPER, LOWER), NU._replace(value=Name("nu_odd")))], {}),
+        ([((UPPER, LOWER), NU._replace(value=4))], {}),
+        ([((UPPER, LOWER), NU._replace(justification=Name("Sq^4")))], {}),
+        ([((UPPER, LOWER), NU._replace(justification=b"Sq^4"))], {}),
+        ([((UPPER, LOWER), NU)], {id(UPPER): Name("H{1,2,3,4}+1")}),
+        ([((UPPER, LOWER), NU)], {id(LOWER): 5}),
+        ([((UPPER, LOWER), NU), ((UPPER, cell_with(LOWER, 0, 5.0)), NU)],
+         {}),
+        ([((UPPER, LOWER), NU),
+          ((UPPER, LOWER), NU._replace(value=Name(NU.value)))], {}))),
     # a Notes item, run head or tail is an exact str
     Notes(["a", Name("b")]), Notes([Name("b")]), Notes([("h", (1,))]),
     Notes([(Name("h"), ("t",))]), Notes([("h", ("t", Name("u")))]),
@@ -140,16 +160,11 @@ def test_values_a_report_cannot_hold_raise(monkeypatch, value):
         pipeline.report_json(None)
 
 
-def cell_with(cell, at, value):
-    """`cell` with item `at` set to `value`, which `StableCell` refuses."""
-    return tuple.__new__(StableCell, cell[:at] + (value,) + cell[at + 1:])
-
-
 def inexact_results():
     """The thom b1 = 9 rung, whose report has killed and reduced columns,
-    with one value of a per-cell table made inexact: in a cell of the
-    final complex (items: dim, fiber order, mask, suspension, fiber part,
-    offset), or in a column entry of the report."""
+    with one value of a table made inexact: in a cell of the final complex
+    (items: dim, fiber order, mask, suspension, fiber part, offset), in a
+    column entry of the report, or in a detected label of the complex."""
     result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(9)))
     final, report = result.final_complex, result.report
     top = final.cells[-1]
@@ -179,14 +194,40 @@ def inexact_results():
         (field, value), = change.items()
         yield f"entry {i} {field} {type(value).__name__}", result._replace(
             report=report._replace(entries=bad))
+    detected = final.attachments.detected
+    (upper, lower), label = detected[-1]
+    # in the last row: its label value equals every row's before it, and
+    # the justification it is given equals the first row's
+    for key, item in (
+            ("upper dim float", ((cell_with(upper, 0, float(upper.dim)),
+                                  lower), label)),
+            ("lower dim bool", ((upper, cell_with(lower, 0, True)), label)),
+            ("label Name", ((upper, lower),
+                            label._replace(value=Name(label.value)))),
+            ("justification Name", ((upper, lower), label._replace(
+                justification=Name(detected[0][1].justification))))):
+        yield f"detected {key}", result._replace(final_complex=tuple.__new__(
+            type(final), final[:3] + (view_with(final.attachments,
+                                                 detected[:-1] + (item,)),)
+            + final[4:]))
+
+
+def view_with(labels, detected):
+    """The view `labels` with `detected` as its detected labels, which
+    `AttachmentView` would refuse or find again from its rules."""
+    view = object.__new__(AttachmentView)
+    for slot in AttachmentView.__slots__:
+        object.__setattr__(view, slot, getattr(labels, slot))
+    object.__setattr__(view, "detected", detected)
+    return view
 
 
 @pytest.mark.parametrize("result", [
     pytest.param(result, id=label) for label, result in inexact_results()])
 def test_inexact_cells_and_entries_raise(result):
-    """The two per-cell tables are written from the cells and entries
-    themselves, and refuse a float, a bool or an int subclass where an int
-    goes, and a str subclass where a str goes."""
+    """The three tables are written from the cells, entries and detected
+    labels themselves, and refuse a float, a bool or an int subclass where
+    an int goes, and a str subclass where a str goes."""
     with pytest.raises(TypeError):
         pipeline.report_json(result)
     with pytest.raises(TypeError):
@@ -227,17 +268,7 @@ def test_str_probe_reads_every_slice():
         assert written(strings) == stdlib(strings), at
 
 
-def as_rows(dicts):
-    """`dicts` as a `Rows` value: one run per run of rows with one key set."""
-    runs = []
-    for keys, run in groupby(dicts, dict.keys):
-        run = list(run)
-        runs.append({key: [row[key] for row in run] for key in keys})
-    return Rows(*runs)
-
-
-# written as Rows too, by `as_rows`
-COLUMNAR_ROWS = [
+ROW_LISTS = [
     # a column of None and str, as the assembly's killer column
     [{"killer": None, "n": 1}, {"killer": 'd2 "into" x', "n": 2},
      {"killer": "é", "n": 3}],
@@ -258,10 +289,6 @@ COLUMNAR_ROWS = [
      {"50%": "%", "%d": "", "%(x)s": 2}],
     # keys that need escapes, and a str value needing them
     [{'"q"': "a\nb", "é": 1, "": None}, {'"q"': "c", "é": 2, "": True}],
-]
-
-# refused as Rows, and written item by item as plain lists
-ITEMWISE_ROWS = [
     # a list column holding a nested or a non-int list
     [{"base": [1, [2]]}, {"base": [3]}],
     [{"base": ["1"]}, {"base": [2]}],
@@ -272,27 +299,29 @@ ITEMWISE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rows", COLUMNAR_ROWS + ITEMWISE_ROWS)
+@pytest.mark.parametrize("rows", ROW_LISTS)
 def test_row_lists_match_stdlib(rows):
-    values, table = [rows], as_rows(rows)
-    if rows in COLUMNAR_ROWS:
-        assert list(table) == rows
-        values.append(table)
-    elif list(table) == rows:      # a row without keys is no Rows row
-        with pytest.raises(TypeError):
-            written(table)
-    for value in values:
-        assert written(value) == stdlib(rows)
-        assert written({"rows": value, "after": 1}) == \
-            stdlib({"rows": rows, "after": 1})
-        assert written([value, value]) == stdlib([rows, rows])
+    assert written(rows) == stdlib(rows)
+    assert written({"rows": rows, "after": 1}) == \
+        stdlib({"rows": rows, "after": 1})
+    assert written([rows, rows]) == stdlib([rows, rows])
+
+
+TOP = ColumnEntry(UPPER, 6, AbelianGroup(0, (24,)), "killed",
+                  'd4 from "H{}+1"', None)
 
 
 @pytest.mark.parametrize("table", [
-    Rows(), Rows({}), Rows({"a": [], "b": []}), Rows({"a": []}, {"b": []}),
-    # runs that share a key set are written as one
-    Rows({"a": [1]}, {"a": [2, 3]}),
-    Rows({"a": [1], "b": [None]}, {}, {"b": ["x"], "a": [2]}),
+    DetectedRows((), {}), EntryRows((), {}),
+    # cells the names map does not hold are named afresh
+    DetectedRows((((UPPER, LOWER), NU),), {}),
+    EntryRows((TOP, TOP._replace(cell=LOWER, stem_q=2, status="reduced",
+                                 killer=None, reduced_index=24)), {}),
+    # names and labels that need escapes, and rows that share a label
+    DetectedRows((((UPPER, LOWER), NU._replace(justification="é\n")),),
+                 {id(UPPER): 'H"{1}"', id(LOWER): "back\\slash"}),
+    DetectedRows((((UPPER, LOWER), NU), ((LOWER, UPPER), NU)),
+                 {id(UPPER): "U"}),
 ])
 def test_rows_edge_cases_match_stdlib(table):
     assert written(table) == stdlib(table)
@@ -308,8 +337,7 @@ def test_one_scalar_type_lists_match_stdlib(value):
 
 def test_int_lists_that_recur_match_stdlib():
     """Int lists that recur give their own bytes: a tuple object in
-    several rows and both columns, the dims pairs, and a bool list after
-    the int list it equals."""
+    several rows and both columns, and the dims pairs."""
     shared = (1, 2, 4)
     rows = [{"base": shared, "dims": (6, 4)},
             {"base": shared, "dims": (7, 5)},
@@ -317,13 +345,8 @@ def test_int_lists_that_recur_match_stdlib():
             {"base": shared, "dims": [6, 4]},
             {"base": [10 ** 20, -3], "dims": (6, 4)}]
     for _ in range(2):
-        assert written(as_rows(rows)) == stdlib(rows)
-        assert written({"t": as_rows(rows)}) == stdlib({"t": rows})
-    assert written(Rows({"dims": [(1,), (1, 0)]})) == \
-        stdlib([{"dims": [1]}, {"dims": [1, 0]}])
-    for bools in ((True,), [True, False]):
-        with pytest.raises(TypeError):
-            written(Rows({"dims": [bools]}))
+        assert written(rows) == stdlib(rows)
+        assert written({"t": rows}) == stdlib({"t": rows})
 
 
 def test_large_lists_are_not_written_one_part_per_item():
@@ -334,7 +357,7 @@ def test_large_lists_are_not_written_one_part_per_item():
         "suspensions": 1})
     report = pipeline.report_dict(pipeline.run_scenario(spec))
     assert type(report["complex"]["cells"]) is CellRows
-    assert type(report["complex"]["detected_labels"]) is Rows
+    assert type(report["complex"]["detected_labels"]) is DetectedRows
     assert type(report["assembly"]["entries"]) is EntryRows
     assert len(report["assembly"]["notes"]) == 4548
     assert len(list(report["complex"]["cells"])) == 513
@@ -441,10 +464,10 @@ def test_ladder_notes_are_parts_built_from_runs(monkeypatch):
 
 
 def test_report_formats_each_cell_name_once(monkeypatch):
-    """The assembly lists the complex's proper cells in the complex's
-    order, so the report formats each cell's name once for both tables;
-    only the detected labels and the class assignment name a cell again.
-    The thom b1 = 10 rung once took 2,305 calls for 1,025 cells."""
+    """The assembly and the detected labels read the complex's own cells,
+    so the report formats each cell's name once for all three tables;
+    only the class assignment names a cell again. The thom b1 = 10 rung
+    once took 2,305 calls for 1,025 cells."""
     result = pipeline.run_scenario(pipeline.parse_scenario(thom_rung(10)))
     expected = stdlib(pipeline.report_dict(result))
     calls = []
@@ -454,5 +477,5 @@ def test_report_formats_each_cell_name_once(monkeypatch):
     assert pipeline.report_json(result) == expected
     final = result.final_complex
     assert len(final.cells) == 1025
-    assert len(calls) == len(final.cells) + \
-        2 * len(final.attachments.detected) + len(result.assignment)
+    assert final.attachments.detected
+    assert len(calls) == len(final.cells) + len(result.assignment)
